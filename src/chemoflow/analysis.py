@@ -176,6 +176,27 @@ def log_hessian_identity_residual(phi: ScalarField, margin: int = 2):
 # Trudinger-type product bounds
 # ----------------------------------------------------------------------
 
+def _checked_mass(phi: ScalarField) -> float:
+    pv = phi.values
+    if (pv < 0).any() or not pv.any():
+        raise ValueError("phi must be nonnegative and not identically zero")
+    return integrate(phi)
+
+
+def _trudinger_terms(phi: ScalarField, psi: ScalarField):
+    """(int phi, entropy, int |grad psi|^2, int |psi|, int phi |psi|)."""
+    g = phi.grid
+    pv = phi.values
+    mass = _checked_mass(phi)
+    mean = mass / g.area
+    entropy = _integral(np.where(pv > 0, pv * np.log(np.maximum(pv, 1e-300) / mean), 0.0), g)
+    gx, gy = _grads(psi.values, g)
+    dirichlet = _integral(gx**2 + gy**2, g)
+    l1_psi = _integral(np.abs(psi.values), g)
+    lhs = _integral(pv * np.abs(psi.values), g)
+    return mass, entropy, dirichlet, l1_psi, lhs
+
+
 def trudinger_gap(phi: ScalarField, psi: ScalarField, a: float, eta: float, K: float) -> float:
     """RHS - LHS of
 
@@ -185,17 +206,7 @@ def trudinger_gap(phi: ScalarField, psi: ScalarField, a: float, eta: float, K: f
     """
     if a <= 0 or eta <= 0:
         raise ValueError("need a > 0 and eta > 0")
-    g = phi.grid
-    pv = phi.values
-    if (pv < 0).any() or not pv.any():
-        raise ValueError("phi must be nonnegative and not identically zero")
-    mass = integrate(phi)
-    mean = mass / g.area
-    entropy = _integral(np.where(pv > 0, pv * np.log(np.maximum(pv, 1e-300) / mean), 0.0), g)
-    gx, gy = _grads(psi.values, g)
-    dirichlet = _integral(gx**2 + gy**2, g)
-    l1_psi = _integral(np.abs(psi.values), g)
-    lhs = _integral(pv * np.abs(psi.values), g)
+    mass, entropy, dirichlet, l1_psi, lhs = _trudinger_terms(phi, psi)
     rhs = (
         entropy / a
         + (1.0 + eta) * a / (8.0 * math.pi) * mass * dirichlet
@@ -203,6 +214,19 @@ def trudinger_gap(phi: ScalarField, psi: ScalarField, a: float, eta: float, K: f
         + K / a * mass
     )
     return float(rhs - lhs)
+
+
+def _sublevel_terms(phi: ScalarField, s0_tilde: float, D_tilde: Callable):
+    """(int phi, mean phi, dissipation integral, superlevel entropy)."""
+    g = phi.grid
+    pv = phi.values
+    mass = _checked_mass(phi)
+    mean = mass / g.area
+    mask = pv > s0_tilde + 1.0
+    lhs = _integral(np.where(mask, pv * np.log1p(pv), 0.0), g)
+    gx, gy = _grads(pv, g)
+    dissip = _integral(np.asarray(D_tilde(pv)) * (gx**2 + gy**2) / (pv + 1.0) ** 2, g)
+    return mass, mean, dissip, lhs
 
 
 def trudinger_sublevel_gap(
@@ -219,45 +243,21 @@ def trudinger_sublevel_gap(
             <= (1+eta) K / L (int phi) int D(phi)|grad phi|^2/(phi+1)^2
                + K (int phi)^3 + (K - ln(mean phi)) int phi + K
     """
-    g = phi.grid
-    pv = phi.values
-    if (pv < 0).any() or not pv.any():
-        raise ValueError("phi must be nonnegative and not identically zero")
-    mass = integrate(phi)
-    mean = mass / g.area
-    mask = pv > s0_tilde + 1.0
-    lhs = _integral(np.where(mask, pv * np.log1p(pv), 0.0), g)
-    gx, gy = _grads(pv, g)
-    dissip = _integral(np.asarray(D_tilde(pv)) * (gx**2 + gy**2) / (pv + 1.0) ** 2, g)
+    mass, mean, dissip, lhs = _sublevel_terms(phi, s0_tilde, D_tilde)
     rhs = (1.0 + eta) * K / L * mass * dissip + K * mass**3 + (K - math.log(mean)) * mass + K
     return float(rhs - lhs)
 
 
 def _min_constant_trudinger(phi, psi, a, eta) -> float:
     """Smallest K making the product bound an equality or better."""
-    g = phi.grid
-    pv = phi.values
-    mass = integrate(phi)
-    mean = mass / g.area
-    entropy = _integral(np.where(pv > 0, pv * np.log(np.maximum(pv, 1e-300) / mean), 0.0), g)
-    gx, gy = _grads(psi.values, g)
-    dirichlet = _integral(gx**2 + gy**2, g)
-    l1_psi = _integral(np.abs(psi.values), g)
-    lhs = _integral(pv * np.abs(psi.values), g)
+    mass, entropy, dirichlet, l1_psi, lhs = _trudinger_terms(phi, psi)
     slack = lhs - entropy / a - (1.0 + eta) * a / (8.0 * math.pi) * mass * dirichlet
     denom = a * mass * l1_psi**2 + mass / a
     return max(0.0, slack / denom)
 
 
 def _min_constant_sublevel(phi, L, s0_tilde, D_tilde, eta) -> float:
-    g = phi.grid
-    pv = phi.values
-    mass = integrate(phi)
-    mean = mass / g.area
-    mask = pv > s0_tilde + 1.0
-    lhs = _integral(np.where(mask, pv * np.log1p(pv), 0.0), g)
-    gx, gy = _grads(pv, g)
-    dissip = _integral(np.asarray(D_tilde(pv)) * (gx**2 + gy**2) / (pv + 1.0) ** 2, g)
+    mass, mean, dissip, lhs = _sublevel_terms(phi, s0_tilde, D_tilde)
     denom = (1.0 + eta) / L * mass * dissip + mass**3 + mass + 1.0
     return max(0.0, (lhs + math.log(mean) * mass) / denom)
 
@@ -323,8 +323,8 @@ def mk_limit_check(M0: float, a: float, b: float, k_max: int, generator) -> tupl
 # subset-mean Poincare inequality
 # ----------------------------------------------------------------------
 
-def poincare_subset_gap(phi: ScalarField, B_mask: np.ndarray, p: float, C: float) -> float:
-    """C * (int |grad phi|^p)^(1/p) - (int |phi - mean_B phi|^p)^(1/p)."""
+def _poincare_terms(phi: ScalarField, B_mask: np.ndarray, p: float):
+    """((int |phi - mean_B phi|^p)^(1/p), (int |grad phi|^p)^(1/p))."""
     if p < 1:
         raise ValueError("need p >= 1")
     g = phi.grid
@@ -338,19 +338,18 @@ def poincare_subset_gap(phi: ScalarField, B_mask: np.ndarray, p: float, C: float
     lhs = _integral(np.abs(phi.values - avg) ** p, g) ** (1.0 / p)
     gx, gy = _grads(phi.values, g)
     rhs = _integral((gx**2 + gy**2) ** (p / 2.0), g) ** (1.0 / p)
+    return lhs, rhs
+
+
+def poincare_subset_gap(phi: ScalarField, B_mask: np.ndarray, p: float, C: float) -> float:
+    """C * (int |grad phi|^p)^(1/p) - (int |phi - mean_B phi|^p)^(1/p)."""
+    lhs, rhs = _poincare_terms(phi, B_mask, p)
     return float(C * rhs - lhs)
 
 
 def _min_constant_poincare(phi, B_mask, p) -> float:
-    g = phi.grid
-    mask = np.asarray(B_mask, dtype=bool)
-    avg = float(phi.values[mask].sum() / mask.sum())
-    lhs = _integral(np.abs(phi.values - avg) ** p, g) ** (1.0 / p)
-    gx, gy = _grads(phi.values, g)
-    rhs = _integral((gx**2 + gy**2) ** (p / 2.0), g) ** (1.0 / p)
-    if rhs == 0.0:
-        return 0.0
-    return lhs / rhs
+    lhs, rhs = _poincare_terms(phi, B_mask, p)
+    return lhs / rhs if rhs != 0.0 else 0.0
 
 
 # ----------------------------------------------------------------------
@@ -459,8 +458,7 @@ def run_lemma_checks(
     ok = True
     for (phi, _), m in zip(hold, masks[half:]):
         gap = poincare_subset_gap(phi, m, p, C)
-        gx, gy = _grads(phi.values, grid)
-        scale = C * _integral((gx**2 + gy**2) ** (p / 2.0), grid) ** (1.0 / p) + 1e-30
+        scale = C * _poincare_terms(phi, m, p)[1] + 1e-30
         worst = min(worst, gap)
         ok = ok and gap >= -rel_tol * scale
     rows.append(LemmaCheckRow("subset-mean poincare bound", C, worst, ok))

@@ -239,6 +239,8 @@ def validate_config(cfg: RunConfig):
     """Admissibility checks; returns a list of named violations (empty if OK)."""
     spec = cfg.spec
     violations = []
+    if not (math.isfinite(cfg.cadence) and cfg.cadence > 0):
+        violations.append(f"output cadence must be finite and > 0; got {cfg.cadence}")
     if not (0.0 <= spec.gamma <= 5.0 / 6.0):
         violations.append(f"gamma must lie in [0, 5/6]; got {spec.gamma}")
     if not (0.0 < spec.epsilon < 1.0):

@@ -4,8 +4,7 @@ Scalars (cell density n, signal c, pressure) live at cell centers
 ((i+1/2)*hx, (j+1/2)*hy).  Velocity components live on faces: ux on
 x-faces (i*hx, (j+1/2)*hy) with shape (nx+1, ny), uy on y-faces with
 shape (nx, ny+1).  All arrays are float64, axis 0 is x, axis 1 is y;
-flattening is C-order (row-major with x fastest-varying last... i.e.
-index [i, j] maps to flat i*ny + j for cell fields).
+flattening is C-order: cell [i, j] maps to flat index i*ny + j.
 """
 
 from __future__ import annotations
@@ -69,22 +68,6 @@ class Grid:
 
     def cell_mesh(self):
         return np.meshgrid(self.xc(), self.yc(), indexing="ij")
-
-    # flat index maps for the three staggered layouts --------------------
-    def cell_index(self, i: int, j: int) -> int:
-        if not (0 <= i < self.nx and 0 <= j < self.ny):
-            raise IndexError(f"cell index out of range: ({i}, {j})")
-        return i * self.ny + j
-
-    def xface_index(self, i: int, j: int) -> int:
-        if not (0 <= i <= self.nx and 0 <= j < self.ny):
-            raise IndexError(f"x-face index out of range: ({i}, {j})")
-        return i * self.ny + j
-
-    def yface_index(self, i: int, j: int) -> int:
-        if not (0 <= i < self.nx and 0 <= j <= self.ny):
-            raise IndexError(f"y-face index out of range: ({i}, {j})")
-        return i * (self.ny + 1) + j
 
 
 def make_grid(nx: int, ny: int, lx: float, ly: float) -> Grid:

@@ -88,6 +88,18 @@ def laplace(f: ScalarField) -> ScalarField:
     return ScalarField(g, out)
 
 
+def _flux_div(fx: np.ndarray, fy: np.ndarray, g: Grid) -> ScalarField:
+    """Cell divergence of interior-face fluxes; boundary faces carry none."""
+    qx = fx / g.hx
+    qy = fy / g.hy
+    out = np.zeros((g.nx, g.ny))
+    out[:-1, :] += qx
+    out[1:, :] -= qx
+    out[:, :-1] += qy
+    out[:, 1:] -= qy
+    return ScalarField(g, out)
+
+
 def _upwind_flux(vel, left, right):
     # flux through a face from the upwind side; exact zero where vel == 0
     return np.maximum(vel, 0.0) * left + np.minimum(vel, 0.0) * right
@@ -99,15 +111,9 @@ def advect_scalar(f: ScalarField, v: VectorField) -> ScalarField:
     Equals v . grad f for discretely solenoidal v; integrates to zero for
     any v with vanishing boundary-normal entries.
     """
-    g = f.grid
     fx = _upwind_flux(v.ux[1:-1, :], f.values[:-1, :], f.values[1:, :])
     fy = _upwind_flux(v.uy[:, 1:-1], f.values[:, :-1], f.values[:, 1:])
-    out = np.zeros((g.nx, g.ny))
-    out[:-1, :] += fx / g.hx
-    out[1:, :] -= fx / g.hx
-    out[:, :-1] += fy / g.hy
-    out[:, 1:] -= fy / g.hy
-    return ScalarField(g, out)
+    return _flux_div(fx, fy, f.grid)
 
 
 def nonlinear_diffuse(n: ScalarField, spec: ModelSpec) -> ScalarField:
@@ -122,33 +128,21 @@ def nonlinear_diffuse(n: ScalarField, spec: ModelSpec) -> ScalarField:
     dfy = eval_D_eps(0.5 * (nv[:, :-1] + nv[:, 1:]), spec)
     fx = dfx * (nv[1:, :] - nv[:-1, :]) / g.hx
     fy = dfy * (nv[:, 1:] - nv[:, :-1]) / g.hy
-    out = np.zeros((g.nx, g.ny))
-    out[:-1, :] += fx / g.hx
-    out[1:, :] -= fx / g.hx
-    out[:, :-1] += fy / g.hy
-    out[:, 1:] -= fy / g.hy
-    return ScalarField(g, out)
+    return _flux_div(fx, fy, g)
 
 
 @lru_cache(maxsize=16)
-def _face_cutoffs(grid: Grid, epsilon: float):
-    """rho_eps sampled at interior x-faces and y-faces (cached per grid/eps)."""
-    spec_like = _CutoffSpec(epsilon)
+def _face_cutoffs(grid: Grid, spec: ModelSpec):
+    """rho_eps sampled at interior x-faces and y-faces (cached per grid/spec)."""
     xf = grid.xf()[1:-1]
     yc = grid.yc()
-    rho_x = boundary_cutoff(xf[:, None], yc[None, :], spec_like, grid.lx, grid.ly)
+    rho_x = boundary_cutoff(xf[:, None], yc[None, :], spec, grid.lx, grid.ly)
     xc = grid.xc()
     yf = grid.yf()[1:-1]
-    rho_y = boundary_cutoff(xc[:, None], yf[None, :], spec_like, grid.lx, grid.ly)
+    rho_y = boundary_cutoff(xc[:, None], yf[None, :], spec, grid.lx, grid.ly)
     rho_x.flags.writeable = False
     rho_y.flags.writeable = False
     return rho_x, rho_y
-
-
-class _CutoffSpec:
-    # minimal stand-in so the cutoff helpers can be reused for cached faces
-    def __init__(self, epsilon):
-        self.epsilon = epsilon
 
 
 def taxis_face_velocity(n: ScalarField, c: ScalarField, spec: ModelSpec):
@@ -159,7 +153,7 @@ def taxis_face_velocity(n: ScalarField, c: ScalarField, spec: ModelSpec):
     """
     g = n.grid
     nv, cv = n.values, c.values
-    rho_x, rho_y = _face_cutoffs(g, spec.epsilon)
+    rho_x, rho_y = _face_cutoffs(g, spec)
 
     n_fx = 0.5 * (nv[:-1, :] + nv[1:, :])
     c_fx = 0.5 * (cv[:-1, :] + cv[1:, :])
@@ -189,16 +183,10 @@ def taxis_face_velocity(n: ScalarField, c: ScalarField, spec: ModelSpec):
 
 def taxis_flux_div(n: ScalarField, c: ScalarField, spec: ModelSpec, faces=None) -> ScalarField:
     """div(n S_eps grad c) with n upwinded by the sign of the face velocity."""
-    g = n.grid
     wx, wy = taxis_face_velocity(n, c, spec) if faces is None else faces
     fx = _upwind_flux(wx, n.values[:-1, :], n.values[1:, :])
     fy = _upwind_flux(wy, n.values[:, :-1], n.values[:, 1:])
-    out = np.zeros((g.nx, g.ny))
-    out[:-1, :] += fx / g.hx
-    out[1:, :] -= fx / g.hx
-    out[:, :-1] += fy / g.hy
-    out[:, 1:] -= fy / g.hy
-    return ScalarField(g, out)
+    return _flux_div(fx, fy, n.grid)
 
 
 def advect_velocity(u: VectorField) -> VectorField:
@@ -306,13 +294,11 @@ class PoissonSolver:
     immutable after construction and safe to share.
     """
 
-    def __init__(self, grid: Grid, method: str = "dct", tolerance: float = 1e-10, max_iterations: int = 500):
+    def __init__(self, grid: Grid, method: str = "dct"):
         if method not in ("dct", "lu"):
             raise ValueError(f"unknown Poisson method {method!r}")
         self.grid = grid
         self.method = method
-        self.tolerance = float(tolerance)
-        self.max_iterations = int(max_iterations)
         self._eigs = _plans(grid)
         self._workers = _workers()
         self._lu = None

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import ScalarField, State, VectorField
-from .model import ModelSpec, eval_D_eps
+from .model import ModelSpec, PorousMedium, _eps_shift, eval_D_eps
 from .operators import (
     PoissonSolver,
     advect_scalar,
@@ -38,6 +38,8 @@ from .operators import (
 __all__ = ["TimeControls", "SolverError", "StepInfo", "step", "run"]
 
 NEGATIVE_DENSITY_TOL = -1e-13
+SUBSTEP_SAFETY = 0.9
+DT_MIN = 1e-12
 
 
 class SolverError(RuntimeError):
@@ -50,30 +52,27 @@ class TimeControls:
 
     The outer dt obeys the advective CFL dt*(speed_x/hx + speed_y/hy) <= cfl,
     where the speed includes both the fluid velocity and the chemotactic
-    drift (upwind positivity needs both).  The explicit n-diffusion runs in
-    substeps obeying dt_sub * max(D_eps) / h^2 <= cfl/4, scaled by the
-    substep safety factor.
+    drift (upwind positivity needs both), and never exceeds dt_max; a dt
+    below DT_MIN is a stability failure.  The explicit n-diffusion runs in
+    substeps obeying dt_sub * max(D_eps) / h^2 <= cfl/4, scaled by
+    SUBSTEP_SAFETY.  cu_diffusion selects the implicit ("semi-implicit")
+    or the explicit reference treatment of c- and u-diffusion.
     """
 
     t_end: float
     dt_max: float = 0.01
     cfl: float = 0.4
-    dt_min: float = 1e-12
-    substep_safety: float = 0.9
-    n_diffusion: str = "explicit"
     cu_diffusion: str = "semi-implicit"
 
     def __post_init__(self):
         if not (0.0 < self.cfl <= 1.0):
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if self.t_end < 0 or self.dt_max <= 0:
-            raise ValueError("need t_end >= 0 and dt_max > 0")
-        if self.n_diffusion != "explicit":
-            raise ValueError("only explicit n-diffusion is supported")
+        if not (math.isfinite(self.t_end) and self.t_end >= 0):
+            raise ValueError(f"t_end must be finite and >= 0, got {self.t_end}")
+        if not (math.isfinite(self.dt_max) and self.dt_max > 0):
+            raise ValueError(f"dt_max must be finite and > 0, got {self.dt_max}")
         if self.cu_diffusion not in ("semi-implicit", "explicit"):
             raise ValueError(f"unknown diffusion treatment {self.cu_diffusion!r}")
-        if not (0 < self.substep_safety <= 1):
-            raise ValueError("substep safety factor must lie in (0, 1]")
 
 
 @dataclass
@@ -100,7 +99,7 @@ def _diffusive_dt(state: State, spec: ModelSpec, controls: TimeControls) -> floa
         return controls.dt_max
     h2 = 1.0 / (1.0 / g.hx**2 + 1.0 / g.hy**2)
     # dt * dmax * (2/hx^2 + 2/hy^2) <= cfl, i.e. dt*dmax/h^2 <= cfl/4 on squares
-    return controls.substep_safety * controls.cfl * h2 / (2.0 * dmax)
+    return SUBSTEP_SAFETY * controls.cfl * h2 / (2.0 * dmax)
 
 
 def _clamp_negative(n: ScalarField) -> float:
@@ -128,9 +127,9 @@ def _step_impl(state: State, spec: ModelSpec, controls: TimeControls, poisson: P
         # substep machinery
         h2 = 1.0 / (1.0 / g.hx**2 + 1.0 / g.hy**2)
         dt_stab = min(dt_stab, controls.cfl * h2 / 2.0)
-    if dt_stab < controls.dt_min:
+    if dt_stab < DT_MIN:
         raise SolverError(
-            f"stability violation: dt={dt_stab:.3e} below dt_min at t={state.t}"
+            f"stability violation: dt={dt_stab:.3e} below DT_MIN at t={state.t}"
         )
     # clip onto the next record tick / final time without leaving slivers:
     # either land exactly, or split the remainder so dt >= dt_stab / 2
@@ -193,92 +192,18 @@ def _step_impl(state: State, spec: ModelSpec, controls: TimeControls, poisson: P
     return new_state, StepInfo(dt=dt, substeps=substeps, clamped_mass=clamped)
 
 
-try:  # optional accelerator for the substep loop; numpy path is equivalent
-    from numba import njit as _njit
-
-    @_njit(cache=True, inline="always")
-    def _interp_scalar(x, xs, ys):
-        n = xs.shape[0]
-        if x <= xs[0]:
-            return ys[0]
-        if x >= xs[n - 1]:
-            return ys[n - 1]
-        lo = 0
-        hi = n - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if xs[mid] <= x:
-                lo = mid
-            else:
-                hi = mid
-        t = (x - xs[lo]) / (xs[lo + 1] - xs[lo])
-        return ys[lo] + t * (ys[lo + 1] - ys[lo])
-
-    @_njit(cache=True)
-    def _substep_kernel(nv, mode, em, delta, knots, vals, eps, cx, cy, substeps, fx, fy):
-        nx, ny = nv.shape
-        for _ in range(substeps):
-            for i in range(nx - 1):
-                for j in range(ny):
-                    d = 0.5 * (nv[i, j] + nv[i + 1, j])
-                    if mode == 0:
-                        d = d + delta
-                    elif mode == 1:
-                        d = (d + delta) ** em
-                        if d < eps:
-                            d = eps
-                    else:
-                        d = _interp_scalar(d, knots, vals) + eps
-                    fx[i, j] = d * (nv[i + 1, j] - nv[i, j]) * cx
-            for i in range(nx):
-                for j in range(ny - 1):
-                    d = 0.5 * (nv[i, j] + nv[i, j + 1])
-                    if mode == 0:
-                        d = d + delta
-                    elif mode == 1:
-                        d = (d + delta) ** em
-                        if d < eps:
-                            d = eps
-                    else:
-                        d = _interp_scalar(d, knots, vals) + eps
-                    fy[i, j] = d * (nv[i, j + 1] - nv[i, j]) * cy
-            for i in range(nx - 1):
-                for j in range(ny):
-                    nv[i, j] += fx[i, j]
-                    nv[i + 1, j] -= fx[i, j]
-            for i in range(nx):
-                for j in range(ny - 1):
-                    nv[i, j] += fy[i, j]
-                    nv[i, j + 1] -= fy[i, j]
-
-except ImportError:  # pragma: no cover - exercised only without numba
-    _substep_kernel = None
-
-
 def _diffusion_substeps(nv: np.ndarray, spec: ModelSpec, dt_sub: float, substeps: int, g):
     """Explicit conservative diffusion substeps, in place on nv.
 
-    Same flux-form update as nonlinear_diffuse (same face averages, same
-    diffusive flux, exact telescoping), written against preallocated
-    buffers since this loop dominates the run time.
+    The only n-diffusion path.  Same flux-form update as nonlinear_diffuse
+    (same face averages, same diffusive flux, exact telescoping), written
+    in numpy against preallocated buffers since this loop dominates the
+    run time.
     """
-    from .model import PorousMedium, _eps_shift
-
     cx = dt_sub / g.hx**2
     cy = dt_sub / g.hy**2
-    porous = isinstance(spec.diffusion, PorousMedium)
-    m2 = porous and spec.diffusion.m == 2.0
-    delta = _eps_shift(spec) if porous else 0.0
-
-    if _substep_kernel is not None:
-        mode = 0 if m2 else (1 if porous else 2)
-        em = (spec.diffusion.m - 1.0) if porous else 1.0
-        knots = np.asarray(spec.diffusion.knots) if not porous else np.zeros(2)
-        vals = np.asarray(spec.diffusion.values) if not porous else np.zeros(2)
-        fx = np.empty((g.nx - 1, g.ny))
-        fy = np.empty((g.nx, g.ny - 1))
-        _substep_kernel(nv, mode, em, delta, knots, vals, spec.epsilon, cx, cy, substeps, fx, fy)
-        return
+    m2 = isinstance(spec.diffusion, PorousMedium) and spec.diffusion.m == 2.0
+    delta = _eps_shift(spec) if m2 else 0.0
 
     ax = np.empty((g.nx - 1, g.ny))
     dxb = np.empty_like(ax)
@@ -377,8 +302,8 @@ def run(
     tick = 0
     next_tick = None
     if cadence is not None:
-        if cadence <= 0:
-            raise ValueError("cadence must be positive")
+        if not (math.isfinite(cadence) and cadence > 0):
+            raise ValueError(f"cadence must be finite and > 0, got {cadence}")
         tick = int(math.floor(state.t / cadence + 1e-12)) + 1
         next_tick = tick * cadence
 

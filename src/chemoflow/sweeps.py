@@ -106,12 +106,19 @@ def _final_fields(cfg: RunConfig, nxy: tuple, T: float):
 def refinement_sweep(base: RunConfig, grids: Sequence[tuple], T: float) -> RefinementReport:
     """Run nested grids; report per-field observed orders.
 
-    `grids` is a list of (nx, ny), coarse to fine, each dividing the next.
-    Orders come from ratios of consecutive-grid L2 differences; identical
-    consecutive grids produce a zero difference and an undefined (nan)
-    order, reported as such.
+    `grids` is a list of (nx, ny), coarse to fine, each refining both axes
+    of the previous one by the same integer factor.  Orders come from
+    ratios of consecutive-grid L2 differences; identical consecutive grids
+    produce a zero difference and an undefined (nan) order, reported as
+    such.
     """
     grids = tuple((int(a), int(b)) for a, b in grids)
+    for (nxa, nya), (nxb, nyb) in zip(grids, grids[1:]):
+        if min(nxa, nya) < 1 or nxb % nxa or nyb % nya or nxb // nxa != nyb // nya:
+            raise ValueError(
+                f"grids {nxa}x{nya} -> {nxb}x{nyb} are not nested: each grid must refine "
+                "both axes of the previous one by the same integer factor"
+            )
     finals = [_final_fields(base, g, T) for g in grids]
     fine = finals[-1]
     fine_n = fine.n.values
@@ -123,8 +130,6 @@ def refinement_sweep(base: RunConfig, grids: Sequence[tuple], T: float) -> Refin
     errors = {"n": [], "c": []}
     for (nx, ny), st in zip(grids[:-1], finals[:-1]):
         fx = grids[-1][0] // nx
-        if grids[-1][0] % nx or grids[-1][1] % ny:
-            raise ValueError("grids must be nested (each dividing the finest)")
         errors["n"].append(l2(st.n.values - _restrict(fine_n, fx), nx, ny))
         errors["c"].append(l2(st.c.values - _restrict(fine_c, fx), nx, ny))
 

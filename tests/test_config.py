@@ -79,6 +79,17 @@ class TestParse:
         with pytest.raises(ConfigError, match="c0"):
             parse_config(bad)
 
+    @pytest.mark.parametrize("key,value", [
+        ("t_end", "nan"), ("t_end", "inf"), ("dt_max", "nan"),
+        ("cadence", "0"), ("cadence", "-1"), ("cadence", "nan"),
+    ])
+    def test_time_controls_and_cadence_checked(self, key, value):
+        values = {"t_end": "0.1", "dt_max": "0.01", "cadence": "0.05", key: value}
+        text = MINIMAL.replace("t_end = 0.1", "t_end = {t_end}\ndt_max = {dt_max}\n\n"
+                               "[output]\ncadence = {cadence}".format(**values))
+        with pytest.raises(ConfigError, match=key):
+            parse_config(text)
+
     def test_tabulated_diffusion(self):
         text = MINIMAL.replace(
             "diffusion = porous_medium\nm = 2.0",

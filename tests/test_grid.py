@@ -66,23 +66,6 @@ class TestIntegrate:
         assert integrate(f) >= 0.0
 
 
-class TestIndexMaps:
-    @pytest.mark.parametrize("nx,ny", [(4, 4), (5, 7), (16, 16)])
-    def test_bijections(self, nx, ny):
-        g = make_grid(nx, ny, 1.0, 1.0)
-        cells = {g.cell_index(i, j) for i in range(nx) for j in range(ny)}
-        assert cells == set(range(nx * ny))
-        xfaces = {g.xface_index(i, j) for i in range(nx + 1) for j in range(ny)}
-        assert xfaces == set(range((nx + 1) * ny))
-        yfaces = {g.yface_index(i, j) for i in range(nx) for j in range(ny + 1)}
-        assert yfaces == set(range(nx * (ny + 1)))
-
-    def test_out_of_range(self):
-        g = make_grid(4, 4, 1.0, 1.0)
-        with pytest.raises(IndexError):
-            g.cell_index(4, 0)
-
-
 class TestVectorField:
     def test_stream_function_solenoidal(self):
         from chemoflow.operators import div

@@ -79,28 +79,6 @@ class TestRectangularGrid:
         assert np.abs(final_r.n.values - final_i.n.values).max() > 1e-6
 
 
-class TestNumpySubstepPath:
-    def test_run_without_kernel(self, monkeypatch):
-        import chemoflow.solver as sv
-
-        grid = make_grid(16, 16, 1.0, 1.0)
-        spec = ModelSpec(diffusion=PorousMedium(2.0), gamma=0.5, epsilon=0.05,
-                         phi_gradient=(0.0, -1.0), L=1.0, M=1.5)
-        n = ScalarField.from_function(
-            grid, lambda x, y: np.exp(-((x - 0.5) ** 2 + (y - 0.5) ** 2) / 0.05)
-        )
-        n.values /= integrate(n)
-        c = ScalarField.full(grid, 1.0)
-        make_state = lambda: State(n.copy(), c.copy(), VectorField.zeros(grid), 0.0)
-        controls = TimeControls(t_end=0.05)
-        poisson = PoissonSolver(grid)
-        with_kernel = run(make_state(), spec, controls, poisson)
-        monkeypatch.setattr(sv, "_substep_kernel", None)
-        without = run(make_state(), spec, controls, poisson)
-        assert np.abs(with_kernel.n.values - without.n.values).max() < 1e-12
-        assert np.abs(with_kernel.c.values - without.c.values).max() < 1e-13
-
-
 class TestCadence:
     def test_unaligned_final_time(self):
         grid = make_grid(16, 16, 1.0, 1.0)

@@ -100,7 +100,7 @@ class TestStep:
         st_ = bump_state()
         out = step(st_, SPEC, TimeControls(t_end=1.0), POISSON)
         scale = max(1e-30, max(out.u.max_speed()))
-        assert np.abs(div(out.u).values).max() <= 10 * POISSON.tolerance * max(scale, 1.0)
+        assert np.abs(div(out.u).values).max() <= 10 * 1e-10 * max(scale, 1.0)
 
     def test_clamp_guard(self):
         f = ScalarField(GRID, np.full((32, 32), 1.0))
@@ -182,10 +182,6 @@ class TestTimeControls:
     def test_cfl_range(self):
         with pytest.raises(ValueError):
             TimeControls(t_end=1.0, cfl=0.0)
-
-    def test_only_explicit_density_diffusion(self):
-        with pytest.raises(ValueError):
-            TimeControls(t_end=1.0, n_diffusion="semi-implicit")
 
     def test_unknown_cu_treatment(self):
         with pytest.raises(ValueError):

@@ -102,5 +102,6 @@ class TestRefinement:
 
     def test_non_nested_rejected(self):
         cfg = parse_config(PURE_DIFFUSION)
-        with pytest.raises(ValueError, match="nested"):
-            refinement_sweep(cfg, [(12, 12), (32, 32)], T=0.02)
+        for grids in ([(12, 12), (32, 32)], [(8, 8), (16, 32)], [(8, 8), (12, 12), (24, 24)]):
+            with pytest.raises(ValueError, match="nested"):
+                refinement_sweep(cfg, grids, T=0.02)

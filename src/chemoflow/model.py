@@ -108,6 +108,8 @@ class ModelSpec:
             raise ValueError(f"S0 must be finite and >= 0, got {self.s0_sensitivity}")
         if self.sensitivity_kind not in ("isotropic", "rotation"):
             raise ValueError(f"unknown sensitivity kind {self.sensitivity_kind!r}")
+        if not math.isfinite(self.rotation_angle):
+            raise ValueError(f"rotation_angle must be finite, got {self.rotation_angle}")
         if self.L <= 0 or not math.isfinite(self.L):
             raise ValueError(f"L must be finite and > 0, got {self.L}")
         if self.M <= 0 or not math.isfinite(self.M):

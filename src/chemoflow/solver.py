@@ -3,8 +3,11 @@
 One step advances, in order:
 
 1. density n: explicit conservative advection + taxis fluxes at the outer
-   step, then explicit nonlinear diffusion in substeps that satisfy the
-   parabolic stability bound;
+   step, then explicit nonlinear diffusion of the transported density in
+   substeps sized on that density: dt_sub * max D_eps * (2/hx^2 + 2/hy^2)
+   <= DIFFUSION_NUMBER = 0.9, below the monotone limit 1, so every substep
+   is a convex combination of neighbouring values and the maximum
+   principle keeps the bound valid for the substeps that follow;
 2. signal c: explicit upwind advection, implicit consumption via the
    factor 1/(1 + dt*n), implicit diffusion (cosine-transform solve);
 3. velocity u: explicit upwind advection, implicit viscous solve
@@ -38,7 +41,7 @@ from .operators import (
 __all__ = ["TimeControls", "SolverError", "StepInfo", "step", "run"]
 
 NEGATIVE_DENSITY_TOL = -1e-13
-SUBSTEP_SAFETY = 0.9
+DIFFUSION_NUMBER = 0.9
 DT_MIN = 1e-12
 
 
@@ -53,10 +56,12 @@ class TimeControls:
     The outer dt obeys the advective CFL dt*(speed_x/hx + speed_y/hy) <= cfl,
     where the speed includes both the fluid velocity and the chemotactic
     drift (upwind positivity needs both), and never exceeds dt_max; a dt
-    below DT_MIN is a stability failure.  The explicit n-diffusion runs in
-    substeps obeying dt_sub * max(D_eps) / h^2 <= cfl/4, scaled by
-    SUBSTEP_SAFETY.  cu_diffusion selects the implicit ("semi-implicit")
-    or the explicit reference treatment of c- and u-diffusion.
+    below DT_MIN is a stability failure.  cfl does not scale the explicit
+    n-diffusion: it runs in substeps obeying
+    dt_sub * max D_eps(n) * (2/hx^2 + 2/hy^2) <= DIFFUSION_NUMBER on the
+    density after transport.  cu_diffusion selects the implicit
+    ("semi-implicit") or the explicit reference treatment of c- and
+    u-diffusion.
     """
 
     t_end: float
@@ -92,17 +97,33 @@ def _advective_dt(state: State, wx, wy, controls: TimeControls) -> float:
     return dt
 
 
-def _diffusive_dt(state: State, spec: ModelSpec, controls: TimeControls) -> float:
-    g = state.n.grid
-    dmax = float(np.max(eval_D_eps(state.n.values, spec)))
+def _max_D_eps(nv: np.ndarray, spec: ModelSpec) -> float:
+    """Supremum of D_eps over [min nv, max nv].
+
+    It bounds D_eps at every face average of nv and, since each substep
+    keeps n inside that range, at every face of the substeps that follow.
+    Porous-medium D_eps is increasing; tabulated D_eps is piecewise
+    linear, so its supremum is at an end of the range or at a knot inside.
+    """
+    lo, hi = float(nv.min()), float(nv.max())
+    d = spec.diffusion
+    if isinstance(d, PorousMedium):
+        return eval_D_eps(hi, spec)
+    knots = np.asarray(d.knots)
+    inside = knots[(knots > lo) & (knots < hi)]
+    return float(np.max(eval_D_eps(np.concatenate([[lo, hi], inside]), spec)))
+
+
+def _diffusive_dt(n: ScalarField, spec: ModelSpec) -> float:
+    """Largest substep with dt_sub * max D_eps(n) * (2/hx^2 + 2/hy^2) <= DIFFUSION_NUMBER."""
+    g = n.grid
+    dmax = _max_D_eps(n.values, spec)
     if dmax == 0.0:
-        return controls.dt_max
-    h2 = 1.0 / (1.0 / g.hx**2 + 1.0 / g.hy**2)
-    # dt * dmax * (2/hx^2 + 2/hy^2) <= cfl, i.e. dt*dmax/h^2 <= cfl/4 on squares
-    return SUBSTEP_SAFETY * controls.cfl * h2 / (2.0 * dmax)
+        return math.inf
+    return DIFFUSION_NUMBER / (dmax * (2.0 / g.hx**2 + 2.0 / g.hy**2))
 
 
-def _clamp_negative(n: ScalarField) -> float:
+def _clamp_negative(n: ScalarField, t: float) -> float:
     """Zero tiny negative undershoots; returns the mass added by clamping."""
     v = n.values
     neg = v < 0.0
@@ -110,8 +131,10 @@ def _clamp_negative(n: ScalarField) -> float:
         return 0.0
     worst = float(v.min())
     if worst < NEGATIVE_DENSITY_TOL:
+        i, j = np.unravel_index(int(np.argmin(v)), v.shape)
         raise SolverError(
-            f"density undershoot {worst:.3e} exceeds tolerance; flux bug suspected"
+            f"density undershoot {worst:.3e} at cell ({i}, {j}), t={t:.6g}, exceeds "
+            f"tolerance {NEGATIVE_DENSITY_TOL:.0e}; flux bug suspected"
         )
     clamped = -float(v[neg].sum()) * n.grid.cell_area
     v[neg] = 0.0
@@ -151,12 +174,11 @@ def _step_impl(state: State, spec: ModelSpec, controls: TimeControls, poisson: P
         state.n, state.c, spec, faces=(wx, wy)
     ).values
     n_new = ScalarField(g, state.n.values - dt * tend)
-    clamped = _clamp_negative(n_new)
+    clamped = _clamp_negative(n_new, t_new)
 
-    dt_sub_max = _diffusive_dt(state, spec, controls)
-    substeps = max(1, int(math.ceil(dt / dt_sub_max)))
+    substeps = max(1, int(math.ceil(dt / _diffusive_dt(n_new, spec))))
     _diffusion_substeps(n_new.values, spec, dt / substeps, substeps, g)
-    clamped += _clamp_negative(n_new)
+    clamped += _clamp_negative(n_new, t_new)
 
     # --- (ii) signal update ---------------------------------------------------
     c_mid = state.c.values - dt * advect_scalar(state.c, state.u).values
@@ -198,7 +220,9 @@ def _diffusion_substeps(nv: np.ndarray, spec: ModelSpec, dt_sub: float, substeps
     The only n-diffusion path.  Same flux-form update as nonlinear_diffuse
     (same face averages, same diffusive flux, exact telescoping), written
     in numpy against preallocated buffers since this loop dominates the
-    run time.
+    run time.  For m = 2, D_eps = n + delta, and the face flux
+    ((a+b)/2 + delta)(b - a) is the difference Phi(b) - Phi(a) of the cell
+    values Phi(n) = n (n/2 + delta).
     """
     cx = dt_sub / g.hx**2
     cy = dt_sub / g.hy**2
@@ -206,25 +230,31 @@ def _diffusion_substeps(nv: np.ndarray, spec: ModelSpec, dt_sub: float, substeps
     delta = _eps_shift(spec) if m2 else 0.0
 
     ax = np.empty((g.nx - 1, g.ny))
-    dxb = np.empty_like(ax)
     ay = np.empty((g.nx, g.ny - 1))
-    dyb = np.empty_like(ay)
+    if m2:
+        phi = np.empty_like(nv)
+    else:
+        dxb = np.empty_like(ax)
+        dyb = np.empty_like(ay)
     for _ in range(substeps):
-        np.add(nv[1:, :], nv[:-1, :], out=ax)
-        ax *= 0.5
-        np.add(nv[:, 1:], nv[:, :-1], out=ay)
-        ay *= 0.5
         if m2:
-            ax += delta
-            ay += delta
+            np.multiply(nv, 0.5, out=phi)
+            phi += delta
+            phi *= nv
+            np.subtract(phi[1:, :], phi[:-1, :], out=ax)
+            np.subtract(phi[:, 1:], phi[:, :-1], out=ay)
         else:
+            np.add(nv[1:, :], nv[:-1, :], out=ax)
+            ax *= 0.5
             ax[:] = eval_D_eps(ax, spec)
+            np.subtract(nv[1:, :], nv[:-1, :], out=dxb)
+            ax *= dxb
+            np.add(nv[:, 1:], nv[:, :-1], out=ay)
+            ay *= 0.5
             ay[:] = eval_D_eps(ay, spec)
-        np.subtract(nv[1:, :], nv[:-1, :], out=dxb)
-        ax *= dxb
+            np.subtract(nv[:, 1:], nv[:, :-1], out=dyb)
+            ay *= dyb
         ax *= cx
-        np.subtract(nv[:, 1:], nv[:, :-1], out=dyb)
-        ay *= dyb
         ay *= cy
         nv[:-1, :] += ax
         nv[1:, :] -= ax

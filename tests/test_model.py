@@ -236,3 +236,8 @@ class TestModelSpecValidation:
     def test_unknown_sensitivity(self):
         with pytest.raises(ValueError, match="sensitivity"):
             ModelSpec(diffusion=PorousMedium(2.0), sensitivity_kind="sideways")
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_rotation_angle_must_be_finite(self, angle):
+        with pytest.raises(ValueError, match="rotation_angle"):
+            ModelSpec(diffusion=PorousMedium(2.0), sensitivity_kind="rotation", rotation_angle=angle)

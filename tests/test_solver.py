@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chemoflow import solver
 from chemoflow.grid import ScalarField, State, VectorField, integrate, make_grid
-from chemoflow.model import ModelSpec, PorousMedium, TabulatedDiffusion
-from chemoflow.operators import PoissonSolver, div
+from chemoflow.model import ModelSpec, PorousMedium, TabulatedDiffusion, eval_D_eps
+from chemoflow.operators import PoissonSolver, div, nonlinear_diffuse
 from chemoflow.solver import SolverError, TimeControls, _clamp_negative, run, step
 
 
@@ -105,12 +106,71 @@ class TestStep:
     def test_clamp_guard(self):
         f = ScalarField(GRID, np.full((32, 32), 1.0))
         f.values[0, 0] = -1e-16
-        added = _clamp_negative(f)
+        added = _clamp_negative(f, 0.0)
         assert added == pytest.approx(1e-16 * GRID.cell_area)
         assert f.values.min() == 0.0
         f.values[0, 0] = -1e-9
         with pytest.raises(SolverError, match="undershoot"):
-            _clamp_negative(f)
+            _clamp_negative(f, 0.0)
+
+    def test_undershoot_names_time_cell_and_value(self):
+        f = ScalarField(GRID, np.full((32, 32), 1.0))
+        f.values[3, 17] = -2.5e-9
+        f.values[4, 4] = -1e-16
+        with pytest.raises(SolverError, match=r"-2\.500e-09 at cell \(3, 17\), t=0\.125"):
+            _clamp_negative(f, 0.125)
+
+    def test_substeps_monotone_on_diffused_density(self, monkeypatch):
+        # a 1D cone in c drives taxis toward x = 1/2; at cfl = 1 one step
+        # raises max n from 1 to 2.4 before it is diffused, and substeps
+        # sized on the density before transport reach a number of 2.05
+        g = make_grid(15, 15, 1.0, 1.0)
+        spec = ModelSpec(diffusion=PorousMedium(2.0), epsilon=0.05, L=1.0, M=2.0)
+        c = ScalarField.from_function(g, lambda x, y: 1.0 + 5.0 * (0.5 - np.abs(x - 0.5)) + 0.0 * y)
+        st_ = State(ScalarField.full(g, 1.0), c, VectorField.zeros(g), 0.0)
+        numbers = []
+        substeps = solver._diffusion_substeps
+
+        def one_at_a_time(nv, spec, dt_sub, count, g):
+            for _ in range(count):
+                dmax = float(np.max(eval_D_eps(nv, spec)))
+                numbers.append(dt_sub * dmax * (2 / g.hx**2 + 2 / g.hy**2))
+                substeps(nv, spec, dt_sub, 1, g)
+
+        monkeypatch.setattr(solver, "_diffusion_substeps", one_at_a_time)
+        out = step(st_, spec, TimeControls(t_end=1.0, dt_max=1.0, cfl=1.0), PoissonSolver(g))
+        assert numbers and max(numbers) <= 1.0
+        assert out.n.values.min() >= 0.0
+        assert integrate(out.n) == pytest.approx(1.0, rel=1e-13)
+
+
+class TestDiffusionSubsteps:
+    @pytest.mark.parametrize("diffusion", [
+        PorousMedium(2.0), PorousMedium(1.8), TabulatedDiffusion((0.0, 0.5, 2.0), (0.2, 1.5, 0.7)),
+    ])
+    def test_one_substep_matches_operator(self, diffusion):
+        g = make_grid(24, 16, 1.5, 1.0)
+        spec = ModelSpec(diffusion=diffusion, epsilon=0.05)
+        n = ScalarField(g, np.random.default_rng(3).random((24, 16)) * 2.0)
+        dt_sub = 0.9 * solver._diffusive_dt(n, spec)
+        expected = n.values + dt_sub * nonlinear_diffuse(n, spec).values
+        nv = n.values.copy()
+        solver._diffusion_substeps(nv, spec, dt_sub, 1, g)
+        assert np.abs(nv - expected).max() <= 1e-13 * np.abs(expected).max()
+        assert abs(nv.sum() - n.values.sum()) <= 1e-14 * n.values.sum()
+        assert nv.min() >= 0.0
+
+    def test_substeps_sized_on_peak_between_cell_values(self):
+        # tabulated D peaks at n = 1/2, between the cell values 0 and 1, so
+        # D_eps at the face averages is far above D_eps at every cell
+        g = make_grid(16, 16, 1.0, 1.0)
+        spec = ModelSpec(diffusion=TabulatedDiffusion((0.0, 0.5, 1.0), (0.1, 10.0, 1.0)), epsilon=0.05)
+        nv = np.zeros((16, 16))
+        nv[::2, :] = 1.0
+        st_ = State(ScalarField(g, nv), ScalarField.full(g, 1.0), VectorField.zeros(g), 0.0)
+        out = step(st_, spec, TimeControls(t_end=1.0), PoissonSolver(g))
+        assert out.n.values.min() >= 0.0
+        assert integrate(out.n) == pytest.approx(integrate(st_.n), rel=1e-13)
 
 
 class TestRun:

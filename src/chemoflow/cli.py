@@ -121,7 +121,11 @@ def _cmd_sweep_grid(args) -> int:
 
 def _cmd_verify_lemmas(args) -> int:
     corpus = FieldCorpus(n_members=args.members, seed=args.seed)
-    rows = run_lemma_checks(corpus)
+    try:
+        rows = run_lemma_checks(corpus)
+    except ValueError as exc:
+        print(f"ERROR: {exc}", file=sys.stderr)
+        return 1
     text = format_report(rows)
     if args.output:
         pathlib.Path(args.output).write_text(text)

@@ -1,7 +1,8 @@
 """On-disk formats: the diagnostics CSV and the CNS2 binary snapshot.
 
-CSV: fixed header, one row per cadence tick, 17 significant digits so a
-round-trip reproduces every float64 bit-exactly.
+CSV: fixed header, one row per record (the cadence ticks and the final
+time), 17 significant digits so a round-trip reproduces every float64
+bit-exactly.
 
 Snapshot (little-endian): magic "CNS2", u32 version=1, u32 nx, u32 ny,
 f64 lx, f64 ly, f64 t, then n (nx*ny f64, row-major), c (same),

@@ -317,15 +317,23 @@ def run(
     """Advance to t_end, invoking sinks at the record cadence.
 
     Sinks are called as sink(state_copy, clamp_total) with an immutable
-    snapshot; the first call happens at the initial time.  Steps are
-    clipped so records land exactly on cadence ticks, which keeps time
-    series from different runs comparable.  Fully deterministic.
+    snapshot; the first call happens at the initial time and the last at
+    the final time.  Steps are clipped so records land exactly on cadence
+    ticks, which keeps time series from different runs comparable; a
+    final time between ticks gets one more record.  A SolverError is
+    prefixed with the index of the step that raised it, counted from 0.
+    Fully deterministic.
     """
     _check_initial(initial)
     state = initial
     clamp_total = 0.0
-    for sink in sinks:
-        sink(state.copy(frozen=True), clamp_total)
+
+    def emit():
+        for sink in sinks:
+            sink(state.copy(frozen=True), clamp_total)
+        return state.t
+
+    recorded_t = emit()
     if controls.t_end <= state.t:
         return state
 
@@ -337,16 +345,19 @@ def run(
         tick = int(math.floor(state.t / cadence + 1e-12)) + 1
         next_tick = tick * cadence
 
+    index = 0
     while state.t < controls.t_end - 1e-14:
-        state, info = _step_impl(state, spec, controls, poisson, until=next_tick)
+        try:
+            state, info = _step_impl(state, spec, controls, poisson, until=next_tick)
+            _check_finite(state)
+        except SolverError as exc:
+            raise SolverError(f"step {index}: {exc}") from exc
+        index += 1
         clamp_total += info.clamped_mass
-        _check_finite(state)
         if next_tick is not None and state.t >= next_tick - 1e-12:
-            for sink in sinks:
-                sink(state.copy(frozen=True), clamp_total)
+            recorded_t = emit()
             tick += 1
             next_tick = tick * cadence
-    if cadence is None:
-        for sink in sinks:
-            sink(state.copy(frozen=True), clamp_total)
+    if state.t > recorded_t:
+        emit()
     return state

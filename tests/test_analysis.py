@@ -203,7 +203,41 @@ class TestCorpus:
             assert phi.values.min() >= corpus.floor
 
 
+class _PerModeCorpus(FieldCorpus):
+    """Reference: the series summed one full-grid mode product at a time."""
+
+    def _raw(self, rng, grid):
+        x, y = grid.cell_mesh()
+        out = np.zeros((grid.nx, grid.ny))
+        for k in range(self.max_mode + 1):
+            for m in range(self.max_mode + 1):
+                if k == 0 and m == 0:
+                    continue
+                amp = rng.standard_normal() / (1.0 + k**2 + m**2) ** (self.decay / 2.0)
+                out += amp * np.cos(k * np.pi * x / self.lx) * np.cos(m * np.pi * y / self.ly)
+        return out
+
+
+class TestSeparableCorpus:
+    @pytest.mark.parametrize("shape", [
+        {},
+        {"nx": 40, "ny": 24, "lx": 2.0, "ly": 0.7, "max_mode": 2, "decay": 3.0, "n_members": 20},
+    ])
+    def test_matches_per_mode_series(self, shape):
+        corpus = FieldCorpus(**shape)
+        reference = _PerModeCorpus(**shape)
+        for i in range(corpus.n_members):
+            for got, want in zip(corpus.member(i), reference.member(i)):
+                assert got.values.shape == (corpus.nx, corpus.ny)
+                assert np.abs(got.values - want.values).max() <= 1e-14 * np.abs(want.values).max()
+
+
 class TestReport:
+    @pytest.mark.parametrize("members", [-3, 0, 1])
+    def test_corpus_too_small_to_hold_out(self, members):
+        with pytest.raises(ValueError, match="at least 2 corpus members"):
+            run_lemma_checks(FieldCorpus(n_members=members))
+
     def test_all_checks_pass(self):
         rows = run_lemma_checks(FieldCorpus(n_members=40))
         assert all(r.passed for r in rows)

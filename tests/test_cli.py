@@ -36,6 +36,15 @@ class TestRun:
         assert len(text.splitlines()) == 4  # header + t = 0, 0.05, 0.1
         assert "all invariant monitors passed" in capsys.readouterr().out
 
+    def test_final_time_before_first_tick_recorded(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text(reference_config_text(t_end=0.02, nx=16, ny=16, cadence=0.05))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--output", str(out)]) == 0
+        rows = (out / "timeseries.csv").read_text().splitlines()
+        assert len(rows) == 3  # header + t = 0, 0.02
+        assert float(rows[-1].split(",")[0]) == pytest.approx(0.02, abs=1e-12)
+
     def test_snapshots_toggle(self, tmp_path):
         path = tmp_path / "run.ini"
         text = reference_config_text(t_end=0.05, nx=16, ny=16, cadence=0.05)
@@ -66,3 +75,13 @@ class TestVerifyLemmas:
         assert code == 0
         text = report.read_text()
         assert "PASS" in text and "FAIL" not in text
+
+    @pytest.mark.parametrize("members", ["-3", "0", "1"])
+    def test_corpus_too_small_rejected(self, tmp_path, capsys, members):
+        report = tmp_path / "lemmas.txt"
+        code = main(["verify-lemmas", "--members", members, "--output", str(report)])
+        assert code != 0
+        assert not report.exists()
+        captured = capsys.readouterr()
+        assert "at least 2 corpus members" in captured.err
+        assert "PASS" not in captured.out

@@ -88,7 +88,7 @@ class TestCadence:
         times = []
         final = run(state, spec, TimeControls(t_end=0.1), PoissonSolver(grid),
                     sinks=[lambda s, c: times.append(s.t)], cadence=0.03)
-        assert times == pytest.approx([0.0, 0.03, 0.06, 0.09], abs=1e-12)
+        assert times == pytest.approx([0.0, 0.03, 0.06, 0.09, 0.1], abs=1e-12)
         assert final.t == pytest.approx(0.1, abs=1e-12)
 
 

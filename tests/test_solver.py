@@ -231,6 +231,30 @@ class TestRun:
         assert np.abs(a.c.values - b.c.values).max() < 5e-3
         assert np.abs(a.n.values - b.n.values).max() < 1e-2
 
+    @pytest.mark.parametrize("t_end, ticks", [(0.12, [0.0, 0.05, 0.10]), (0.02, [0.0])])
+    def test_final_state_recorded_between_ticks(self, t_end, ticks):
+        g = make_grid(16, 16, 1.0, 1.0)
+        seen = []
+        final = run(bump_state(g), SPEC, TimeControls(t_end=t_end), PoissonSolver(g),
+                    sinks=[lambda s, c: seen.append(s)], cadence=0.05)
+        assert [s.t for s in seen] == pytest.approx(ticks + [t_end], abs=1e-12)
+        assert final.t == seen[-1].t
+        assert (final.n.values == seen[-1].n.values).all()
+
+    def test_solver_error_names_step(self, monkeypatch):
+        calls = []
+        substeps = solver._diffusion_substeps
+
+        def undershoot_on_third_step(nv, spec, dt_sub, count, g):
+            substeps(nv, spec, dt_sub, count, g)
+            calls.append(count)
+            if len(calls) == 3:
+                nv[5, 7] = -1e-6
+
+        monkeypatch.setattr(solver, "_diffusion_substeps", undershoot_on_third_step)
+        with pytest.raises(SolverError, match=r"^step 2: density undershoot -1\.000e-06 at cell \(5, 7\)"):
+            run(bump_state(), SPEC, TimeControls(t_end=0.2), POISSON)
+
     def test_records_land_on_ticks(self):
         times = []
         run(bump_state(), SPEC, TimeControls(t_end=0.2), POISSON,

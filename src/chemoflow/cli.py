@@ -64,19 +64,17 @@ def _cmd_run(args) -> int:
     initial_mass = integrate(initial.n)
 
     records = []
-    snaps = []
 
     def record_sink(state, clamp):
         records.append(record(state, spec, coeffs, table, clamp_mass=clamp))
 
-    sinks = [record_sink]
-    if cfg.snapshots:
-        sinks.append(lambda state, clamp: snaps.append((state.t, emit_snapshot(state))))
+    def snapshot_sink(state, clamp):
+        # written as recorded, so a run that fails later keeps its snapshots
+        (outdir / f"snapshot_t{state.t:012.6f}.cns2").write_bytes(emit_snapshot(state))
 
+    sinks = [record_sink, snapshot_sink] if cfg.snapshots else [record_sink]
     run(initial, spec, cfg.controls, poisson, sinks=sinks, cadence=cfg.cadence)
     (outdir / "timeseries.csv").write_text(emit_timeseries(records))
-    for t, blob in snaps:
-        (outdir / f"snapshot_t{t:012.6f}.cns2").write_bytes(blob)
 
     functional = select_functional(spec, n0_mass=initial_mass)
     report = functional_envelope(records, coeffs, functional=functional)

@@ -223,43 +223,59 @@ def _diffusion_substeps(nv: np.ndarray, spec: ModelSpec, dt_sub: float, substeps
     run time.  For m = 2, D_eps = n + delta, and the face flux
     ((a+b)/2 + delta)(b - a) is the difference Phi(b) - Phi(a) of the cell
     values Phi(n) = n (n/2 + delta).
+
+    The loop runs on the flat C-order view f of nv, where cell (i, j) is
+    f[i*ny + j], so every difference is one contiguous loop: x faces pair
+    f[k] with f[k + ny], y faces pair f[k] with f[k + 1].  The nx - 1
+    y-face entries k = i*ny + ny - 1 pair the last cell of row i with the
+    first of row i + 1; they are not faces, and their flux is set to zero
+    on every substep.  Each cell gets the operations of the 2-D loop in the
+    same order, plus adding that zero flux at the row ends, so the result
+    is the same to the bit (only a -0.0 in the last column turns into
+    +0.0).  nv must be C-contiguous, since the update is in place on its
+    view: any other layout raises ValueError rather than updating a copy.
     """
+    if not nv.flags.c_contiguous:
+        raise ValueError("n-diffusion substeps need a C-contiguous density array")
+    f = nv.reshape(-1)
+    ny = g.ny
     cx = dt_sub / g.hx**2
     cy = dt_sub / g.hy**2
     m2 = isinstance(spec.diffusion, PorousMedium) and spec.diffusion.m == 2.0
     delta = _eps_shift(spec) if m2 else 0.0
 
-    ax = np.empty((g.nx - 1, g.ny))
-    ay = np.empty((g.nx, g.ny - 1))
+    ax = np.empty(f.size - ny)
+    ay = np.empty(f.size - 1)
     if m2:
-        phi = np.empty_like(nv)
+        phi = np.empty_like(f)
     else:
         dxb = np.empty_like(ax)
         dyb = np.empty_like(ay)
     for _ in range(substeps):
         if m2:
-            np.multiply(nv, 0.5, out=phi)
+            np.multiply(f, 0.5, out=phi)
             phi += delta
-            phi *= nv
-            np.subtract(phi[1:, :], phi[:-1, :], out=ax)
-            np.subtract(phi[:, 1:], phi[:, :-1], out=ay)
+            phi *= f
+            np.subtract(phi[ny:], phi[:-ny], out=ax)
+            np.subtract(phi[1:], phi[:-1], out=ay)
         else:
-            np.add(nv[1:, :], nv[:-1, :], out=ax)
+            np.add(f[ny:], f[:-ny], out=ax)
             ax *= 0.5
             ax[:] = eval_D_eps(ax, spec)
-            np.subtract(nv[1:, :], nv[:-1, :], out=dxb)
+            np.subtract(f[ny:], f[:-ny], out=dxb)
             ax *= dxb
-            np.add(nv[:, 1:], nv[:, :-1], out=ay)
+            np.add(f[1:], f[:-1], out=ay)
             ay *= 0.5
             ay[:] = eval_D_eps(ay, spec)
-            np.subtract(nv[:, 1:], nv[:, :-1], out=dyb)
+            np.subtract(f[1:], f[:-1], out=dyb)
             ay *= dyb
         ax *= cx
         ay *= cy
-        nv[:-1, :] += ax
-        nv[1:, :] -= ax
-        nv[:, :-1] += ay
-        nv[:, 1:] -= ay
+        ay[ny - 1::ny] = 0.0
+        f[:-ny] += ax
+        f[ny:] -= ax
+        f[:-1] += ay
+        f[1:] -= ay
 
 
 def _explicit_viscous(u: VectorField, g):

@@ -2,9 +2,9 @@
 
 The epsilon sweep reruns one configuration with a strictly decreasing
 list of regularization strengths and reports space-time L2 distances
-between consecutive runs, sampled at the shared cadence ticks on the
-common grid.  No rate is asserted; decreasing distances indicate Cauchy
-behavior of the regularized family.
+between consecutive runs, sampled at the shared cadence ticks (and at T
+when it falls between ticks) on the common grid.  No rate is asserted;
+decreasing distances indicate Cauchy behavior of the regularized family.
 
 The refinement sweep runs nested grids and reports observed convergence
 orders per field from consecutive-grid differences (unbiased when the
@@ -48,11 +48,21 @@ def _collect_run(cfg: RunConfig, t_end: float):
     return frames
 
 
-def _spacetime_l2(frames_a, frames_b, weight_t, cell_area) -> tuple:
+def _spacetime_l2(frames_a, frames_b, cadence, cell_area) -> tuple:
+    """Space-time L2 distances, each frame weighted by the time it covers.
+
+    That is the cadence for a frame on a tick; a final frame short of the
+    next tick (T not a multiple of the cadence) covers T - t_prev only.
+    """
     dn = dc = du = 0.0
+    t_prev = None
     for (ta, na, ca, uxa, uya), (tb, nb, cb, uxb, uyb) in zip(frames_a, frames_b):
         if abs(ta - tb) > 1e-9:
             raise ValueError(f"sweep runs recorded at different times: {ta} vs {tb}")
+        weight_t = cadence
+        if t_prev is not None and ta < t_prev + cadence - 1e-12:
+            weight_t = ta - t_prev
+        t_prev = ta
         dn += float(((na - nb) ** 2).sum()) * cell_area * weight_t
         dc += float(((ca - cb) ** 2).sum()) * cell_area * weight_t
         du += (float(((uxa - uxb) ** 2).sum()) + float(((uya - uyb) ** 2).sum())) * cell_area * weight_t

@@ -2,9 +2,11 @@ import pathlib
 
 import pytest
 
+from chemoflow import solver
 from chemoflow.cli import main
 from chemoflow.config import reference_config_text
-from chemoflow.io import CSV_HEADER
+from chemoflow.io import CSV_HEADER, read_snapshot
+from chemoflow.solver import SolverError
 
 
 @pytest.fixture
@@ -54,6 +56,26 @@ class TestRun:
         blobs = sorted(out.glob("*.cns2"))
         assert len(blobs) == 2
         assert blobs[0].read_bytes()[:4] == b"CNS2"
+
+
+    def test_snapshots_on_disk_when_a_later_step_fails(self, tmp_path, monkeypatch):
+        path = tmp_path / "run.ini"
+        text = reference_config_text(t_end=0.15, nx=16, ny=16, cadence=0.05)
+        path.write_text(text.replace("snapshots = false", "snapshots = true"))
+        step_impl = solver._step_impl
+
+        def fail_after_first_tick(state, *args, **kwargs):
+            if state.t >= 0.05 - 1e-12:
+                raise SolverError("injected failure")
+            return step_impl(state, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "_step_impl", fail_after_first_tick)
+        out = tmp_path / "out"
+        with pytest.raises(SolverError, match="injected failure"):
+            main(["run", str(path), "--output", str(out)])
+        blobs = sorted(out.glob("*.cns2"))
+        assert [b.name for b in blobs] == ["snapshot_t00000.000000.cns2", "snapshot_t00000.050000.cns2"]
+        assert [read_snapshot(b.read_bytes()).t for b in blobs] == pytest.approx([0.0, 0.05], abs=1e-12)
 
 
 class TestSweeps:

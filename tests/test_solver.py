@@ -173,6 +173,79 @@ class TestDiffusionSubsteps:
         assert integrate(out.n) == pytest.approx(integrate(st_.n), rel=1e-13)
 
 
+
+def _substeps_2d(nv, spec, dt_sub, substeps, g):
+    """The 2-D form of the substep loop: the reference the flat loop must match to the bit."""
+    from chemoflow.model import _eps_shift
+
+    cx = dt_sub / g.hx**2
+    cy = dt_sub / g.hy**2
+    m2 = isinstance(spec.diffusion, PorousMedium) and spec.diffusion.m == 2.0
+    delta = _eps_shift(spec) if m2 else 0.0
+    ax = np.empty((g.nx - 1, g.ny))
+    ay = np.empty((g.nx, g.ny - 1))
+    if m2:
+        phi = np.empty_like(nv)
+    else:
+        dxb = np.empty_like(ax)
+        dyb = np.empty_like(ay)
+    for _ in range(substeps):
+        if m2:
+            np.multiply(nv, 0.5, out=phi)
+            phi += delta
+            phi *= nv
+            np.subtract(phi[1:, :], phi[:-1, :], out=ax)
+            np.subtract(phi[:, 1:], phi[:, :-1], out=ay)
+        else:
+            np.add(nv[1:, :], nv[:-1, :], out=ax)
+            ax *= 0.5
+            ax[:] = eval_D_eps(ax, spec)
+            np.subtract(nv[1:, :], nv[:-1, :], out=dxb)
+            ax *= dxb
+            np.add(nv[:, 1:], nv[:, :-1], out=ay)
+            ay *= 0.5
+            ay[:] = eval_D_eps(ay, spec)
+            np.subtract(nv[:, 1:], nv[:, :-1], out=dyb)
+            ay *= dyb
+        ax *= cx
+        ay *= cy
+        nv[:-1, :] += ax
+        nv[1:, :] -= ax
+        nv[:, :-1] += ay
+        nv[:, 1:] -= ay
+
+
+class TestFlatSubstepLoop:
+    @pytest.mark.parametrize("diffusion", [
+        PorousMedium(2.0), PorousMedium(1.8), TabulatedDiffusion((0.0, 0.5, 2.0), (0.2, 1.5, 0.7)),
+    ])
+    @pytest.mark.parametrize("nx, ny, lx, ly", [
+        (4, 4, 1.0, 1.0), (4, 9, 1.0, 1.0), (9, 4, 1.0, 1.0), (24, 16, 1.5, 1.0), (33, 65, 1.0, 1.0),
+    ])
+    def test_matches_2d_loop_bitwise(self, diffusion, nx, ny, lx, ly):
+        g = make_grid(nx, ny, lx, ly)
+        spec = ModelSpec(diffusion=diffusion, epsilon=0.05)
+        rng = np.random.default_rng(nx * 100 + ny)
+        n = ScalarField(g, rng.random((nx, ny)) * 2.0)
+        n.values[rng.random((nx, ny)) < 0.3] = 0.0
+        dt_sub = solver._diffusive_dt(n, spec)
+        flat = n.values.copy()
+        ref = n.values.copy()
+        solver._diffusion_substeps(flat, spec, dt_sub, 40, g)
+        _substeps_2d(ref, spec, dt_sub, 40, g)
+        assert flat.tobytes() == ref.tobytes()
+        assert not np.array_equal(flat, n.values)
+
+    def test_non_contiguous_density_rejected(self):
+        g = make_grid(8, 6, 1.0, 1.0)
+        spec = ModelSpec(diffusion=PorousMedium(2.0), epsilon=0.05)
+        for nv in (np.ones((6, 8)).T, np.ones((8, 12))[:, ::2], np.asfortranarray(np.ones((8, 6)))):
+            before = nv.copy()
+            with pytest.raises(ValueError, match="C-contiguous"):
+                solver._diffusion_substeps(nv, spec, 1e-3, 1, g)
+            assert (nv == before).all()
+
+
 class TestRun:
     def test_zero_horizon_returns_initial(self):
         st_ = bump_state()

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
 
 from chemoflow.config import parse_config, reference_config_text
-from chemoflow.sweeps import eps_sweep, refinement_sweep
+from chemoflow.sweeps import _collect_run, eps_sweep, refinement_sweep
 
 SMALL_REF = reference_config_text(t_end=0.2, nx=16, ny=16, cadence=0.05)
 
@@ -79,6 +80,24 @@ class TestEpsSweep:
         assert all(b < a for a, b in zip(d.n, d.n[1:]))
         assert all(b < a for a, b in zip(d.c, d.c[1:]))
         assert all(v > 0 for v in d.n)
+
+
+    @pytest.mark.parametrize("T, final_weight", [
+        pytest.param(0.1, 0.05, id="aligned"), pytest.param(0.12, 0.12 - 0.10, id="unaligned"),
+    ])
+    def test_final_frame_weighted_by_time_it_covers(self, T, final_weight):
+        # frames at 0, 0.05, 0.10 (and 0.12) each cover one cadence, the
+        # unaligned final frame only the 0.02 since the last tick
+        cfg = parse_config(SMALL_REF)
+        d = eps_sweep(cfg, [0.1, 0.05], T=T)
+        fa, fb = (_collect_run(dc_replace(cfg, spec=dc_replace(cfg.spec, epsilon=e)), T)
+                  for e in (0.1, 0.05))
+        weights = [0.05] * (len(fa) - 1) + [final_weight]
+        dn = 0.0
+        for a, b, w in zip(fa, fb, weights):
+            dn += float(((a[1] - b[1]) ** 2).sum()) * cfg.grid.cell_area * w
+        assert [f[0] for f in fa] == pytest.approx([0.0, 0.05, 0.10, T][: len(fa)], abs=1e-12)
+        assert d.n[0] == pytest.approx(math.sqrt(dn), rel=1e-12)
 
 
 class TestRefinement:

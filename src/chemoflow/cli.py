@@ -3,7 +3,8 @@
 Verbs:
     run           advance a configuration, writing the diagnostics CSV
                   (and snapshots when enabled); exit code 0 only if every
-                  invariant monitor passed
+                  invariant monitor passed, 1 with "ERROR: step <i>: ..."
+                  if a step fails, keeping what was recorded before it
     sweep-eps     Cauchy study over decreasing regularization strengths
     sweep-grid    refinement study with observed convergence orders
     verify-lemmas run the standalone inequality checks, write the report
@@ -26,7 +27,7 @@ from .grid import integrate
 from .io import emit_snapshot, emit_timeseries
 from .model import build_truncations
 from .operators import PoissonSolver
-from .solver import run
+from .solver import SolverError, run
 from .sweeps import eps_sweep, refinement_sweep
 
 
@@ -73,8 +74,16 @@ def _cmd_run(args) -> int:
         (outdir / f"snapshot_t{state.t:012.6f}.cns2").write_bytes(emit_snapshot(state))
 
     sinks = [record_sink, snapshot_sink] if cfg.snapshots else [record_sink]
-    run(initial, spec, cfg.controls, poisson, sinks=sinks, cadence=cfg.cadence)
+    error = None
+    try:
+        run(initial, spec, cfg.controls, poisson, sinks=sinks, cadence=cfg.cadence)
+    except SolverError as exc:
+        error = exc
+    # written after a failed step too: the rows recorded before it remain
     (outdir / "timeseries.csv").write_text(emit_timeseries(records))
+    if error is not None:
+        print(f"ERROR: {error}", file=sys.stderr)
+        return 1
 
     functional = select_functional(spec, n0_mass=initial_mass)
     report = functional_envelope(records, coeffs, functional=functional)

@@ -15,6 +15,22 @@ Conventions
   uniform grid, or by a sparse LU factorization kept as an independent
   cross-check.  Both are direct solves: the projected velocity is
   discretely solenoidal to round-off.
+
+Performance rules
+-----------------
+* Every operator returns fresh arrays, never a shared workspace, so a
+  caller may accumulate into a result in place.  Inside an operator the
+  intermediates are computed in place (``out=``, ``+=``) with the same
+  floating-point operations in the same order as the plain expressions,
+  so results do not depend on how they are evaluated.
+* Module-level ``lru_cache`` tables hold read-only arrays only, so a
+  PoissonSolver stays immutable and safe to share: ``_face_cutoffs``
+  (rho_eps at the faces, per grid and spec), ``_plans`` (the 1-D
+  transform eigenvalues, per grid) and ``_helmholtz_denominator``
+  (1 + alpha * lam per grid, layout and alpha; three entries, one per
+  layout, since alpha = dt repeats while dt_max sets the step).  The
+  denominator is divided by, never replaced by a cached reciprocal,
+  which would change the last bit.
 """
 
 from __future__ import annotations
@@ -62,19 +78,40 @@ def _workers() -> int:
 # basic calculus
 # ----------------------------------------------------------------------
 
+def _face_diff(a: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """(a[k+1] - a[k]) / h along `axis`, as a fresh array."""
+    if axis == 0:
+        out = a[1:, :] - a[:-1, :]
+    else:
+        out = a[:, 1:] - a[:, :-1]
+    out /= h
+    return out
+
+
+def _face_mean(a: np.ndarray, axis: int) -> np.ndarray:
+    """0.5 * (a[k] + a[k+1]) along `axis`, as a fresh array."""
+    if axis == 0:
+        out = a[:-1, :] + a[1:, :]
+    else:
+        out = a[:, :-1] + a[:, 1:]
+    out *= 0.5
+    return out
+
+
 def grad(f: ScalarField) -> VectorField:
     """Face gradient with homogeneous-Neumann ghosts (boundary faces 0)."""
     g = f.grid
     v = VectorField.zeros(g)
-    v.ux[1:-1, :] = (f.values[1:, :] - f.values[:-1, :]) / g.hx
-    v.uy[:, 1:-1] = (f.values[:, 1:] - f.values[:, :-1]) / g.hy
+    v.ux[1:-1, :] = _face_diff(f.values, 0, g.hx)
+    v.uy[:, 1:-1] = _face_diff(f.values, 1, g.hy)
     return v
 
 
 def div(v: VectorField) -> ScalarField:
     """Conservative cell divergence of a face field."""
     g = v.grid
-    out = (v.ux[1:, :] - v.ux[:-1, :]) / g.hx + (v.uy[:, 1:] - v.uy[:, :-1]) / g.hy
+    out = _face_diff(v.ux, 0, g.hx)
+    out += _face_diff(v.uy, 1, g.hy)
     return ScalarField(g, out)
 
 
@@ -89,20 +126,28 @@ def laplace(f: ScalarField) -> ScalarField:
 
 
 def _flux_div(fx: np.ndarray, fy: np.ndarray, g: Grid) -> ScalarField:
-    """Cell divergence of interior-face fluxes; boundary faces carry none."""
-    qx = fx / g.hx
-    qy = fy / g.hy
+    """Cell divergence of interior-face fluxes; boundary faces carry none.
+
+    fx and fy must be fresh arrays: they are divided by the spacing in place.
+    """
+    fx /= g.hx
+    fy /= g.hy
     out = np.zeros((g.nx, g.ny))
-    out[:-1, :] += qx
-    out[1:, :] -= qx
-    out[:, :-1] += qy
-    out[:, 1:] -= qy
+    out[:-1, :] += fx
+    out[1:, :] -= fx
+    out[:, :-1] += fy
+    out[:, 1:] -= fy
     return ScalarField(g, out)
 
 
 def _upwind_flux(vel, left, right):
     # flux through a face from the upwind side; exact zero where vel == 0
-    return np.maximum(vel, 0.0) * left + np.minimum(vel, 0.0) * right
+    out = np.maximum(vel, 0.0)
+    out *= left
+    tmp = np.minimum(vel, 0.0)
+    tmp *= right
+    out += tmp
+    return out
 
 
 def advect_scalar(f: ScalarField, v: VectorField) -> ScalarField:
@@ -150,35 +195,48 @@ def taxis_face_velocity(n: ScalarField, c: ScalarField, spec: ModelSpec):
 
     Returns (wx, wy) on interior x- and y-faces, shapes (nx-1, ny) and
     (nx, ny-1).  Boundary faces carry w = 0 (rho_eps vanishes there).
+
+    While max(n) * eps - 1 <= 0 the density cutoff chi_eps is exactly 1 at
+    every face: a face average never exceeds max(n) in floating point, so
+    the smoothstep argument is <= 0 and clips to 0.  The cutoff is then
+    skipped, since rho * 1.0 is rho to the bit; a NaN density fails the
+    test and takes the full path.
     """
     g = n.grid
     nv, cv = n.values, c.values
     rho_x, rho_y = _face_cutoffs(g, spec)
 
-    n_fx = 0.5 * (nv[:-1, :] + nv[1:, :])
-    c_fx = 0.5 * (cv[:-1, :] + cv[1:, :])
-    dcdx = (cv[1:, :] - cv[:-1, :]) / g.hx
-    scale_x = rho_x * density_cutoff(n_fx, spec) * sensitivity_scale(c_fx, spec)
-
-    n_fy = 0.5 * (nv[:, :-1] + nv[:, 1:])
-    c_fy = 0.5 * (cv[:, :-1] + cv[:, 1:])
-    dcdy = (cv[:, 1:] - cv[:, :-1]) / g.hy
-    scale_y = rho_y * density_cutoff(n_fy, spec) * sensitivity_scale(c_fy, spec)
+    scale_x = sensitivity_scale(_face_mean(cv, 0), spec)
+    scale_y = sensitivity_scale(_face_mean(cv, 1), spec)
+    if float(nv.max()) * spec.epsilon - 1.0 <= 0.0:
+        scale_x *= rho_x
+        scale_y *= rho_y
+    else:
+        scale_x *= rho_x * density_cutoff(_face_mean(nv, 0), spec)
+        scale_y *= rho_y * density_cutoff(_face_mean(nv, 1), spec)
+    dcdx = _face_diff(cv, 0, g.hx)
+    dcdy = _face_diff(cv, 1, g.hy)
 
     if spec.sensitivity_kind == "isotropic":
-        return scale_x * dcdx, scale_y * dcdy
+        scale_x *= dcdx
+        scale_y *= dcdy
+        return scale_x, scale_y
 
     # rotation: needs the transverse gradient component at each face
     ct, st = math.cos(spec.rotation_angle), math.sin(spec.rotation_angle)
     pad = np.pad(cv, 1, mode="edge")
     # d c / dy at interior x-faces: average the four surrounding y-differences
     dy_cells = (pad[1:-1, 2:] - pad[1:-1, :-2]) / (2.0 * g.hy)
-    dcdy_at_x = 0.5 * (dy_cells[:-1, :] + dy_cells[1:, :])
+    dcdy_at_x = _face_mean(dy_cells, 0)
     dx_cells = (pad[2:, 1:-1] - pad[:-2, 1:-1]) / (2.0 * g.hx)
-    dcdx_at_y = 0.5 * (dx_cells[:, :-1] + dx_cells[:, 1:])
-    wx = scale_x * (ct * dcdx - st * dcdy_at_x)
-    wy = scale_y * (st * dcdx_at_y + ct * dcdy)
-    return wx, wy
+    dcdx_at_y = _face_mean(dx_cells, 1)
+    dcdx *= ct
+    dcdx -= st * dcdy_at_x
+    scale_x *= dcdx
+    dcdx_at_y *= st
+    dcdx_at_y += ct * dcdy
+    scale_y *= dcdx_at_y
+    return scale_x, scale_y
 
 
 def taxis_flux_div(n: ScalarField, c: ScalarField, spec: ModelSpec, faces=None) -> ScalarField:
@@ -189,46 +247,64 @@ def taxis_flux_div(n: ScalarField, c: ScalarField, spec: ModelSpec, faces=None) 
     return _flux_div(fx, fy, n.grid)
 
 
+def _upwind_sum(out, a, back_a, fwd_a, b, back_b, fwd_b):
+    """out = max(a,0)*back_a + min(a,0)*fwd_a + max(b,0)*back_b + min(b,0)*fwd_b.
+
+    Summed left to right in place, with one scratch array.
+    """
+    tmp = np.empty_like(out)
+    np.maximum(a, 0.0, out=out)
+    out *= back_a
+    np.minimum(a, 0.0, out=tmp)
+    tmp *= fwd_a
+    out += tmp
+    np.maximum(b, 0.0, out=tmp)
+    tmp *= back_b
+    out += tmp
+    np.minimum(b, 0.0, out=tmp)
+    tmp *= fwd_b
+    out += tmp
+
+
 def advect_velocity(u: VectorField) -> VectorField:
     """(u . grad) u on the MAC layout, first-order upwind.
 
     Tangential walls use the no-slip ghost u_ghost = -u_interior; normal
     boundary faces are fixed at zero, so only interior faces get a
-    tendency.
+    tendency.  Each axis has one array of face differences d; the
+    backward difference at a face is d[:-1] and the forward one d[1:].
     """
     g = u.grid
     ux, uy = u.ux, u.uy
     tend = VectorField.zeros(g)
 
     # --- ux faces (interior i = 1..nx-1) ---
-    ax = ux[1:-1, :]
-    ay = 0.25 * (uy[:-1, :-1] + uy[1:, :-1] + uy[:-1, 1:] + uy[1:, 1:])
-    back_x = (ux[1:-1, :] - ux[:-2, :]) / g.hx
-    fwd_x = (ux[2:, :] - ux[1:-1, :]) / g.hx
-    uxp = np.concatenate([-ux[:, :1], ux, -ux[:, -1:]], axis=1)
-    back_y = (uxp[1:-1, 1:-1] - uxp[1:-1, :-2]) / g.hy
-    fwd_y = (uxp[1:-1, 2:] - uxp[1:-1, 1:-1]) / g.hy
-    tend.ux[1:-1, :] = (
-        np.maximum(ax, 0.0) * back_x
-        + np.minimum(ax, 0.0) * fwd_x
-        + np.maximum(ay, 0.0) * back_y
-        + np.minimum(ay, 0.0) * fwd_y
-    )
+    ay = uy[:-1, :-1] + uy[1:, :-1]
+    ay += uy[:-1, 1:]
+    ay += uy[1:, 1:]
+    ay *= 0.25
+    dx = _face_diff(ux, 0, g.hx)
+    # no-slip ghost columns beside the interior rows
+    uxp = np.empty((g.nx - 1, g.ny + 2))
+    uxp[:, 1:-1] = ux[1:-1, :]
+    np.negative(ux[1:-1, :1], out=uxp[:, :1])
+    np.negative(ux[1:-1, -1:], out=uxp[:, -1:])
+    dy = _face_diff(uxp, 1, g.hy)
+    _upwind_sum(tend.ux[1:-1, :], ux[1:-1, :], dx[:-1], dx[1:], ay, dy[:, :-1], dy[:, 1:])
 
     # --- uy faces (interior j = 1..ny-1) ---
-    by = uy[:, 1:-1]
-    bx = 0.25 * (ux[:-1, :-1] + ux[:-1, 1:] + ux[1:, :-1] + ux[1:, 1:])
-    back_y2 = (uy[:, 1:-1] - uy[:, :-2]) / g.hy
-    fwd_y2 = (uy[:, 2:] - uy[:, 1:-1]) / g.hy
-    uyp = np.concatenate([-uy[:1, :], uy, -uy[-1:, :]], axis=0)
-    back_x2 = (uyp[1:-1, 1:-1] - uyp[:-2, 1:-1]) / g.hx
-    fwd_x2 = (uyp[2:, 1:-1] - uyp[1:-1, 1:-1]) / g.hx
-    tend.uy[:, 1:-1] = (
-        np.maximum(bx, 0.0) * back_x2
-        + np.minimum(bx, 0.0) * fwd_x2
-        + np.maximum(by, 0.0) * back_y2
-        + np.minimum(by, 0.0) * fwd_y2
-    )
+    bx = ux[:-1, :-1] + ux[:-1, 1:]
+    bx += ux[1:, :-1]
+    bx += ux[1:, 1:]
+    bx *= 0.25
+    dy = _face_diff(uy, 1, g.hy)
+    # no-slip ghost rows beside the interior columns
+    uyp = np.empty((g.nx + 2, g.ny - 1))
+    uyp[1:-1, :] = uy[:, 1:-1]
+    np.negative(uy[:1, 1:-1], out=uyp[:1, :])
+    np.negative(uy[-1:, 1:-1], out=uyp[-1:, :])
+    dx = _face_diff(uyp, 0, g.hx)
+    _upwind_sum(tend.uy[:, 1:-1], bx, dx[:-1], dx[1:], uy[:, 1:-1], dy[:, :-1], dy[:, 1:])
     return tend
 
 
@@ -256,7 +332,7 @@ def _dst2_eigen(n: int, h: float) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _plans(grid: Grid):
-    return {
+    plans = {
         "cell_lx": _dct_eigen(grid.nx, grid.hx),
         "cell_ly": _dct_eigen(grid.ny, grid.hy),
         "ux_lx": _dst1_eigen(grid.nx, grid.hx),
@@ -264,6 +340,23 @@ def _plans(grid: Grid):
         "uy_lx": _dst2_eigen(grid.nx, grid.hx),
         "uy_ly": _dst1_eigen(grid.ny, grid.hy),
     }
+    for eig in plans.values():
+        eig.flags.writeable = False
+    return plans
+
+
+def _eigen_sum(grid: Grid, layout: str) -> np.ndarray:
+    """lam[i, j] = lam_x[i] + lam_y[j] for layout "cell", "ux" or "uy"."""
+    e = _plans(grid)
+    return e[f"{layout}_lx"][:, None] + e[f"{layout}_ly"][None, :]
+
+
+@lru_cache(maxsize=3)
+def _helmholtz_denominator(grid: Grid, layout: str, alpha: float) -> np.ndarray:
+    """1 + alpha * lam, read-only; one entry per layout while alpha repeats."""
+    denom = 1.0 + alpha * _eigen_sum(grid, layout)
+    denom.flags.writeable = False
+    return denom
 
 
 def _neumann_matrix(grid: Grid) -> sparse.csr_matrix:
@@ -299,10 +392,14 @@ class PoissonSolver:
             raise ValueError(f"unknown Poisson method {method!r}")
         self.grid = grid
         self.method = method
-        self._eigs = _plans(grid)
         self._workers = _workers()
         self._lu = None
-        if method == "lu":
+        if method == "dct":
+            lam = _eigen_sum(grid, "cell")
+            lam[0, 0] = 1.0  # gauge mode, coefficient zeroed in solve
+            lam.flags.writeable = False
+            self._lam = lam
+        else:
             a = _neumann_matrix(grid).tolil()
             a[0, :] = 0.0
             a[0, 0] = 1.0
@@ -314,11 +411,9 @@ class PoissonSolver:
         g = self.grid
         if self.method == "dct":
             what = sp_fft.dctn(rhs.values, type=2, norm="ortho", workers=self._workers)
-            lam = self._eigs["cell_lx"][:, None] + self._eigs["cell_ly"][None, :]
-            lam[0, 0] = 1.0  # gauge mode, coefficient zeroed below
-            what = -what / lam
+            np.negative(what, out=what)
+            what /= self._lam
             what[0, 0] = 0.0
-            lam[0, 0] = 0.0
             p = sp_fft.idctn(what, type=2, norm="ortho", workers=self._workers)
         else:
             b = rhs.values - rhs.values.mean()
@@ -338,24 +433,21 @@ class PoissonSolver:
     def helmholtz_cells(self, b: np.ndarray, alpha: float) -> np.ndarray:
         """(I - alpha * laplace) x = b on cell centers, Neumann walls."""
         bhat = sp_fft.dctn(b, type=2, norm="ortho", workers=self._workers)
-        lam = self._eigs["cell_lx"][:, None] + self._eigs["cell_ly"][None, :]
-        bhat /= 1.0 + alpha * lam
+        bhat /= _helmholtz_denominator(self.grid, "cell", alpha)
         return sp_fft.idctn(bhat, type=2, norm="ortho", workers=self._workers)
 
     def helmholtz_ux(self, b_interior: np.ndarray, alpha: float) -> np.ndarray:
         """(I - alpha * laplace) on interior x-faces, no-slip walls."""
         bh = sp_fft.dst(b_interior, type=1, axis=0, norm="ortho", workers=self._workers)
         bh = sp_fft.dst(bh, type=2, axis=1, norm="ortho", workers=self._workers)
-        lam = self._eigs["ux_lx"][:, None] + self._eigs["ux_ly"][None, :]
-        bh /= 1.0 + alpha * lam
+        bh /= _helmholtz_denominator(self.grid, "ux", alpha)
         bh = sp_fft.idst(bh, type=2, axis=1, norm="ortho", workers=self._workers)
         return sp_fft.idst(bh, type=1, axis=0, norm="ortho", workers=self._workers)
 
     def helmholtz_uy(self, b_interior: np.ndarray, alpha: float) -> np.ndarray:
         bh = sp_fft.dst(b_interior, type=2, axis=0, norm="ortho", workers=self._workers)
         bh = sp_fft.dst(bh, type=1, axis=1, norm="ortho", workers=self._workers)
-        lam = self._eigs["uy_lx"][:, None] + self._eigs["uy_ly"][None, :]
-        bh /= 1.0 + alpha * lam
+        bh /= _helmholtz_denominator(self.grid, "uy", alpha)
         bh = sp_fft.idst(bh, type=1, axis=1, norm="ortho", workers=self._workers)
         return sp_fft.idst(bh, type=2, axis=0, norm="ortho", workers=self._workers)
 
@@ -370,9 +462,10 @@ def project(v_star: VectorField, solver: PoissonSolver):
     v_star.check_finite()
     if not v_star.normal_boundary_is_zero():
         raise ValueError("projection input must have zero boundary-normal entries")
-    rhs = div(v_star)
-    p = solver.solve(rhs)
-    gp = grad(p)
-    v = VectorField(v_star.grid, v_star.ux - gp.ux, v_star.uy - gp.uy)
+    g = v_star.grid
+    p = solver.solve(div(v_star))
+    v = v_star.copy()
+    v.ux[1:-1, :] -= _face_diff(p.values, 0, g.hx)
+    v.uy[:, 1:-1] -= _face_diff(p.values, 1, g.hy)
     v.enforce_no_penetration()
     return v, p

@@ -170,10 +170,11 @@ def _step_impl(state: State, spec: ModelSpec, controls: TimeControls, poisson: P
         t_new = state.t + dt
 
     # --- (i) density update -------------------------------------------------
-    tend = advect_scalar(state.n, state.u).values + taxis_flux_div(
-        state.n, state.c, spec, faces=(wx, wy)
-    ).values
-    n_new = ScalarField(g, state.n.values - dt * tend)
+    # the operators return fresh arrays, so the updates accumulate in place
+    tend = advect_scalar(state.n, state.u).values
+    tend += taxis_flux_div(state.n, state.c, spec, faces=(wx, wy)).values
+    tend *= dt
+    n_new = ScalarField(g, np.subtract(state.n.values, tend, out=tend))
     clamped = _clamp_negative(n_new, t_new)
 
     substeps = max(1, int(math.ceil(dt / _diffusive_dt(n_new, spec))))
@@ -181,8 +182,12 @@ def _step_impl(state: State, spec: ModelSpec, controls: TimeControls, poisson: P
     clamped += _clamp_negative(n_new, t_new)
 
     # --- (ii) signal update ---------------------------------------------------
-    c_mid = state.c.values - dt * advect_scalar(state.c, state.u).values
-    c_mid = c_mid / (1.0 + dt * n_new.values)
+    c_mid = advect_scalar(state.c, state.u).values
+    c_mid *= dt
+    np.subtract(state.c.values, c_mid, out=c_mid)
+    decay = n_new.values * dt
+    decay += 1.0
+    c_mid /= decay
     if controls.cu_diffusion == "semi-implicit":
         c_vals = poisson.helmholtz_cells(c_mid, dt)
     else:
@@ -191,8 +196,11 @@ def _step_impl(state: State, spec: ModelSpec, controls: TimeControls, poisson: P
 
     # --- (iii) velocity update -------------------------------------------------
     adv = advect_velocity(state.u)
-    ux_star = state.u.ux - dt * adv.ux
-    uy_star = state.u.uy - dt * adv.uy
+    ux_star, uy_star = adv.ux, adv.uy
+    ux_star *= dt
+    np.subtract(state.u.ux, ux_star, out=ux_star)
+    uy_star *= dt
+    np.subtract(state.u.uy, uy_star, out=uy_star)
     if controls.cu_diffusion == "semi-implicit":
         ux_star[1:-1, :] = poisson.helmholtz_ux(ux_star[1:-1, :], dt)
         uy_star[:, 1:-1] = poisson.helmholtz_uy(uy_star[:, 1:-1], dt)
@@ -203,9 +211,13 @@ def _step_impl(state: State, spec: ModelSpec, controls: TimeControls, poisson: P
     phx, phy = spec.phi_gradient
     nv = n_new.values
     if phx != 0.0:
-        ux_star[1:-1, :] += dt * phx * 0.5 * (nv[:-1, :] + nv[1:, :])
+        force = nv[:-1, :] + nv[1:, :]
+        force *= dt * phx * 0.5
+        ux_star[1:-1, :] += force
     if phy != 0.0:
-        uy_star[:, 1:-1] += dt * phy * 0.5 * (nv[:, :-1] + nv[:, 1:])
+        force = nv[:, :-1] + nv[:, 1:]
+        force *= dt * phy * 0.5
+        uy_star[:, 1:-1] += force
     u_star = VectorField(g, ux_star, uy_star)
     u_star.enforce_no_penetration()
     u_new, _pressure = project(u_star, poisson)

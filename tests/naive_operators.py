@@ -1,0 +1,170 @@
+"""One-expression-per-line forms of the per-step operators.
+
+`chemoflow.operators` computes these with shared face differences,
+in-place accumulation and cached spectral denominators.  The forms below
+do the same floating-point operations in the same order on fresh
+temporaries, so the tests can require the two to agree to the bit.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from scipy import fft as sp_fft
+
+from chemoflow.grid import ScalarField, VectorField
+from chemoflow.model import boundary_cutoff, density_cutoff, sensitivity_scale
+from chemoflow.operators import _dct_eigen, _dst1_eigen, _dst2_eigen
+
+
+def grad(f):
+    g = f.grid
+    v = VectorField.zeros(g)
+    v.ux[1:-1, :] = (f.values[1:, :] - f.values[:-1, :]) / g.hx
+    v.uy[:, 1:-1] = (f.values[:, 1:] - f.values[:, :-1]) / g.hy
+    return v
+
+
+def div(v):
+    g = v.grid
+    out = (v.ux[1:, :] - v.ux[:-1, :]) / g.hx + (v.uy[:, 1:] - v.uy[:, :-1]) / g.hy
+    return ScalarField(g, out)
+
+
+def _flux_div(fx, fy, g):
+    qx = fx / g.hx
+    qy = fy / g.hy
+    out = np.zeros((g.nx, g.ny))
+    out[:-1, :] += qx
+    out[1:, :] -= qx
+    out[:, :-1] += qy
+    out[:, 1:] -= qy
+    return ScalarField(g, out)
+
+
+def _upwind_flux(vel, left, right):
+    return np.maximum(vel, 0.0) * left + np.minimum(vel, 0.0) * right
+
+
+def advect_scalar(f, v):
+    fx = _upwind_flux(v.ux[1:-1, :], f.values[:-1, :], f.values[1:, :])
+    fy = _upwind_flux(v.uy[:, 1:-1], f.values[:, :-1], f.values[:, 1:])
+    return _flux_div(fx, fy, f.grid)
+
+
+def taxis_face_velocity(n, c, spec):
+    g = n.grid
+    nv, cv = n.values, c.values
+    xf, yc = g.xf()[1:-1], g.yc()
+    rho_x = boundary_cutoff(xf[:, None], yc[None, :], spec, g.lx, g.ly)
+    xc, yf = g.xc(), g.yf()[1:-1]
+    rho_y = boundary_cutoff(xc[:, None], yf[None, :], spec, g.lx, g.ly)
+
+    n_fx = 0.5 * (nv[:-1, :] + nv[1:, :])
+    c_fx = 0.5 * (cv[:-1, :] + cv[1:, :])
+    dcdx = (cv[1:, :] - cv[:-1, :]) / g.hx
+    scale_x = rho_x * density_cutoff(n_fx, spec) * sensitivity_scale(c_fx, spec)
+
+    n_fy = 0.5 * (nv[:, :-1] + nv[:, 1:])
+    c_fy = 0.5 * (cv[:, :-1] + cv[:, 1:])
+    dcdy = (cv[:, 1:] - cv[:, :-1]) / g.hy
+    scale_y = rho_y * density_cutoff(n_fy, spec) * sensitivity_scale(c_fy, spec)
+
+    if spec.sensitivity_kind == "isotropic":
+        return scale_x * dcdx, scale_y * dcdy
+
+    ct, st = math.cos(spec.rotation_angle), math.sin(spec.rotation_angle)
+    pad = np.pad(cv, 1, mode="edge")
+    dy_cells = (pad[1:-1, 2:] - pad[1:-1, :-2]) / (2.0 * g.hy)
+    dcdy_at_x = 0.5 * (dy_cells[:-1, :] + dy_cells[1:, :])
+    dx_cells = (pad[2:, 1:-1] - pad[:-2, 1:-1]) / (2.0 * g.hx)
+    dcdx_at_y = 0.5 * (dx_cells[:, :-1] + dx_cells[:, 1:])
+    wx = scale_x * (ct * dcdx - st * dcdy_at_x)
+    wy = scale_y * (st * dcdx_at_y + ct * dcdy)
+    return wx, wy
+
+
+def taxis_flux_div(n, c, spec):
+    wx, wy = taxis_face_velocity(n, c, spec)
+    fx = _upwind_flux(wx, n.values[:-1, :], n.values[1:, :])
+    fy = _upwind_flux(wy, n.values[:, :-1], n.values[:, 1:])
+    return _flux_div(fx, fy, n.grid)
+
+
+def advect_velocity(u):
+    g = u.grid
+    ux, uy = u.ux, u.uy
+    tend = VectorField.zeros(g)
+
+    ax = ux[1:-1, :]
+    ay = 0.25 * (uy[:-1, :-1] + uy[1:, :-1] + uy[:-1, 1:] + uy[1:, 1:])
+    back_x = (ux[1:-1, :] - ux[:-2, :]) / g.hx
+    fwd_x = (ux[2:, :] - ux[1:-1, :]) / g.hx
+    uxp = np.concatenate([-ux[:, :1], ux, -ux[:, -1:]], axis=1)
+    back_y = (uxp[1:-1, 1:-1] - uxp[1:-1, :-2]) / g.hy
+    fwd_y = (uxp[1:-1, 2:] - uxp[1:-1, 1:-1]) / g.hy
+    tend.ux[1:-1, :] = (
+        np.maximum(ax, 0.0) * back_x
+        + np.minimum(ax, 0.0) * fwd_x
+        + np.maximum(ay, 0.0) * back_y
+        + np.minimum(ay, 0.0) * fwd_y
+    )
+
+    by = uy[:, 1:-1]
+    bx = 0.25 * (ux[:-1, :-1] + ux[:-1, 1:] + ux[1:, :-1] + ux[1:, 1:])
+    back_y2 = (uy[:, 1:-1] - uy[:, :-2]) / g.hy
+    fwd_y2 = (uy[:, 2:] - uy[:, 1:-1]) / g.hy
+    uyp = np.concatenate([-uy[:1, :], uy, -uy[-1:, :]], axis=0)
+    back_x2 = (uyp[1:-1, 1:-1] - uyp[:-2, 1:-1]) / g.hx
+    fwd_x2 = (uyp[2:, 1:-1] - uyp[1:-1, 1:-1]) / g.hx
+    tend.uy[:, 1:-1] = (
+        np.maximum(bx, 0.0) * back_x2
+        + np.minimum(bx, 0.0) * fwd_x2
+        + np.maximum(by, 0.0) * back_y2
+        + np.minimum(by, 0.0) * fwd_y2
+    )
+    return tend
+
+
+def solve(g, rhs):
+    what = sp_fft.dctn(rhs.values, type=2, norm="ortho")
+    lam = _dct_eigen(g.nx, g.hx)[:, None] + _dct_eigen(g.ny, g.hy)[None, :]
+    lam[0, 0] = 1.0
+    what = -what / lam
+    what[0, 0] = 0.0
+    return ScalarField(g, sp_fft.idctn(what, type=2, norm="ortho"))
+
+
+def helmholtz_cells(g, b, alpha):
+    bhat = sp_fft.dctn(b, type=2, norm="ortho")
+    lam = _dct_eigen(g.nx, g.hx)[:, None] + _dct_eigen(g.ny, g.hy)[None, :]
+    bhat /= 1.0 + alpha * lam
+    return sp_fft.idctn(bhat, type=2, norm="ortho")
+
+
+def helmholtz_ux(g, b_interior, alpha):
+    bh = sp_fft.dst(b_interior, type=1, axis=0, norm="ortho")
+    bh = sp_fft.dst(bh, type=2, axis=1, norm="ortho")
+    lam = _dst1_eigen(g.nx, g.hx)[:, None] + _dst2_eigen(g.ny, g.hy)[None, :]
+    bh /= 1.0 + alpha * lam
+    bh = sp_fft.idst(bh, type=2, axis=1, norm="ortho")
+    return sp_fft.idst(bh, type=1, axis=0, norm="ortho")
+
+
+def helmholtz_uy(g, b_interior, alpha):
+    bh = sp_fft.dst(b_interior, type=2, axis=0, norm="ortho")
+    bh = sp_fft.dst(bh, type=1, axis=1, norm="ortho")
+    lam = _dst2_eigen(g.nx, g.hx)[:, None] + _dst1_eigen(g.ny, g.hy)[None, :]
+    bh /= 1.0 + alpha * lam
+    bh = sp_fft.idst(bh, type=1, axis=1, norm="ortho")
+    return sp_fft.idst(bh, type=2, axis=0, norm="ortho")
+
+
+def project(v_star):
+    g = v_star.grid
+    p = solve(g, div(v_star))
+    gp = grad(p)
+    v = VectorField(g, v_star.ux - gp.ux, v_star.uy - gp.uy)
+    v.enforce_no_penetration()
+    return v, p

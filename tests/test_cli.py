@@ -1,11 +1,12 @@
 import pathlib
+import re
 
 import pytest
 
 from chemoflow import solver
 from chemoflow.cli import main
 from chemoflow.config import reference_config_text
-from chemoflow.io import CSV_HEADER, read_snapshot
+from chemoflow.io import CSV_HEADER, parse_timeseries, read_snapshot
 from chemoflow.solver import SolverError
 
 
@@ -58,7 +59,7 @@ class TestRun:
         assert blobs[0].read_bytes()[:4] == b"CNS2"
 
 
-    def test_snapshots_on_disk_when_a_later_step_fails(self, tmp_path, monkeypatch):
+    def test_snapshots_on_disk_when_a_later_step_fails(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "run.ini"
         text = reference_config_text(t_end=0.15, nx=16, ny=16, cadence=0.05)
         path.write_text(text.replace("snapshots = false", "snapshots = true"))
@@ -71,8 +72,10 @@ class TestRun:
 
         monkeypatch.setattr(solver, "_step_impl", fail_after_first_tick)
         out = tmp_path / "out"
-        with pytest.raises(SolverError, match="injected failure"):
-            main(["run", str(path), "--output", str(out)])
+        assert main(["run", str(path), "--output", str(out)]) == 1
+        assert re.fullmatch(r"ERROR: step \d+: injected failure\n", capsys.readouterr().err)
+        rows = parse_timeseries((out / "timeseries.csv").read_text())
+        assert [r.t for r in rows] == pytest.approx([0.0, 0.05], abs=1e-12)
         blobs = sorted(out.glob("*.cns2"))
         assert [b.name for b in blobs] == ["snapshot_t00000.000000.cns2", "snapshot_t00000.050000.cns2"]
         assert [read_snapshot(b.read_bytes()).t for b in blobs] == pytest.approx([0.0, 0.05], abs=1e-12)

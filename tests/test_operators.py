@@ -2,11 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import chemoflow.operators as ops
+import naive_operators as naive
+from chemoflow import solver as solver_mod
+from chemoflow.config import parse_config, reference_config_text
 from chemoflow.grid import ScalarField, VectorField, integrate, make_grid
 from chemoflow.model import ModelSpec, PorousMedium, TabulatedDiffusion
 from chemoflow.operators import (
     PoissonSolver,
     advect_scalar,
+    advect_velocity,
     div,
     grad,
     laplace,
@@ -347,3 +352,193 @@ class TestThreadEnv:
         from chemoflow.operators import _workers
 
         assert _workers() == 1
+
+
+class TestAdvectVelocity:
+    def test_zero_velocity(self):
+        g = make_grid(12, 20, 1.5, 1.0)
+        tend = advect_velocity(VectorField.zeros(g))
+        assert not tend.ux.any() and not tend.uy.any()
+
+    def test_boundary_normal_entries_stay_zero(self, rng):
+        g = make_grid(33, 17, 1.0, 1.0)
+        tend = advect_velocity(random_facefield(g, rng))
+        for edge in (tend.ux[0, :], tend.ux[-1, :], tend.uy[:, 0], tend.uy[:, -1]):
+            assert (edge == 0.0).all() and not np.signbit(edge).any()
+        assert tend.ux[1:-1, :].any() and tend.uy[:, 1:-1].any()
+
+
+# ----------------------------------------------------------------------
+# bitwise pins against the one-expression-per-line forms
+# ----------------------------------------------------------------------
+
+PIN_GRIDS = [(12, 20, 1.5, 1.0), (33, 17, 1.0, 1.0)]
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def pin_fields(shape, seed, n_max=1.0):
+    """Random n >= 0 (max n_max), c > 0 and a no-penetration velocity."""
+    g = make_grid(*shape)
+    rng = np.random.default_rng(seed)
+    n = rng.random((g.nx, g.ny))
+    n *= n_max / n.max()
+    c = ScalarField(g, 0.2 + rng.random((g.nx, g.ny)))
+    return g, ScalarField(g, n), c, random_facefield(g, rng)
+
+
+def taxis_spec(kind):
+    return ModelSpec(diffusion=PorousMedium(2.0), epsilon=0.05, gamma=0.5, s0_sensitivity=1.3,
+                     sensitivity_kind=kind, rotation_angle=0.7 if kind == "rotation" else 0.0)
+
+
+@pytest.mark.parametrize("shape", PIN_GRIDS)
+class TestBitwisePins:
+    def test_advect_velocity(self, shape):
+        for seed in range(3):
+            g, _, _, u = pin_fields(shape, seed)
+            new, ref = advect_velocity(u), naive.advect_velocity(u)
+            assert same_bits(new.ux, ref.ux) and same_bits(new.uy, ref.uy)
+
+    def test_advect_scalar(self, shape):
+        for seed in range(3):
+            g, n, c, u = pin_fields(shape, seed)
+            assert same_bits(advect_scalar(n, u).values, naive.advect_scalar(n, u).values)
+            assert same_bits(advect_scalar(c, u).values, naive.advect_scalar(c, u).values)
+
+    def test_div_and_grad(self, shape):
+        g, n, _, u = pin_fields(shape, 0)
+        assert same_bits(div(u).values, naive.div(u).values)
+        new, ref = grad(n), naive.grad(n)
+        assert same_bits(new.ux, ref.ux) and same_bits(new.uy, ref.uy)
+
+    @pytest.mark.parametrize("kind", ["isotropic", "rotation"])
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_taxis(self, shape, kind, dense, monkeypatch):
+        spec = taxis_spec(kind)
+        calls = []
+        cutoff = ops.density_cutoff
+
+        def counted_cutoff(n, spec):
+            calls.append(1)
+            return cutoff(n, spec)
+
+        monkeypatch.setattr(ops, "density_cutoff", counted_cutoff)
+        # max n * eps below 1 and exactly 1, or above 1: below 2 and beyond 2
+        at_one = 1.0 / spec.epsilon
+        assert at_one * spec.epsilon - 1.0 == 0.0
+        tops = (1.5 * at_one, 2.5 * at_one) if dense else (0.5 * at_one, at_one)
+        for seed, top in enumerate(tops):
+            g, n, c, _ = pin_fields(shape, seed, n_max=top)
+            new = taxis_face_velocity(n, c, spec)
+            ref = naive.taxis_face_velocity(n, c, spec)
+            assert same_bits(new[0], ref[0]) and same_bits(new[1], ref[1])
+            assert same_bits(taxis_flux_div(n, c, spec).values,
+                             naive.taxis_flux_div(n, c, spec).values)
+        # the cutoff is evaluated (twice per call) only when some n * eps > 1
+        assert len(calls) == (8 if dense else 0)
+
+    def test_taxis_nan_density_takes_full_path(self, shape):
+        spec = taxis_spec("isotropic")
+        g, n, c, _ = pin_fields(shape, 0)
+        n.values[2, 3] = np.nan
+        new = taxis_face_velocity(n, c, spec)
+        ref = naive.taxis_face_velocity(n, c, spec)
+        np.testing.assert_array_equal(new[0], ref[0])
+        np.testing.assert_array_equal(new[1], ref[1])
+        assert np.isnan(new[0]).any()
+
+    def test_project(self, shape):
+        for seed in range(3):
+            g, _, _, u = pin_fields(shape, seed)
+            (v, p), (v_ref, p_ref) = project(u, PoissonSolver(g)), naive.project(u)
+            assert same_bits(p.values, p_ref.values)
+            assert same_bits(v.ux, v_ref.ux) and same_bits(v.uy, v_ref.uy)
+
+    def test_spectral_solves_with_alternating_alpha(self, shape):
+        g = make_grid(*shape)
+        rng = np.random.default_rng(5)
+        solver = PoissonSolver(g)
+        for alpha in (1e-3, 1e-3, 3.7e-4, 1e-3, 3.7e-4, 3.7e-4, 0.25, 1e-3):
+            b = rng.standard_normal((g.nx, g.ny))
+            assert same_bits(solver.helmholtz_cells(b, alpha), naive.helmholtz_cells(g, b, alpha))
+            b = rng.standard_normal((g.nx - 1, g.ny))
+            assert same_bits(solver.helmholtz_ux(b, alpha), naive.helmholtz_ux(g, b, alpha))
+            b = rng.standard_normal((g.nx, g.ny - 1))
+            assert same_bits(solver.helmholtz_uy(b, alpha), naive.helmholtz_uy(g, b, alpha))
+            rhs = ScalarField(g, rng.standard_normal((g.nx, g.ny)))
+            assert same_bits(solver.solve(rhs).values, naive.solve(g, rhs).values)
+
+
+class TestFreshOutputs:
+    """A second call with other inputs leaves the first result unchanged."""
+
+    @staticmethod
+    def _arrays(out):
+        for a in out if isinstance(out, tuple) else (out,):
+            if isinstance(a, VectorField):
+                yield from (a.ux, a.uy)
+            else:
+                yield a.values if isinstance(a, ScalarField) else a
+
+    def _check(self, call, first, second):
+        arrays = list(self._arrays(call(*first)))
+        kept = [a.copy() for a in arrays]
+        call(*second)
+        assert all(same_bits(a, k) for a, k in zip(arrays, kept))
+
+    def test_operators(self):
+        shape = PIN_GRIDS[1]
+        g, n1, c1, u1 = pin_fields(shape, 1)
+        _, n2, c2, u2 = pin_fields(shape, 2)
+        solver = PoissonSolver(g)
+        for kind in ("isotropic", "rotation"):
+            spec = taxis_spec(kind)
+            self._check(lambda n, c: taxis_face_velocity(n, c, spec), (n1, c1), (n2, c2))
+            self._check(lambda n, c: taxis_flux_div(n, c, spec), (n1, c1), (n2, c2))
+        self._check(advect_velocity, (u1,), (u2,))
+        self._check(advect_scalar, (n1, u1), (n2, u2))
+        self._check(div, (u1,), (u2,))
+        self._check(grad, (n1,), (n2,))
+        self._check(lambda u: project(u, solver), (u1,), (u2,))
+        self._check(solver.solve, (n1,), (n2,))
+        self._check(solver.helmholtz_cells, (n1.values, 1e-3), (n2.values, 1e-3))
+        self._check(solver.helmholtz_ux, (u1.ux[1:-1, :], 1e-3), (u2.ux[1:-1, :], 1e-3))
+        self._check(solver.helmholtz_uy, (u1.uy[:, 1:-1], 1e-3), (u2.uy[:, 1:-1], 1e-3))
+
+
+class TestSpectralCaches:
+    def test_read_only(self):
+        g = make_grid(12, 20, 1.5, 1.0)
+        for eig in ops._plans(g).values():
+            assert not eig.flags.writeable
+        for layout in ("cell", "ux", "uy"):
+            denom = ops._helmholtz_denominator(g, layout, 1e-3)
+            assert not denom.flags.writeable
+            with pytest.raises(ValueError):
+                denom[0, 0] = 0.0
+
+    def test_denominators_bounded_while_dt_changes(self, tmp_path, monkeypatch):
+        cfg = parse_config(reference_config_text(
+            t_end=0.012, nx=16, ny=16, cadence=0.005, dt_max=1e-3,
+            u0="vortex: amp=0.5"))
+        cache = ops._helmholtz_denominator
+        cache.cache_clear()
+        step_impl = solver_mod._step_impl
+        dts, sizes = [], []
+
+        def watched(*args, **kwargs):
+            out = step_impl(*args, **kwargs)
+            dts.append(out[1].dt)
+            sizes.append(cache.cache_info().currsize)
+            return out
+
+        monkeypatch.setattr(solver_mod, "_step_impl", watched)
+        solver_mod.run(cfg.initial_state(), cfg.spec, cfg.controls, PoissonSolver(cfg.grid),
+                       cadence=cfg.cadence)
+        assert len(set(dts)) >= 3  # dt_max and the clipped steps before each tick
+        assert cache.cache_info().misses > 3
+        assert max(sizes) <= 3

@@ -44,6 +44,13 @@ __all__ = [
 EST1_CONST = (4.0 + math.sqrt(2.0)) ** 2
 EST2_CONST = (5.0 + math.sqrt(2.0)) ** 2
 
+# run_lemma_checks: exponents a of the product bound, the entropy weight
+# eta, the calibration safety factor and the held-out relative tolerance
+A_VALUES = (0.5, 1.0, 2.0, 4.0)
+ETA = 1.0
+SAFETY = 2.0
+REL_TOL = 1e-8
+
 
 # ----------------------------------------------------------------------
 # reproducible field corpus
@@ -371,19 +378,13 @@ class LemmaCheckRow:
     passed: bool
 
 
-def run_lemma_checks(
-    corpus: FieldCorpus | None = None,
-    a_values: Sequence[float] = (0.5, 1.0, 2.0, 4.0),
-    eta: float = 1.0,
-    safety: float = 2.0,
-    rel_tol: float = 1e-8,
-) -> list:
+def run_lemma_checks(corpus: FieldCorpus | None = None) -> list:
     """Full verification pass; returns one row per inequality check.
 
-    Existential constants are calibrated as `safety` times the largest
+    Existential constants are calibrated as SAFETY = 2 times the largest
     minimal constant over the first half of the corpus, then the gap is
-    required to be >= -rel_tol * (RHS scale) on the held-out half, so the
-    corpus needs at least two members.
+    required to be >= -REL_TOL * (RHS scale), REL_TOL = 1e-8, on the
+    held-out half, so the corpus needs at least two members.
     """
     corpus = corpus or FieldCorpus()
     if corpus.n_members < 2:
@@ -411,23 +412,23 @@ def run_lemma_checks(
         _, g1, g2 = log_hessian_identity_residual(phi)
         worst1 = min(worst1, g1)
         worst2 = min(worst2, g2)
-    rows.append(LemmaCheckRow("log-hessian gradient-power estimate", EST1_CONST, worst1, worst1 >= -rel_tol))
-    rows.append(LemmaCheckRow("log-hessian mixed-curvature estimate", EST2_CONST, worst2, worst2 >= -rel_tol))
+    rows.append(LemmaCheckRow("log-hessian gradient-power estimate", EST1_CONST, worst1, worst1 >= -REL_TOL))
+    rows.append(LemmaCheckRow("log-hessian mixed-curvature estimate", EST2_CONST, worst2, worst2 >= -REL_TOL))
 
     # --- entropy-weighted product bound ---
     kmin = 0.0
     for phi, psi in cal:
-        for a in a_values:
-            kmin = max(kmin, _min_constant_trudinger(phi, psi, a, eta))
-    K = safety * kmin if kmin > 0 else 1.0
+        for a in A_VALUES:
+            kmin = max(kmin, _min_constant_trudinger(phi, psi, a, ETA))
+    K = SAFETY * kmin if kmin > 0 else 1.0
     worst = float("inf")
     ok = True
     for phi, psi in hold:
-        for a in a_values:
-            gap = trudinger_gap(phi, psi, a, eta, K)
+        for a in A_VALUES:
+            gap = trudinger_gap(phi, psi, a, ETA, K)
             scale = abs(gap) + abs(integrate(phi)) * K
             worst = min(worst, gap)
-            ok = ok and gap >= -rel_tol * scale
+            ok = ok and gap >= -REL_TOL * scale
     rows.append(LemmaCheckRow("entropy-weighted product bound", K, worst, ok))
 
     # --- superlevel entropy bound ---
@@ -435,15 +436,15 @@ def run_lemma_checks(
     d_tilde = lambda s: np.asarray(s, dtype=float)  # linear growth clears L above s0t
     kmin = 0.0
     for phi, _ in cal:
-        kmin = max(kmin, _min_constant_sublevel(phi, L, s0t, d_tilde, eta))
-    K2 = safety * kmin if kmin > 0 else 1.0
+        kmin = max(kmin, _min_constant_sublevel(phi, L, s0t, d_tilde, ETA))
+    K2 = SAFETY * kmin if kmin > 0 else 1.0
     worst = float("inf")
     ok = True
     for phi, _ in hold:
-        gap = trudinger_sublevel_gap(phi, L, s0t, d_tilde, eta, K2)
+        gap = trudinger_sublevel_gap(phi, L, s0t, d_tilde, ETA, K2)
         scale = abs(gap) + K2 * max(integrate(phi) ** 3, 1.0)
         worst = min(worst, gap)
-        ok = ok and gap >= -rel_tol * scale
+        ok = ok and gap >= -REL_TOL * scale
     rows.append(LemmaCheckRow("superlevel entropy bound", K2, worst, ok))
 
     # --- subset-mean Poincare ---
@@ -465,14 +466,14 @@ def run_lemma_checks(
     cmin = 0.0
     for (phi, _), m in zip(cal, masks[:half]):
         cmin = max(cmin, _min_constant_poincare(phi, m, p))
-    C = safety * cmin if cmin > 0 else 1.0
+    C = SAFETY * cmin if cmin > 0 else 1.0
     worst = float("inf")
     ok = True
     for (phi, _), m in zip(hold, masks[half:]):
         gap = poincare_subset_gap(phi, m, p, C)
         scale = C * _poincare_terms(phi, m, p)[1] + 1e-30
         worst = min(worst, gap)
-        ok = ok and gap >= -rel_tol * scale
+        ok = ok and gap >= -REL_TOL * scale
     rows.append(LemmaCheckRow("subset-mean poincare bound", C, worst, ok))
 
     # --- windowed-forcing ODE envelope ---

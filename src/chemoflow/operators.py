@@ -10,10 +10,9 @@ Conventions
 * Upwinding on the advective and taxis fluxes keeps cell values of a
   nonnegative transported field nonnegative under the CFL bound
   dt * (max speed_x / hx + max speed_y / hy) <= 1.
-* The pressure Poisson problem (pure Neumann) is solved either by cosine
+* The pressure Poisson problem (pure Neumann) is solved by cosine
   transforms, which diagonalize the 5-point mirror-ghost Laplacian on a
-  uniform grid, or by a sparse LU factorization kept as an independent
-  cross-check.  Both are direct solves: the projected velocity is
+  uniform grid.  The solve is direct: the projected velocity is
   discretely solenoidal to round-off.
 
 Performance rules
@@ -41,8 +40,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import fft as sp_fft
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .grid import Grid, ScalarField, VectorField
 from .model import (
@@ -359,68 +356,32 @@ def _helmholtz_denominator(grid: Grid, layout: str, alpha: float) -> np.ndarray:
     return denom
 
 
-def _neumann_matrix(grid: Grid) -> sparse.csr_matrix:
-    """Sparse 5-point Neumann Laplacian matching laplace()."""
-    nx, ny = grid.nx, grid.ny
-    ex = np.ones(nx)
-    ey = np.ones(ny)
-    tx = sparse.diags([ex[:-1], -2.0 * ex, ex[:-1]], [-1, 0, 1], format="lil")
-    tx[0, 0] = -1.0
-    tx[-1, -1] = -1.0
-    ty = sparse.diags([ey[:-1], -2.0 * ey, ey[:-1]], [-1, 0, 1], format="lil")
-    ty[0, 0] = -1.0
-    ty[-1, -1] = -1.0
-    ix = sparse.identity(nx)
-    iy = sparse.identity(ny)
-    return (sparse.kron(tx / grid.hx**2, iy) + sparse.kron(ix, ty / grid.hy**2)).tocsr()
-
-
 class PoissonSolver:
     """Direct solver for the cell-centered Neumann Poisson problem.
 
-    method "dct": cosine-transform diagonalization (default, uniform grids).
-    method "lu":  sparse LU with one pinned cell, kept as an independent
-                  route for cross-checking the spectral path.
-
-    The same object carries the transform plans used by the semi-implicit
-    Helmholtz solves for the signal and the velocity components; it is
-    immutable after construction and safe to share.
+    Cosine-transform diagonalization on the uniform grid.  The same object
+    carries the transform plans used by the semi-implicit Helmholtz solves
+    for the signal and the velocity components; it is immutable after
+    construction and safe to share.
     """
 
-    def __init__(self, grid: Grid, method: str = "dct"):
-        if method not in ("dct", "lu"):
-            raise ValueError(f"unknown Poisson method {method!r}")
+    def __init__(self, grid: Grid):
         self.grid = grid
-        self.method = method
         self._workers = _workers()
-        self._lu = None
-        if method == "dct":
-            lam = _eigen_sum(grid, "cell")
-            lam[0, 0] = 1.0  # gauge mode, coefficient zeroed in solve
-            lam.flags.writeable = False
-            self._lam = lam
-        else:
-            a = _neumann_matrix(grid).tolil()
-            a[0, :] = 0.0
-            a[0, 0] = 1.0
-            self._lu = splu(a.tocsc())
+        lam = _eigen_sum(grid, "cell")
+        lam[0, 0] = 1.0  # gauge mode, coefficient zeroed in solve
+        lam.flags.writeable = False
+        self._lam = lam
 
     # -- pressure Poisson -------------------------------------------------
     def solve(self, rhs: ScalarField) -> ScalarField:
         """Solve laplace(p) = rhs - mean(rhs); returns zero-mean p."""
-        g = self.grid
-        if self.method == "dct":
-            what = sp_fft.dctn(rhs.values, type=2, norm="ortho", workers=self._workers)
-            np.negative(what, out=what)
-            what /= self._lam
-            what[0, 0] = 0.0
-            p = sp_fft.idctn(what, type=2, norm="ortho", workers=self._workers)
-        else:
-            b = rhs.values - rhs.values.mean()
-            x = self._lu.solve(b.ravel().copy())
-            p = x.reshape(g.nx, g.ny)
-            p = p - p.mean()
-        return ScalarField(g, p)
+        what = sp_fft.dctn(rhs.values, type=2, norm="ortho", workers=self._workers)
+        np.negative(what, out=what)
+        what /= self._lam
+        what[0, 0] = 0.0
+        p = sp_fft.idctn(what, type=2, norm="ortho", workers=self._workers)
+        return ScalarField(self.grid, p)
 
     def residual(self, p: ScalarField, rhs: ScalarField) -> float:
         """Relative 2-norm residual against the mean-free right-hand side."""

@@ -32,7 +32,6 @@ from .operators import (
     advect_scalar,
     advect_velocity,
     div,
-    laplace,
     project,
     taxis_face_velocity,
     taxis_flux_div,
@@ -59,15 +58,12 @@ class TimeControls:
     below DT_MIN is a stability failure.  cfl does not scale the explicit
     n-diffusion: it runs in substeps obeying
     dt_sub * max D_eps(n) * (2/hx^2 + 2/hy^2) <= DIFFUSION_NUMBER on the
-    density after transport.  cu_diffusion selects the implicit
-    ("semi-implicit") or the explicit reference treatment of c- and
-    u-diffusion.
+    density after transport.
     """
 
     t_end: float
     dt_max: float = 0.01
     cfl: float = 0.4
-    cu_diffusion: str = "semi-implicit"
 
     def __post_init__(self):
         if not (0.0 < self.cfl <= 1.0):
@@ -76,8 +72,6 @@ class TimeControls:
             raise ValueError(f"t_end must be finite and >= 0, got {self.t_end}")
         if not (math.isfinite(self.dt_max) and self.dt_max > 0):
             raise ValueError(f"dt_max must be finite and > 0, got {self.dt_max}")
-        if self.cu_diffusion not in ("semi-implicit", "explicit"):
-            raise ValueError(f"unknown diffusion treatment {self.cu_diffusion!r}")
 
 
 @dataclass
@@ -145,11 +139,6 @@ def _step_impl(state: State, spec: ModelSpec, controls: TimeControls, poisson: P
     g = state.n.grid
     wx, wy = taxis_face_velocity(state.n, state.c, spec)
     dt_stab = _advective_dt(state, wx, wy, controls)
-    if controls.cu_diffusion == "explicit":
-        # unit diffusivity for c and u: same parabolic bound, without the
-        # substep machinery
-        h2 = 1.0 / (1.0 / g.hx**2 + 1.0 / g.hy**2)
-        dt_stab = min(dt_stab, controls.cfl * h2 / 2.0)
     if dt_stab < DT_MIN:
         raise SolverError(
             f"stability violation: dt={dt_stab:.3e} below DT_MIN at t={state.t}"
@@ -188,11 +177,7 @@ def _step_impl(state: State, spec: ModelSpec, controls: TimeControls, poisson: P
     decay = n_new.values * dt
     decay += 1.0
     c_mid /= decay
-    if controls.cu_diffusion == "semi-implicit":
-        c_vals = poisson.helmholtz_cells(c_mid, dt)
-    else:
-        c_vals = c_mid + dt * laplace(ScalarField(g, c_mid)).values
-    c_new = ScalarField(g, c_vals)
+    c_new = ScalarField(g, poisson.helmholtz_cells(c_mid, dt))
 
     # --- (iii) velocity update -------------------------------------------------
     adv = advect_velocity(state.u)
@@ -201,13 +186,8 @@ def _step_impl(state: State, spec: ModelSpec, controls: TimeControls, poisson: P
     np.subtract(state.u.ux, ux_star, out=ux_star)
     uy_star *= dt
     np.subtract(state.u.uy, uy_star, out=uy_star)
-    if controls.cu_diffusion == "semi-implicit":
-        ux_star[1:-1, :] = poisson.helmholtz_ux(ux_star[1:-1, :], dt)
-        uy_star[:, 1:-1] = poisson.helmholtz_uy(uy_star[:, 1:-1], dt)
-    else:
-        visc = _explicit_viscous(state.u, g)
-        ux_star += dt * visc[0]
-        uy_star += dt * visc[1]
+    ux_star[1:-1, :] = poisson.helmholtz_ux(ux_star[1:-1, :], dt)
+    uy_star[:, 1:-1] = poisson.helmholtz_uy(uy_star[:, 1:-1], dt)
     phx, phy = spec.phi_gradient
     nv = n_new.values
     if phx != 0.0:
@@ -288,20 +268,6 @@ def _diffusion_substeps(nv: np.ndarray, spec: ModelSpec, dt_sub: float, substeps
         f[ny:] -= ax
         f[:-1] += ay
         f[1:] -= ay
-
-
-def _explicit_viscous(u: VectorField, g):
-    uxp = np.concatenate([-u.ux[:, :1], u.ux, -u.ux[:, -1:]], axis=1)
-    lap_ux = np.zeros_like(u.ux)
-    lap_ux[1:-1, :] = (u.ux[2:, :] - 2 * u.ux[1:-1, :] + u.ux[:-2, :]) / g.hx**2 + (
-        uxp[1:-1, 2:] - 2 * uxp[1:-1, 1:-1] + uxp[1:-1, :-2]
-    ) / g.hy**2
-    uyp = np.concatenate([-u.uy[:1, :], u.uy, -u.uy[-1:, :]], axis=0)
-    lap_uy = np.zeros_like(u.uy)
-    lap_uy[:, 1:-1] = (u.uy[:, 2:] - 2 * u.uy[:, 1:-1] + u.uy[:, :-2]) / g.hy**2 + (
-        uyp[2:, 1:-1] - 2 * uyp[1:-1, 1:-1] + uyp[:-2, 1:-1]
-    ) / g.hx**2
-    return lap_ux, lap_uy
 
 
 def step(state: State, spec: ModelSpec, controls: TimeControls, poisson: PoissonSolver) -> State:

@@ -4,6 +4,10 @@
 in-place accumulation and cached spectral denominators.  The forms below
 do the same floating-point operations in the same order on fresh
 temporaries, so the tests can require the two to agree to the bit.
+
+The last section holds independent reference routes, which agree with
+the package only to a tolerance: a sparse LU Poisson solve, and
+explicit-Euler stand-ins for the semi-implicit Helmholtz solves.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ import math
 
 import numpy as np
 from scipy import fft as sp_fft
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from chemoflow.grid import ScalarField, VectorField
 from chemoflow.model import boundary_cutoff, density_cutoff, sensitivity_scale
@@ -168,3 +174,63 @@ def project(v_star):
     v = VectorField(g, v_star.ux - gp.ux, v_star.uy - gp.uy)
     v.enforce_no_penetration()
     return v, p
+
+
+# ----------------------------------------------------------------------
+# independent reference routes
+# ----------------------------------------------------------------------
+
+def _neumann_matrix(g):
+    """Sparse 5-point Neumann Laplacian matching chemoflow.operators.laplace."""
+    ex = np.ones(g.nx)
+    ey = np.ones(g.ny)
+    tx = sparse.diags([ex[:-1], -2.0 * ex, ex[:-1]], [-1, 0, 1], format="lil")
+    tx[0, 0] = -1.0
+    tx[-1, -1] = -1.0
+    ty = sparse.diags([ey[:-1], -2.0 * ey, ey[:-1]], [-1, 0, 1], format="lil")
+    ty[0, 0] = -1.0
+    ty[-1, -1] = -1.0
+    ix = sparse.identity(g.nx)
+    iy = sparse.identity(g.ny)
+    return (sparse.kron(tx / g.hx**2, iy) + sparse.kron(ix, ty / g.hy**2)).tocsr()
+
+
+def lu_solve(g, rhs):
+    """laplace(p) = rhs - mean(rhs) by sparse LU with cell (0, 0) pinned; zero-mean p."""
+    a = _neumann_matrix(g).tolil()
+    a[0, :] = 0.0
+    a[0, 0] = 1.0
+    b = rhs.values - rhs.values.mean()
+    x = splu(a.tocsc()).solve(b.ravel().copy())
+    p = x.reshape(g.nx, g.ny)
+    return ScalarField(g, p - p.mean())
+
+
+def _five_point(p, g):
+    """5-point Laplacian of the interior of a ghost-padded array."""
+    return (p[2:, 1:-1] - 2 * p[1:-1, 1:-1] + p[:-2, 1:-1]) / g.hx**2 + (
+        p[1:-1, 2:] - 2 * p[1:-1, 1:-1] + p[1:-1, :-2]
+    ) / g.hy**2
+
+
+def explicit_cells(g, b, alpha):
+    """b + alpha * laplace(b) on cell centers, Neumann mirror ghosts."""
+    return b + alpha * _five_point(np.pad(b, 1, mode="edge"), g)
+
+
+def explicit_ux(g, b_interior, alpha):
+    """b + alpha * laplace(b) on interior x-faces: zero wall faces, no-slip ghosts."""
+    p = np.zeros((g.nx + 1, g.ny + 2))
+    p[1:-1, 1:-1] = b_interior
+    p[1:-1, :1] = -b_interior[:, :1]
+    p[1:-1, -1:] = -b_interior[:, -1:]
+    return b_interior + alpha * _five_point(p, g)
+
+
+def explicit_uy(g, b_interior, alpha):
+    """b + alpha * laplace(b) on interior y-faces: zero wall faces, no-slip ghosts."""
+    p = np.zeros((g.nx + 2, g.ny + 1))
+    p[1:-1, 1:-1] = b_interior
+    p[:1, 1:-1] = -b_interior[:1, :]
+    p[-1:, 1:-1] = -b_interior[-1:, :]
+    return b_interior + alpha * _five_point(p, g)

@@ -1,5 +1,8 @@
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -110,3 +113,13 @@ class TestVerifyLemmas:
         captured = capsys.readouterr()
         assert "at least 2 corpus members" in captured.err
         assert "PASS" not in captured.out
+
+
+class TestImport:
+    def test_cli_import_loads_no_scipy_sparse(self):
+        # a fresh interpreter, so modules other tests imported do not count
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        code = "import sys, chemoflow.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
+        done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "[]\n"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import naive_operators as naive
 from chemoflow import solver
 from chemoflow.grid import ScalarField, State, VectorField, integrate, make_grid
 from chemoflow.model import ModelSpec, PorousMedium, TabulatedDiffusion, eval_D_eps
@@ -295,12 +296,19 @@ class TestRun:
         with pytest.raises(ValueError, match="vanish identically"):
             run(st_, SPEC, TimeControls(t_end=0.1), POISSON)
 
-    def test_explicit_cu_variant_matches_semi_implicit(self):
-        # same dt cap for both; the treatments differ by the O(dt) splitting error
-        a = run(bump_state(), SPEC,
-                TimeControls(t_end=0.02, dt_max=5e-4, cu_diffusion="semi-implicit"), POISSON)
-        b = run(bump_state(), SPEC,
-                TimeControls(t_end=0.02, dt_max=5e-4, cu_diffusion="explicit"), POISSON)
+    def test_explicit_cu_variant_matches_semi_implicit(self, monkeypatch):
+        # The semi-implicit run steps at dt_max = 5e-4.  Explicit Euler for
+        # c and u (unit diffusivity) is stable only for dt <= cfl * h^2 / 2
+        # with 1/h^2 = 1/hx^2 + 1/hy^2, which is 0.4 / 4096 = 9.765625e-5 on
+        # this 32^2 unit grid, so the explicit run steps at that dt.  The two
+        # differ by their O(dt) time errors.
+        a = run(bump_state(), SPEC, TimeControls(t_end=0.02, dt_max=5e-4), POISSON)
+        explicit = PoissonSolver(GRID)
+        for name, route in (("helmholtz_cells", naive.explicit_cells),
+                            ("helmholtz_ux", naive.explicit_ux),
+                            ("helmholtz_uy", naive.explicit_uy)):
+            monkeypatch.setattr(explicit, name, lambda b, alpha, f=route: f(GRID, b, alpha))
+        b = run(bump_state(), SPEC, TimeControls(t_end=0.02, dt_max=9.765625e-5), explicit)
         assert np.abs(a.c.values - b.c.values).max() < 5e-3
         assert np.abs(a.n.values - b.n.values).max() < 1e-2
 
@@ -339,7 +347,3 @@ class TestTimeControls:
     def test_cfl_range(self):
         with pytest.raises(ValueError):
             TimeControls(t_end=1.0, cfl=0.0)
-
-    def test_unknown_cu_treatment(self):
-        with pytest.raises(ValueError):
-            TimeControls(t_end=1.0, cu_diffusion="imex")

@@ -29,8 +29,6 @@ from .operators import (
 from .solver import SolverError, TimeControls, run, step
 from .diagnostics import (
     DiagnosticsRecord,
-    EnergyCoefficients,
-    default_coefficients,
     functional_envelope,
     record,
     select_functional,

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import Grid, ScalarField, integrate, make_grid
+from .grid import Grid, ScalarField, cell_gradients, integrate, make_grid
 
 __all__ = [
     "FieldCorpus",
@@ -51,6 +51,13 @@ ETA = 1.0
 SAFETY = 2.0
 REL_TOL = 1e-8
 
+# log_hessian_identity_residual: width of the excluded boundary rim, in cells
+MARGIN = 2
+
+# FieldCorpus: lower bound of every positive field, range of its random span
+FLOOR = 0.1
+SPAN_LO, SPAN_HI = 0.5, 3.0
+
 
 # ----------------------------------------------------------------------
 # reproducible field corpus
@@ -61,9 +68,9 @@ class FieldCorpus:
     """Seeded collection of smooth strictly positive fields.
 
     Fields are random cosine series (zero normal derivative on the walls)
-    with an algebraically decaying spectrum, shifted to sit above `floor`
-    and rescaled to a per-member random span.  Paired signed fields are
-    available for the product-bound checks.
+    with an algebraically decaying spectrum, shifted to sit above FLOOR
+    and rescaled to a per-member random span in [SPAN_LO, SPAN_HI].
+    Paired signed fields are available for the product-bound checks.
 
     The series sum_{k,m} a_km cos(k pi x/lx) cos(m pi y/ly) is separable,
     so each field is built as Cx A Cy^T from two cosine tables of shape
@@ -78,11 +85,8 @@ class FieldCorpus:
     ly: float = 1.0
     n_members: int = 100
     seed: int = 7
-    floor: float = 0.1
     max_mode: int = 4
     decay: float = 2.0
-    span_lo: float = 0.5
-    span_hi: float = 3.0
 
     @property
     def grid(self) -> Grid:
@@ -105,9 +109,9 @@ class FieldCorpus:
         g = grid if grid is not None else self.grid
         rng = np.random.default_rng([self.seed, index])
         raw = self._raw(rng, g)
-        span = rng.uniform(self.span_lo, self.span_hi)
+        span = rng.uniform(SPAN_LO, SPAN_HI)
         lo, hi = raw.min(), raw.max()
-        phi = self.floor + span * (raw - lo) / max(hi - lo, 1e-300)
+        phi = FLOOR + span * (raw - lo) / max(hi - lo, 1e-300)
         raw2 = self._raw(rng, g)
         amp = rng.uniform(0.3, 2.0)
         psi = raw2 * (amp / max(np.abs(raw2).max(), 1e-300))
@@ -124,14 +128,10 @@ class FieldCorpus:
 # discrete calculus helpers (cell-centered, second order)
 # ----------------------------------------------------------------------
 
-def _grads(values, grid):
-    return np.gradient(values, grid.hx, grid.hy, edge_order=2)
-
-
 def _hessian(values, grid):
-    gx, gy = _grads(values, grid)
-    gxx, gxy = _grads(gx, grid)
-    _, gyy = _grads(gy, grid)
+    gx, gy = cell_gradients(values, grid)
+    gxx, gxy = cell_gradients(gx, grid)
+    _, gyy = cell_gradients(gy, grid)
     return gxx, gxy, gyy
 
 
@@ -143,13 +143,13 @@ def _integral(values, grid) -> float:
 # log-Hessian identity and estimates
 # ----------------------------------------------------------------------
 
-def log_hessian_identity_residual(phi: ScalarField, margin: int = 2):
+def log_hessian_identity_residual(phi: ScalarField):
     """Residual of the pointwise identity
 
         |D2 phi|^2 = phi^2 |D2 ln phi|^2 + (1/phi) grad|grad phi|^2 . grad phi
                      - (1/phi^2) |grad phi|^4
 
-    over interior cells (a `margin`-cell rim is excluded so one-sided
+    over interior cells (a MARGIN-cell rim is excluded so one-sided
     boundary stencils never enter), together with the two integral gaps
 
         gap1 = (4+sqrt2)^2 int (|grad phi|^2/phi) |D2 ln phi|^2
@@ -163,7 +163,7 @@ def log_hessian_identity_residual(phi: ScalarField, margin: int = 2):
     v = phi.values
     if (v <= 0).any():
         raise ValueError("field must be strictly positive")
-    gx, gy = _grads(v, g)
+    gx, gy = cell_gradients(v, g)
     grad2 = gx**2 + gy**2
     hxx, hxy, hyy = _hessian(v, g)
     hess2 = hxx**2 + 2.0 * hxy**2 + hyy**2
@@ -172,12 +172,12 @@ def log_hessian_identity_residual(phi: ScalarField, margin: int = 2):
     lxx, lxy, lyy = _hessian(lv, g)
     lhess2 = lxx**2 + 2.0 * lxy**2 + lyy**2
 
-    tx, ty = _grads(grad2, g)
+    tx, ty = cell_gradients(grad2, g)
     transport = (tx * gx + ty * gy) / v
 
     lhs = hess2
     rhs = v**2 * lhess2 + transport - grad2**2 / v**2
-    sl = (slice(margin, -margin), slice(margin, -margin))
+    sl = (slice(MARGIN, -MARGIN), slice(MARGIN, -MARGIN))
     res_identity = float(np.abs(lhs[sl] - rhs[sl]).max())
 
     weight = grad2 / v * lhess2
@@ -204,7 +204,7 @@ def _trudinger_terms(phi: ScalarField, psi: ScalarField):
     mass = _checked_mass(phi)
     mean = mass / g.area
     entropy = _integral(np.where(pv > 0, pv * np.log(np.maximum(pv, 1e-300) / mean), 0.0), g)
-    gx, gy = _grads(psi.values, g)
+    gx, gy = cell_gradients(psi.values, g)
     dirichlet = _integral(gx**2 + gy**2, g)
     l1_psi = _integral(np.abs(psi.values), g)
     lhs = _integral(pv * np.abs(psi.values), g)
@@ -238,7 +238,7 @@ def _sublevel_terms(phi: ScalarField, s0_tilde: float, D_tilde: Callable):
     mean = mass / g.area
     mask = pv > s0_tilde + 1.0
     lhs = _integral(np.where(mask, pv * np.log1p(pv), 0.0), g)
-    gx, gy = _grads(pv, g)
+    gx, gy = cell_gradients(pv, g)
     dissip = _integral(np.asarray(D_tilde(pv)) * (gx**2 + gy**2) / (pv + 1.0) ** 2, g)
     return mass, mean, dissip, lhs
 
@@ -350,7 +350,7 @@ def _poincare_terms(phi: ScalarField, B_mask: np.ndarray, p: float):
         raise ValueError("empty subset B")
     avg = float(phi.values[mask].sum() / nb)
     lhs = _integral(np.abs(phi.values - avg) ** p, g) ** (1.0 / p)
-    gx, gy = _grads(phi.values, g)
+    gx, gy = cell_gradients(phi.values, g)
     rhs = _integral((gx**2 + gy**2) ** (p / 2.0), g) ** (1.0 / p)
     return lhs, rhs
 

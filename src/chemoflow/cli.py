@@ -22,10 +22,10 @@ import sys
 
 from .analysis import FieldCorpus, format_report, run_lemma_checks
 from .config import ConfigError, parse_config
-from .diagnostics import default_coefficients, functional_envelope, record, select_functional
+from .diagnostics import functional_envelope, record, select_functional
 from .grid import integrate
 from .io import emit_snapshot, emit_timeseries
-from .model import build_truncations
+from .model import build_truncations, threshold_s0
 from .operators import PoissonSolver
 from .solver import SolverError, run
 from .sweeps import eps_sweep, refinement_sweep
@@ -58,8 +58,7 @@ def _cmd_run(args) -> int:
     outdir = pathlib.Path(args.output or cfg.directory)
     outdir.mkdir(parents=True, exist_ok=True)
     spec = cfg.spec
-    coeffs = default_coefficients(spec)
-    table = build_truncations(spec, coeffs.s0)
+    table = build_truncations(spec, threshold_s0(spec))
     poisson = PoissonSolver(cfg.grid)
     initial = cfg.initial_state()
     initial_mass = integrate(initial.n)
@@ -67,7 +66,7 @@ def _cmd_run(args) -> int:
     records = []
 
     def record_sink(state, clamp):
-        records.append(record(state, spec, coeffs, table, clamp_mass=clamp))
+        records.append(record(state, spec, table, clamp_mass=clamp))
 
     def snapshot_sink(state, clamp):
         # written as recorded, so a run that fails later keeps its snapshots
@@ -86,7 +85,7 @@ def _cmd_run(args) -> int:
         return 1
 
     functional = select_functional(spec, n0_mass=initial_mass)
-    report = functional_envelope(records, coeffs, functional=functional)
+    report = functional_envelope(records, functional=functional)
     print(f"wrote {outdir / 'timeseries.csv'} ({len(records)} records)")
     print(
         f"envelope[{functional}]: feasible={report.feasible} "

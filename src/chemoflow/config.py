@@ -1,7 +1,7 @@
 """INI run configuration: parsing, hypothesis validation, initial data.
 
 Sections: [grid], [model], [initial], [time], [output], optional [run]
-(seed).  Unknown sections or keys are rejected.  Validation names the
+(seed, accepted and ignored).  Unknown sections or keys are rejected.  Validation names the
 violated admissibility condition, one named check per hypothesis.
 
 Initial data comes from a fixed catalogue instead of free-form

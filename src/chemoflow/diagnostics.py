@@ -3,83 +3,49 @@
 Each record row collects the conserved mass, extrema, incompressibility
 residual, kinetic energy and enstrophy, and the weighted gradient
 integrals whose boundedness the solver is expected to reproduce.  Two
-composite functionals are assembled:
+composite functionals are assembled, every term with unit weight:
 
-    F = int D2_eps(n) + b1 * int n|grad c|^2/c + b2 * int |grad c|^4/c^3
-        + b3 * int Psi2(n)
-    G = int D2_eps(n) + bhat2 * int |grad c|^4/c^3 + bhat3 * int Psi2(n)
+    F = int D2_eps(n) + int n|grad c|^2/c + int |grad c|^4/c^3 + int Psi2(n)
+    G = int D2_eps(n) + int |grad c|^4/c^3 + int Psi2(n)
 
 F is the monitor for mild sensitivity singularities (gamma <= 1/2), G the
 one for gamma in (1/2, 5/6].  Their dissipation inequality is checked a
-posteriori by fitting an envelope dF/dt + mu*F <= Gamma over a coarse
-(mu, Gamma) grid.
+posteriori by fitting an envelope dF/dt + mu*F <= Gamma over a fixed
+20 x 20 (mu, Gamma) grid: mu geometric on [1e-3, 1e2], Gamma geometric
+over seven decades up to 1.05 * max(dF/dt + 100 F) (at least 1e-8).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .grid import State
-from .model import (
-    ModelSpec,
-    TruncationTable,
-    eval_D_eps,
-    eval_D_primitives,
-    kappa_of,
-    threshold_s0,
-)
+from .grid import State, cell_gradients
+from .model import ModelSpec, TruncationTable, eval_D_eps, eval_D_primitives
 from .operators import div
 
 __all__ = [
-    "DELTA_FIXED",
-    "EnergyCoefficients",
     "DiagnosticsRecord",
     "EnvelopeReport",
     "record",
     "functional_envelope",
     "select_functional",
-    "default_coefficients",
 ]
 
-# fixed curvature weight 1/(5 + sqrt(2))^2 used by the dissipation estimates
-DELTA_FIXED = 1.0 / (5.0 + math.sqrt(2.0)) ** 2
+# exponent of the signal integral I_cq = int |grad c|^2 / c^(2 - Q)
+Q = 0.5
 
-
-@dataclass(frozen=True)
-class EnergyCoefficients:
-    """Weights of the composite functionals and envelope parameters."""
-
-    s0: float
-    kappa: float
-    b1: float = 1.0
-    b2: float = 1.0
-    b3: float = 1.0
-    bhat2: float = 1.0
-    bhat3: float = 1.0
-    delta: float = DELTA_FIXED
-    mu: Optional[float] = None
-    Gamma: Optional[float] = None
-
-    def __post_init__(self):
-        for name in ("s0", "kappa", "b1", "b2", "b3", "bhat2", "bhat3"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
-        if abs(self.delta - DELTA_FIXED) > 1e-12:
-            raise ValueError("delta is pinned to 1/(5+sqrt(2))^2")
-        for name in ("mu", "Gamma"):
-            v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ValueError(f"{name} must be strictly positive when given")
-
-
-def default_coefficients(spec: ModelSpec, s0: float | None = None) -> EnergyCoefficients:
-    if s0 is None:
-        s0 = threshold_s0(spec)
-    return EnergyCoefficients(s0=float(s0), kappa=kappa_of(s0, spec))
+# envelope grid: N_MU x N_GAMMA points, mu geometric on MU_RANGE; a point
+# is feasible when the residual is <= 0 on a FEASIBILITY share of the
+# intervals, and the series must stay within ENVELOPE_TOL of the envelope
+N_MU = 20
+N_GAMMA = 20
+MU_RANGE = (1e-3, 1e2)
+FEASIBILITY = 0.99
+ENVELOPE_TOL = 0.05
 
 
 @dataclass(frozen=True)
@@ -118,18 +84,10 @@ class DiagnosticsRecord:
         return tuple(f.name for f in fields(cls))
 
 
-def _cell_gradients(values: np.ndarray, grid):
-    """Cell-centered gradient: centered interior, one-sided second order walls."""
-    gx, gy = np.gradient(values, grid.hx, grid.hy, edge_order=2)
-    return gx, gy
-
-
 def record(
     state: State,
     spec: ModelSpec,
-    coeffs: EnergyCoefficients,
     table: TruncationTable,
-    q: float = 0.5,
     clamp_mass: float = 0.0,
 ) -> DiagnosticsRecord:
     """Evaluate every monitored integral on one state snapshot."""
@@ -138,9 +96,9 @@ def record(
     nv = state.n.values
     cv = state.c.values
 
-    gx_c, gy_c = _cell_gradients(cv, g)
+    gx_c, gy_c = cell_gradients(cv, g)
     grad_c2 = gx_c**2 + gy_c**2
-    gx_n, gy_n = _cell_gradients(nv, g)
+    gx_n, gy_n = cell_gradients(nv, g)
     grad_n2 = gx_n**2 + gy_n**2
 
     deps = eval_D_eps(nv, spec)
@@ -148,16 +106,13 @@ def record(
 
     uxc = 0.5 * (state.u.ux[:-1, :] + state.u.ux[1:, :])
     uyc = 0.5 * (state.u.uy[:, :-1] + state.u.uy[:, 1:])
-    gxx, gxy = _cell_gradients(uxc, g)
-    gyx, gyy = _cell_gradients(uyc, g)
+    gxx, gxy = cell_gradients(uxc, g)
+    gyx, gyy = cell_gradients(uyc, g)
 
     int_d2 = float(d2eps.sum() * da)
     i_ncc = float((nv * grad_c2 / cv).sum() * da)
     i_c4 = float((grad_c2**2 / cv**3).sum() * da)
     i_psi2 = float(table.eval_psi2(nv).sum() * da)
-
-    f_val = int_d2 + coeffs.b1 * i_ncc + coeffs.b2 * i_c4 + coeffs.b3 * i_psi2
-    g_val = int_d2 + coeffs.bhat2 * i_c4 + coeffs.bhat3 * i_psi2
 
     return DiagnosticsRecord(
         t=state.t,
@@ -174,9 +129,9 @@ def record(
         I_c4=i_c4,
         I_c6=float((grad_c2**3 / cv**5).sum() * da),
         I_mix=float((nv**2 * grad_c2 / cv).sum() * da),
-        I_cq=float((grad_c2 / cv ** (2.0 - q)).sum() * da),
-        F=f_val,
-        G=g_val,
+        I_cq=float((grad_c2 / cv ** (2.0 - Q)).sum() * da),
+        F=int_d2 + i_ncc + i_c4 + i_psi2,
+        G=int_d2 + i_c4 + i_psi2,
         clamp_mass=clamp_mass,
     )
 
@@ -184,11 +139,9 @@ def record(
 def select_functional(spec: ModelSpec, n0_mass: float | None = None) -> str:
     """Pick the functional matching the sensitivity exponent.
 
-    gamma <= 1/2 uses F; gamma in (1/2, 5/6] uses G and additionally
-    requires the initial mass bound ||n0||_1 <= M.
+    gamma <= 1/2 uses F; gamma in (1/2, 5/6] (the range ModelSpec admits)
+    uses G and additionally requires the initial mass bound ||n0||_1 <= M.
     """
-    if spec.gamma > 5.0 / 6.0 + 1e-15:
-        raise ValueError(f"gamma must lie in [0, 5/6], got {spec.gamma}")
     if spec.gamma <= 0.5:
         return "F"
     if n0_mass is None:
@@ -210,28 +163,25 @@ class EnvelopeReport:
     envelope_bound: float
     max_value: float
     envelope_ok: bool
-    grid_shape: tuple
 
 
 def functional_envelope(
     series: Sequence[DiagnosticsRecord],
-    coeffs: EnergyCoefficients,
     functional: str = "F",
-    n_mu: int = 20,
-    n_gamma: int = 20,
-    mu_range: tuple | None = None,
-    gamma_range: tuple | None = None,
-    feasibility: float = 0.99,
-    envelope_tol: float = 0.05,
 ) -> EnvelopeReport:
     """Grid-search (mu, Gamma) making (F_{k+1}-F_k)/dt + mu*F_k - Gamma <= 0
-    at a fraction >= `feasibility` of the recorded intervals.
+    at a fraction >= FEASIBILITY of the recorded intervals.
 
     Among feasible grid points the one with the smallest implied envelope
     max(F(0), Gamma/mu) is reported (ties broken toward larger mu).  The
     forcing terms of the underlying dissipation inequality are folded into
     the measured Gamma.  The report also judges whether the series stayed
-    below the implied envelope within `envelope_tol`.
+    below the implied envelope within ENVELOPE_TOL.
+
+    The Gamma grid ends at or above max(dF/dt + mu_max F), so the corner
+    (mu_max, Gamma_max) satisfies every interval and a feasible point
+    always exists; a series whose difference quotients overflow float64
+    is rejected instead.
     """
     if len(series) == 0:
         raise ValueError("empty diagnostics series")
@@ -240,9 +190,8 @@ def functional_envelope(
     ts = np.array([r.t for r in series])
     vals = np.array([getattr(r, functional) for r in series])
     if len(series) == 1:
-        mu0 = coeffs.mu or 1.0
-        return EnvelopeReport(functional, True, mu0, coeffs.Gamma or 1.0, 1.0,
-                              float(vals[0]), float(vals[0]), True, (0, 0))
+        return EnvelopeReport(functional, True, 1.0, 1.0, 1.0,
+                              float(vals[0]), float(vals[0]), True)
     if (np.diff(ts) <= 0).any():
         raise ValueError("series must be sorted by time")
 
@@ -250,31 +199,26 @@ def functional_envelope(
     dfdt = np.diff(vals) / dt
     f_left = vals[:-1]
 
-    if mu_range is None:
-        mu_range = (1e-3, 1e2)
-    mus = np.geomspace(mu_range[0], mu_range[1], n_mu)
-    if gamma_range is None:
-        hi = float(np.max(dfdt + mus[-1] * f_left))
-        hi = max(hi * 1.05, 1e-8)
-        gamma_range = (hi * 1e-7, hi)
-    gammas = np.geomspace(gamma_range[0], gamma_range[1], n_gamma)
+    mus = np.geomspace(MU_RANGE[0], MU_RANGE[1], N_MU)
+    hi = float(np.max(dfdt + mus[-1] * f_left))
+    hi = max(hi * 1.05, 1e-8)
+    if not math.isfinite(hi):
+        raise ValueError(f"dF/dt + mu*F overflows float64 (time steps down to {dt.min():.3g})")
+    gammas = np.geomspace(hi * 1e-7, hi, N_GAMMA)
 
     best = None
     for mu in mus:
         base = dfdt + mu * f_left
         for gam in gammas:
             frac = float(np.mean(base - gam <= 0.0))
-            if frac >= feasibility:
+            if frac >= FEASIBILITY:
                 bound = max(float(vals[0]), gam / mu)
                 key = (bound, -mu)
                 if best is None or key < best[0]:
                     best = (key, mu, gam, frac)
 
-    if best is None:
-        return EnvelopeReport(functional, False, float("nan"), float("nan"), 0.0,
-                              float("nan"), float(vals.max()), False, (n_mu, n_gamma))
     _, mu, gam, frac = best
     bound = max(float(vals[0]), gam / mu)
-    ok = bool(vals.max() <= bound * (1.0 + envelope_tol))
+    ok = bool(vals.max() <= bound * (1.0 + ENVELOPE_TOL))
     return EnvelopeReport(functional, True, float(mu), float(gam), frac,
-                          bound, float(vals.max()), ok, (n_mu, n_gamma))
+                          bound, float(vals.max()), ok)

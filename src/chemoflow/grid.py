@@ -21,6 +21,7 @@ __all__ = [
     "State",
     "make_grid",
     "integrate",
+    "cell_gradients",
 ]
 
 MIN_CELLS = 4
@@ -219,3 +220,9 @@ class State:
 def integrate(f: ScalarField) -> float:
     """Midpoint-rule integral over the domain: sum f_ij * hx * hy."""
     return float(f.values.sum() * f.grid.cell_area)
+
+
+def cell_gradients(values: np.ndarray, grid: Grid):
+    """(d/dx, d/dy) of cell-centered values: centered in the interior,
+    one-sided second order at the walls."""
+    return np.gradient(values, grid.hx, grid.hy, edge_order=2)

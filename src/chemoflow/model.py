@@ -286,8 +286,15 @@ def eval_S_eps(x: float, y: float, n: float, c: float, spec: ModelSpec, lx: floa
 # threshold, kappa, truncations
 # ----------------------------------------------------------------------
 
-def threshold_s0(spec: ModelSpec, s0_floor: float = 1e-3) -> float:
-    """Smallest density s0 with D(s) >= L for all s >= s0.
+# smallest threshold density; sample counts of the sampled kappa infimum
+# and of the Psi tables
+S0_FLOOR = 1e-3
+KAPPA_SAMPLES = 4096
+PSI_SAMPLES = 4096
+
+
+def threshold_s0(spec: ModelSpec) -> float:
+    """Smallest density s0 >= S0_FLOOR with D(s) >= L for all s >= s0.
 
     Porous medium: monotone bisection.  Tabulated: scan over the knot
     range (constant extension beyond).  Raises if the level L is never
@@ -296,9 +303,9 @@ def threshold_s0(spec: ModelSpec, s0_floor: float = 1e-3) -> float:
     L = spec.L
     d = spec.diffusion
     if isinstance(d, PorousMedium):
-        if eval_D(s0_floor, spec) >= L:
-            return s0_floor
-        lo, hi = s0_floor, max(1.0, s0_floor * 2)
+        if eval_D(S0_FLOOR, spec) >= L:
+            return S0_FLOOR
+        lo, hi = S0_FLOOR, max(1.0, S0_FLOOR * 2)
         for _ in range(200):
             if eval_D(hi, spec) >= L:
                 break
@@ -321,18 +328,19 @@ def threshold_s0(spec: ModelSpec, s0_floor: float = 1e-3) -> float:
     dv = eval_D(samples, spec)
     below = np.nonzero(dv < L)[0]
     if below.size == 0:
-        return max(float(samples[1]), s0_floor)
+        return max(float(samples[1]), S0_FLOOR)
     if below[-1] == len(samples) - 1:
         raise ValueError("L unreachable: tabulated diffusion stays below the threshold level")
-    return max(float(samples[below[-1] + 1]), s0_floor)
+    return max(float(samples[below[-1] + 1]), S0_FLOOR)
 
 
-def kappa_of(s0: float, spec: ModelSpec, samples: int = 4096) -> float:
+def kappa_of(s0: float, spec: ModelSpec) -> float:
     """kappa = inf over n in (0, 2*s0) of D(n)/n; must be positive.
 
     Analytic for porous-medium diffusion (the ratio n^(m-2) is monotone),
-    sampled infimum otherwise.  Raises when the ratio degenerates to 0
-    near n = 0, which happens exactly for m > 2.
+    an infimum over KAPPA_SAMPLES geometric samples otherwise.  Raises
+    when the ratio degenerates to 0 near n = 0, which happens exactly for
+    m > 2.
     """
     if s0 <= 0:
         raise ValueError("s0 must be positive")
@@ -346,13 +354,13 @@ def kappa_of(s0: float, spec: ModelSpec, samples: int = 4096) -> float:
         raise ValueError(
             "degenerate near zero: D(n)/n -> 0 as n -> 0 for porous-medium m > 2"
         )
-    n = np.geomspace(2.0 * s0 * 1e-9, 2.0 * s0, samples)
+    n = np.geomspace(2.0 * s0 * 1e-9, 2.0 * s0, KAPPA_SAMPLES)
     ratio = eval_D(n, spec) / n
     kappa = float(ratio.min())
     # degeneracy heuristic: infimum attained at the smallest samples and
     # still decreasing there means the true infimum is 0
-    head = ratio[: samples // 64]
-    if kappa <= 0 or (np.argmin(ratio) < samples // 64 and head[0] < head[-1] * 0.5):
+    head = ratio[: KAPPA_SAMPLES // 64]
+    if kappa <= 0 or (np.argmin(ratio) < KAPPA_SAMPLES // 64 and head[0] < head[-1] * 0.5):
         raise ValueError("degenerate near zero: sampled D(n)/n tends to 0")
     return kappa
 
@@ -387,11 +395,12 @@ class TruncationTable:
         return 3.0 * self.s0 / self.kappa
 
 
-def build_truncations(spec: ModelSpec, s0: float, samples: int = 4096) -> TruncationTable:
-    """Tabulate Psi0/Psi1/Psi2 on [0, 2*s0] and verify 0 <= Psi2 <= 3*s0/kappa."""
+def build_truncations(spec: ModelSpec, s0: float) -> TruncationTable:
+    """Tabulate Psi0/Psi1/Psi2 at PSI_SAMPLES points on [0, 2*s0] and verify
+    0 <= Psi2 <= 3*s0/kappa."""
     if s0 <= 0:
         raise ValueError("s0 must be positive")
-    s = np.linspace(0.0, 2.0 * s0, samples)
+    s = np.linspace(0.0, 2.0 * s0, PSI_SAMPLES)
     deps_s0 = float(eval_D_eps(s0, spec))
     psi0 = np.where(
         s < s0,

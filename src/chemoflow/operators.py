@@ -309,33 +309,27 @@ def advect_velocity(u: VectorField) -> VectorField:
 # spectral plans
 # ----------------------------------------------------------------------
 
-def _dct_eigen(n: int, h: float) -> np.ndarray:
-    """Eigenvalues of -d2/dx2 with mirror-ghost Neumann walls (DCT-II basis)."""
-    k = np.arange(n)
-    return (2.0 - 2.0 * np.cos(np.pi * k / n)) / h**2
+def _eigen(n: int, h: float, k0: int, k1: int) -> np.ndarray:
+    """(2 - 2 cos(pi k / n)) / h^2 for k in [k0, k1): the eigenvalues of
+    -d2/dx2 on n cells of width h.
 
-
-def _dst1_eigen(n_cells: int, h: float) -> np.ndarray:
-    """Eigenvalues for interior-face unknowns with Dirichlet end faces (DST-I)."""
-    k = np.arange(1, n_cells)
-    return (2.0 - 2.0 * np.cos(np.pi * k / n_cells)) / h**2
-
-
-def _dst2_eigen(n: int, h: float) -> np.ndarray:
-    """Eigenvalues for cell-offset unknowns with no-slip ghost walls (DST-II)."""
-    k = np.arange(1, n + 1)
+    k in [0, n): cell unknowns with mirror-ghost Neumann walls (DCT-II);
+    k in [1, n): interior-face unknowns with Dirichlet end faces (DST-I);
+    k in [1, n + 1): cell-offset unknowns with no-slip ghost walls (DST-II).
+    """
+    k = np.arange(k0, k1)
     return (2.0 - 2.0 * np.cos(np.pi * k / n)) / h**2
 
 
 @lru_cache(maxsize=8)
 def _plans(grid: Grid):
     plans = {
-        "cell_lx": _dct_eigen(grid.nx, grid.hx),
-        "cell_ly": _dct_eigen(grid.ny, grid.hy),
-        "ux_lx": _dst1_eigen(grid.nx, grid.hx),
-        "ux_ly": _dst2_eigen(grid.ny, grid.hy),
-        "uy_lx": _dst2_eigen(grid.nx, grid.hx),
-        "uy_ly": _dst1_eigen(grid.ny, grid.hy),
+        "cell_lx": _eigen(grid.nx, grid.hx, 0, grid.nx),
+        "cell_ly": _eigen(grid.ny, grid.hy, 0, grid.ny),
+        "ux_lx": _eigen(grid.nx, grid.hx, 1, grid.nx),
+        "ux_ly": _eigen(grid.ny, grid.hy, 1, grid.ny + 1),
+        "uy_lx": _eigen(grid.nx, grid.hx, 1, grid.nx + 1),
+        "uy_ly": _eigen(grid.ny, grid.hy, 1, grid.ny),
     }
     for eig in plans.values():
         eig.flags.writeable = False

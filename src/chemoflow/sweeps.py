@@ -8,8 +8,8 @@ decreasing distances indicate Cauchy behavior of the regularized family.
 
 The refinement sweep runs nested grids and reports observed convergence
 orders per field from consecutive-grid differences (unbiased when the
-error scales like C*h^p), plus errors against the finest run restricted
-by cell-block averaging.
+error scales like C*h^p), each coarse run compared with the next finer
+one restricted by cell-block averaging.
 """
 
 from __future__ import annotations
@@ -94,7 +94,6 @@ def eps_sweep(base: RunConfig, eps_list: Sequence[float], T: float) -> SweepDist
 @dataclass
 class RefinementReport:
     grids: tuple
-    errors_vs_finest: dict
     consecutive_diffs: dict
     orders: dict
 
@@ -130,18 +129,9 @@ def refinement_sweep(base: RunConfig, grids: Sequence[tuple], T: float) -> Refin
                 "both axes of the previous one by the same integer factor"
             )
     finals = [_final_fields(base, g, T) for g in grids]
-    fine = finals[-1]
-    fine_n = fine.n.values
-    fine_c = fine.c.values
 
     def l2(a, nx, ny):
         return float(np.sqrt((a**2).sum() * (base.grid.lx / nx) * (base.grid.ly / ny)))
-
-    errors = {"n": [], "c": []}
-    for (nx, ny), st in zip(grids[:-1], finals[:-1]):
-        fx = grids[-1][0] // nx
-        errors["n"].append(l2(st.n.values - _restrict(fine_n, fx), nx, ny))
-        errors["c"].append(l2(st.c.values - _restrict(fine_c, fx), nx, ny))
 
     diffs = {"n": [], "c": []}
     for (nxa, nya), sta, (nxb, nyb), stb in (
@@ -161,4 +151,4 @@ def refinement_sweep(base: RunConfig, grids: Sequence[tuple], T: float) -> Refin
         for d1, d2 in zip(d, d[1:]):
             ords.append(math.log2(d1 / d2) if d1 > 0 and d2 > 0 else float("nan"))
         orders[key] = ords
-    return RefinementReport(grids, errors, diffs, orders)
+    return RefinementReport(grids, diffs, orders)

@@ -21,7 +21,23 @@ from scipy.sparse.linalg import splu
 
 from chemoflow.grid import ScalarField, VectorField
 from chemoflow.model import boundary_cutoff, density_cutoff, sensitivity_scale
-from chemoflow.operators import _dct_eigen, _dst1_eigen, _dst2_eigen
+
+
+def _lam(n, h, k):
+    """Eigenvalues (2 - 2 cos(pi k / n)) / h^2 of -d2/dx2 on n cells."""
+    return (2.0 - 2.0 * np.cos(np.pi * k / n)) / h**2
+
+
+def _cell_lam(n, h):  # DCT-II: Neumann cells
+    return _lam(n, h, np.arange(n))
+
+
+def _face_lam(n, h):  # DST-I: interior faces, Dirichlet end faces
+    return _lam(n, h, np.arange(1, n))
+
+
+def _offset_lam(n, h):  # DST-II: cell-offset unknowns, no-slip ghosts
+    return _lam(n, h, np.arange(1, n + 1))
 
 
 def grad(f):
@@ -135,7 +151,7 @@ def advect_velocity(u):
 
 def solve(g, rhs):
     what = sp_fft.dctn(rhs.values, type=2, norm="ortho")
-    lam = _dct_eigen(g.nx, g.hx)[:, None] + _dct_eigen(g.ny, g.hy)[None, :]
+    lam = _cell_lam(g.nx, g.hx)[:, None] + _cell_lam(g.ny, g.hy)[None, :]
     lam[0, 0] = 1.0
     what = -what / lam
     what[0, 0] = 0.0
@@ -144,7 +160,7 @@ def solve(g, rhs):
 
 def helmholtz_cells(g, b, alpha):
     bhat = sp_fft.dctn(b, type=2, norm="ortho")
-    lam = _dct_eigen(g.nx, g.hx)[:, None] + _dct_eigen(g.ny, g.hy)[None, :]
+    lam = _cell_lam(g.nx, g.hx)[:, None] + _cell_lam(g.ny, g.hy)[None, :]
     bhat /= 1.0 + alpha * lam
     return sp_fft.idctn(bhat, type=2, norm="ortho")
 
@@ -152,7 +168,7 @@ def helmholtz_cells(g, b, alpha):
 def helmholtz_ux(g, b_interior, alpha):
     bh = sp_fft.dst(b_interior, type=1, axis=0, norm="ortho")
     bh = sp_fft.dst(bh, type=2, axis=1, norm="ortho")
-    lam = _dst1_eigen(g.nx, g.hx)[:, None] + _dst2_eigen(g.ny, g.hy)[None, :]
+    lam = _face_lam(g.nx, g.hx)[:, None] + _offset_lam(g.ny, g.hy)[None, :]
     bh /= 1.0 + alpha * lam
     bh = sp_fft.idst(bh, type=2, axis=1, norm="ortho")
     return sp_fft.idst(bh, type=1, axis=0, norm="ortho")
@@ -161,7 +177,7 @@ def helmholtz_ux(g, b_interior, alpha):
 def helmholtz_uy(g, b_interior, alpha):
     bh = sp_fft.dst(b_interior, type=2, axis=0, norm="ortho")
     bh = sp_fft.dst(bh, type=1, axis=1, norm="ortho")
-    lam = _dst2_eigen(g.nx, g.hx)[:, None] + _dst1_eigen(g.ny, g.hy)[None, :]
+    lam = _offset_lam(g.nx, g.hx)[:, None] + _face_lam(g.ny, g.hy)[None, :]
     bh /= 1.0 + alpha * lam
     bh = sp_fft.idst(bh, type=1, axis=1, norm="ortho")
     return sp_fft.idst(bh, type=2, axis=0, norm="ortho")

@@ -18,10 +18,10 @@ from chemoflow.analysis import (
     run_lemma_checks,
 )
 from chemoflow.config import parse_config, reference_config_text
-from chemoflow.diagnostics import default_coefficients, functional_envelope, record, select_functional
+from chemoflow.diagnostics import functional_envelope, record, select_functional
 from chemoflow.grid import ScalarField, integrate, make_grid
 from chemoflow.io import emit_snapshot, emit_timeseries
-from chemoflow.model import build_truncations
+from chemoflow.model import build_truncations, threshold_s0
 from chemoflow.operators import PoissonSolver
 from chemoflow.solver import run
 from chemoflow.sweeps import eps_sweep
@@ -35,19 +35,18 @@ def _report(name: str, ok: bool, detail: str):
 def _execute_reference(gamma=0.5, t_end=10.0, **overrides):
     cfg = parse_config(reference_config_text(gamma=gamma, t_end=t_end, **overrides))
     spec = cfg.spec
-    coeffs = default_coefficients(spec)
-    table = build_truncations(spec, coeffs.s0)
+    table = build_truncations(spec, threshold_s0(spec))
     poisson = PoissonSolver(cfg.grid)
     records = []
     snapshots = []
 
     def sink(state, clamp):
-        records.append(record(state, spec, coeffs, table, clamp_mass=clamp))
+        records.append(record(state, spec, table, clamp_mass=clamp))
         if abs(state.t - round(state.t)) < 1e-9:  # one snapshot per unit time
             snapshots.append(emit_snapshot(state))
 
     run(cfg.initial_state(), spec, cfg.controls, poisson, sinks=[sink], cadence=cfg.cadence)
-    return cfg, coeffs, records, emit_timeseries(records), snapshots
+    return cfg, records, emit_timeseries(records), snapshots
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +61,7 @@ def reference_gamma07():
 
 class TestReferenceRun:
     def test_mass_conservation(self, reference):
-        _, _, records, _, _ = reference
+        _, records, _, _ = reference
         m0 = records[0].mass_n
         drift = max(abs(r.mass_n - m0) / m0 for r in records)
         clamped = records[-1].clamp_mass
@@ -70,12 +69,12 @@ class TestReferenceRun:
         _report("mass-conservation", ok, f"max drift {drift:.3e}, clamped {clamped:.3e}")
 
     def test_signal_maximum_principle(self, reference):
-        _, _, records, _, _ = reference
+        _, records, _, _ = reference
         worst = max(b.c_max - a.c_max for a, b in zip(records, records[1:]))
         _report("signal-max-principle", worst <= 1e-12, f"worst per-step increase {worst:.3e}")
 
     def test_signal_lower_bound(self, reference):
-        _, _, records, _, _ = reference
+        _, records, _, _ = reference
         cmin0 = records[0].c_min
         kprime = 0.0
         ok = True
@@ -88,7 +87,7 @@ class TestReferenceRun:
         _report("signal-lower-bound", ok, f"min(c_min/bound) {margin:.6f}")
 
     def test_incompressibility(self, reference):
-        _, _, records, _, _ = reference
+        _, records, _, _ = reference
         worst = max(r.div_u_max for r in records)
         _report("incompressibility", worst <= 1e-8, f"max divergence {worst:.3e}")
 
@@ -97,7 +96,7 @@ class TestReferenceRun:
         # half of the run: running max grows < 1% past its value at t = 5,
         # or the quantity has decayed so far below its peak that relative
         # growth is below measurement precision
-        _, _, records, _, _ = reference
+        _, records, _, _ = reference
         tail = [r for r in records if r.t >= 5.0 - 1e-9]
         base = tail[0].I_c4
         runmax = max(r.I_c4 for r in tail)
@@ -111,7 +110,7 @@ class TestReferenceRun:
         )
 
     def test_density_bounded(self, reference):
-        _, _, records, _, _ = reference
+        _, records, _, _ = reference
         tail = [r for r in records if r.t >= 5.0 - 1e-9]
         base = tail[0].n_max
         runmax = max(r.n_max for r in tail)
@@ -119,13 +118,13 @@ class TestReferenceRun:
         _report("density-bounded", growth < 0.01, f"growth {growth:.3e}")
 
     def test_energy_envelope(self, reference, reference_gamma07):
-        _, coeffs, records, _, _ = reference
-        rep = functional_envelope(records, coeffs, functional="F", n_mu=20, n_gamma=20)
+        _, records, _, _ = reference
+        rep = functional_envelope(records, functional="F")
         ok_f = rep.feasible and rep.residual_nonpos_fraction >= 0.99
 
-        cfg7, coeffs7, records7, _, _ = reference_gamma07
+        cfg7, records7, _, _ = reference_gamma07
         fn = select_functional(cfg7.spec, n0_mass=records7[0].mass_n)
-        rep7 = functional_envelope(records7, coeffs7, functional=fn, n_mu=20, n_gamma=20)
+        rep7 = functional_envelope(records7, functional=fn)
         ok_g = fn == "G" and rep7.feasible and rep7.residual_nonpos_fraction >= 0.99
         _report(
             "energy-envelope",
@@ -135,7 +134,7 @@ class TestReferenceRun:
         )
 
     def test_window_averaged_dissipation(self, reference):
-        _, _, records, _, _ = reference
+        _, records, _, _ = reference
         ts = [r.t for r in records]
         details = []
         ok = True
@@ -277,8 +276,8 @@ class TestHarness:
         )
 
     def test_determinism(self, reference):
-        _, _, _, csv_first, snaps_first = reference
-        _, _, _, csv_second, snaps_second = _execute_reference()
+        _, _, csv_first, snaps_first = reference
+        _, _, csv_second, snaps_second = _execute_reference()
         ok = csv_first == csv_second and snaps_first == snaps_second
         _report(
             "determinism",

@@ -6,6 +6,7 @@ import pytest
 from chemoflow.analysis import (
     EST1_CONST,
     EST2_CONST,
+    FLOOR,
     FieldCorpus,
     equality_mk_sequence,
     format_report,
@@ -200,7 +201,7 @@ class TestCorpus:
     def test_strictly_positive(self):
         corpus = FieldCorpus(n_members=10)
         for phi in corpus.positive_fields():
-            assert phi.values.min() >= corpus.floor
+            assert phi.values.min() >= FLOOR
 
 
 class _PerModeCorpus(FieldCorpus):

@@ -123,3 +123,23 @@ class TestImport:
         done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
                               capture_output=True, text=True, check=True)
         assert done.stdout == "[]\n"
+
+    def test_package_imports_and_every_export_resolves(self):
+        # a fresh interpreter, so a stale name in chemoflow/__init__.py fails here
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import importlib, pkgutil, chemoflow\n"
+            "for info in sorted(pkgutil.iter_modules(chemoflow.__path__)):\n"
+            "    mod = importlib.import_module('chemoflow.' + info.name)\n"
+            "    names = getattr(mod, '__all__', ())\n"
+            "    missing = [n for n in names if not hasattr(mod, n)]\n"
+            "    print(info.name, len(names), len(set(names)), missing)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        rows = [line.split(" ", 3) for line in done.stdout.splitlines()]
+        assert {r[0] for r in rows} >= {"analysis", "diagnostics", "grid", "model", "operators", "sweeps"}
+        for module, n_names, n_unique, missing in rows:
+            assert n_names == n_unique, f"{module}.__all__ lists a name twice"
+            assert missing == "[]", f"{module}.__all__ names undefined attributes {missing}"

@@ -2,12 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from chemoflow.diagnostics import (
-    DELTA_FIXED,
     DiagnosticsRecord,
-    EnergyCoefficients,
-    default_coefficients,
     functional_envelope,
     record,
     select_functional,
@@ -26,31 +24,17 @@ from chemoflow.model import (
 def setup_model(L=0.1, gamma=0.5, eps=0.05):
     spec = ModelSpec(diffusion=PorousMedium(2.0), gamma=gamma, s0_sensitivity=1.0,
                      phi_gradient=(0.0, -1.0), epsilon=eps, L=L, M=1.5)
-    coeffs = default_coefficients(spec)
-    table = build_truncations(spec, coeffs.s0)
-    return spec, coeffs, table
-
-
-class TestCoefficients:
-    def test_delta_value(self):
-        assert DELTA_FIXED == pytest.approx(0.024306, abs=1e-6)
-
-    def test_delta_pinned(self):
-        with pytest.raises(ValueError, match="pinned"):
-            EnergyCoefficients(s0=1.0, kappa=1.0, delta=0.05)
-
-    def test_positive_weights(self):
-        with pytest.raises(ValueError):
-            EnergyCoefficients(s0=1.0, kappa=1.0, b1=0.0)
+    table = build_truncations(spec, threshold_s0(spec))
+    return spec, table
 
 
 class TestRecord:
     def test_homogeneous_above_truncation(self):
         # with s0 = L = 0.1 and n == 1 >= 2*s0, the truncation term vanishes
-        spec, coeffs, table = setup_model(L=0.1)
+        spec, table = setup_model(L=0.1)
         g = make_grid(32, 32, 1.0, 1.0)
         st = State(ScalarField.full(g, 1.0), ScalarField.full(g, 1.2), VectorField.zeros(g), 0.0)
-        r = record(st, spec, coeffs, table)
+        r = record(st, spec, table)
         _, d2 = eval_D_primitives(1.0, spec)
         assert r.F == pytest.approx(d2 * g.area, rel=1e-12)
         assert r.G == pytest.approx(d2 * g.area, rel=1e-12)
@@ -61,7 +45,7 @@ class TestRecord:
 
     def test_exponential_signal_injection(self):
         # c = e^x makes |grad c|^4 / c^3 = e^x with integral e - 1
-        spec, coeffs, table = setup_model()
+        spec, table = setup_model()
         errs = []
         for nn in (32, 64):
             g = make_grid(nn, nn, 1.0, 1.0)
@@ -71,14 +55,14 @@ class TestRecord:
                 VectorField.zeros(g),
                 0.0,
             )
-            r = record(st, spec, coeffs, table)
+            r = record(st, spec, table)
             errs.append(abs(r.I_c4 - (math.e - 1.0)))
         assert errs[1] < errs[0]
         assert errs[1] < 1e-3
         assert errs[0] / errs[1] > 3.0  # second-order quadrature + gradients
 
     def test_zero_density(self):
-        spec, coeffs, table = setup_model()
+        spec, table = setup_model()
         g = make_grid(16, 16, 1.0, 1.0)
         st = State(
             ScalarField.zeros(g),
@@ -86,20 +70,20 @@ class TestRecord:
             VectorField.zeros(g),
             0.0,
         )
-        r = record(st, spec, coeffs, table)
+        r = record(st, spec, table)
         assert r.mass_n == 0.0 and r.I_logn == 0.0 and r.n_max == 0.0
-        expected_f = coeffs.b2 * r.I_c4 + coeffs.b3 * g.area * table.eval_psi2(0.0)
+        expected_f = r.I_c4 + g.area * table.eval_psi2(0.0)
         extra_d2 = eval_D_primitives(0.0, spec)[1] * g.area
         assert r.F == pytest.approx(expected_f + extra_d2, rel=1e-12)
 
     def test_brute_force_functional_recomputation(self, rng):
         # independent quadrature path: python loops straight from the raw state
-        spec, coeffs, table = setup_model(L=0.5)
+        spec, table = setup_model(L=0.5)
         g = make_grid(12, 12, 1.0, 1.0)
         n = ScalarField(g, rng.random((12, 12)) * 1.5)
         c = ScalarField(g, rng.random((12, 12)) + 0.4)
         st = State(n, c, VectorField.zeros(g), 0.0)
-        r = record(st, spec, coeffs, table)
+        r = record(st, spec, table)
 
         gx, gy = np.gradient(c.values, g.hx, g.hy, edge_order=2)
         f_bf = 0.0
@@ -111,14 +95,13 @@ class TestRecord:
                 d2 = eval_D_primitives(nv, spec)[1]
                 psi2 = float(table.eval_psi2(nv))
                 cell = g.cell_area
-                f_bf += (d2 + coeffs.b1 * nv * grad2 / cv
-                         + coeffs.b2 * grad2**2 / cv**3 + coeffs.b3 * psi2) * cell
-                g_bf += (d2 + coeffs.bhat2 * grad2**2 / cv**3 + coeffs.bhat3 * psi2) * cell
+                f_bf += (d2 + nv * grad2 / cv + grad2**2 / cv**3 + psi2) * cell
+                g_bf += (d2 + grad2**2 / cv**3 + psi2) * cell
         assert r.F == pytest.approx(f_bf, rel=1e-12)
         assert r.G == pytest.approx(g_bf, rel=1e-12)
 
     def test_entries_nonnegative(self, rng):
-        spec, coeffs, table = setup_model()
+        spec, table = setup_model()
         g = make_grid(16, 16, 1.0, 1.0)
         st = State(
             ScalarField(g, rng.random((16, 16))),
@@ -126,7 +109,7 @@ class TestRecord:
             VectorField.zeros(g),
             0.0,
         )
-        r = record(st, spec, coeffs, table)
+        r = record(st, spec, table)
         for name in ("mass_n", "E_u", "enstrophy", "I_logn", "I_D2grad", "I_Dlog",
                      "I_c4", "I_c6", "I_mix", "I_cq", "F", "G"):
             assert getattr(r, name) >= 0.0
@@ -145,37 +128,49 @@ def synth_series(fn, ts):
 
 
 class TestEnvelope:
-    COEFFS = EnergyCoefficients(s0=1.0, kappa=1.0)
-
     def test_constant_series(self):
         rows = synth_series(lambda t: 2.0, np.linspace(0, 5, 51))
-        rep = functional_envelope(rows, self.COEFFS)
+        rep = functional_envelope(rows)
         assert rep.feasible and rep.envelope_ok
         assert rep.residual_nonpos_fraction == 1.0
         assert rep.Gamma >= rep.mu * 2.0 * (1 - 1e-9) or rep.envelope_bound >= 2.0
 
     def test_exponential_decay(self):
         rows = synth_series(lambda t: 3.0 * math.exp(-t), np.linspace(0, 6, 121))
-        rep = functional_envelope(rows, self.COEFFS)
+        rep = functional_envelope(rows)
         assert rep.feasible and rep.envelope_ok
         # decay supports a feasible rate of at least 1
         assert rep.mu >= 0.5
 
-    def test_linear_growth_fails_on_fixed_grid(self):
-        rows = synth_series(lambda t: 1.0 + t, np.linspace(0, 2000.0, 2001))
-        rep = functional_envelope(
-            rows, self.COEFFS, mu_range=(1e-3, 1.0), gamma_range=(1e-3, 1.0)
-        )
-        assert not rep.feasible
+    @given(
+        f_values=st.lists(st.floats(1e-12, 1e6), min_size=2, max_size=200),
+        t0=st.floats(0.0, 1e3),
+        gaps=st.lists(st.floats(1e-9, 1e3), min_size=199, max_size=199),
+    )
+    def test_always_feasible(self, f_values, t0, gaps):
+        # gaps >= 1e-9 keep dF/dt finite; one below ~1e-300 overflows it
+        # (see test_overflowing_quotient_rejected)
+        ts = t0 + np.concatenate([[0.0], np.cumsum(gaps[: len(f_values) - 1])])
+        values = iter(f_values)
+        rep = functional_envelope(synth_series(lambda t: next(values), ts))
+        assert rep.feasible
+        assert rep.residual_nonpos_fraction >= 0.99
+        assert 1e-3 <= rep.mu <= 1e2
+        assert rep.envelope_bound >= f_values[0]
+
+    def test_overflowing_quotient_rejected(self):
+        rows = synth_series(lambda t: 1.0 if t == 0.0 else 1e6, [0.0, 1e-310])
+        with pytest.raises(ValueError, match="overflows"):
+            functional_envelope(rows)
 
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            functional_envelope([], self.COEFFS)
+            functional_envelope([])
 
     def test_unsorted_rejected(self):
         rows = synth_series(lambda t: 1.0, [0.0, 0.5, 0.25])
         with pytest.raises(ValueError, match="sorted"):
-            functional_envelope(rows, self.COEFFS)
+            functional_envelope(rows)
 
 
 class TestSelectFunctional:

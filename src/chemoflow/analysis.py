@@ -4,16 +4,17 @@ These run on synthetic smooth fields, independent of the PDE solver:
 
 * a pointwise log-Hessian identity and two integral estimates with the
   fixed constants (4+sqrt(2))^2 and (5+sqrt(2))^2;
-* an entropy-weighted product bound of Trudinger type and its superlevel
-  variant, whose existential constants K are calibrated on half of a
-  field corpus and verified on the held-out half;
-* a mean-on-a-subset Poincare inequality, same protocol;
+* an entropy-weighted product bound of Trudinger type, its superlevel
+  variant and a mean-on-a-subset Poincare inequality, whose existential
+  constants K are calibrated on half of a field corpus and verified on
+  the held-out half;
 * a windowed-forcing ODE envelope and a doubling-exponent recursion
   limit, exercised on randomized admissible inputs.
 
-Calibration uses a 2x safety factor on the calibration-half maximum, so
-the held-out check is a falsifiable statement about a single constant
-working corpus-wide.
+Calibration sets K = SAFETY = 2 times the largest minimal constant on the
+first half (1 if that is 0); every gap on the second half must then be
+>= -REL_TOL * (its RHS scale), REL_TOL = 1e-8.  So the held-out check is
+a falsifiable statement about a single constant working corpus-wide.
 """
 
 from __future__ import annotations
@@ -128,8 +129,8 @@ class FieldCorpus:
 # discrete calculus helpers (cell-centered, second order)
 # ----------------------------------------------------------------------
 
-def _hessian(values, grid):
-    gx, gy = cell_gradients(values, grid)
+def _hessian(gx, gy, grid):
+    """(d2/dx2, d2/dxdy, d2/dy2) from the first derivatives gx, gy."""
     gxx, gxy = cell_gradients(gx, grid)
     _, gyy = cell_gradients(gy, grid)
     return gxx, gxy, gyy
@@ -165,11 +166,10 @@ def log_hessian_identity_residual(phi: ScalarField):
         raise ValueError("field must be strictly positive")
     gx, gy = cell_gradients(v, g)
     grad2 = gx**2 + gy**2
-    hxx, hxy, hyy = _hessian(v, g)
+    hxx, hxy, hyy = _hessian(gx, gy, g)
     hess2 = hxx**2 + 2.0 * hxy**2 + hyy**2
 
-    lv = np.log(v)
-    lxx, lxy, lyy = _hessian(lv, g)
+    lxx, lxy, lyy = _hessian(*cell_gradients(np.log(v), g), g)
     lhess2 = lxx**2 + 2.0 * lxy**2 + lyy**2
 
     tx, ty = cell_gradients(grad2, g)
@@ -211,14 +211,18 @@ def _trudinger_terms(phi: ScalarField, psi: ScalarField):
     return mass, entropy, dirichlet, l1_psi, lhs
 
 
-def trudinger_gap(phi: ScalarField, psi: ScalarField, a: float, eta: float, K: float) -> float:
+def trudinger_gap(phi: ScalarField, psi: ScalarField, a, eta: float, K: float):
     """RHS - LHS of
 
         int phi |psi| <= (1/a) int phi ln(phi/mean phi)
                          + (1+eta) a / (8 pi) (int phi) int |grad psi|^2
                          + K a (int phi) (int |psi|)^2 + (K/a) int phi
+
+    A float for a scalar `a`; for a 1-D array of exponents, the array of
+    gaps, each bitwise equal to its scalar call.
     """
-    if a <= 0 or eta <= 0:
+    a = np.asarray(a, dtype=float)
+    if (a <= 0).any() or eta <= 0:
         raise ValueError("need a > 0 and eta > 0")
     mass, entropy, dirichlet, l1_psi, lhs = _trudinger_terms(phi, psi)
     rhs = (
@@ -227,7 +231,7 @@ def trudinger_gap(phi: ScalarField, psi: ScalarField, a: float, eta: float, K: f
         + K * a * mass * l1_psi**2
         + K / a * mass
     )
-    return float(rhs - lhs)
+    return float(rhs - lhs) if a.ndim == 0 else rhs - lhs
 
 
 def _sublevel_terms(phi: ScalarField, s0_tilde: float, D_tilde: Callable):
@@ -263,11 +267,13 @@ def trudinger_sublevel_gap(
 
 
 def _min_constant_trudinger(phi, psi, a, eta) -> float:
-    """Smallest K making the product bound an equality or better."""
+    """Smallest K making the product bound an equality or better for every
+    exponent in `a`, a scalar or a 1-D array."""
+    a = np.asarray(a, dtype=float)
     mass, entropy, dirichlet, l1_psi, lhs = _trudinger_terms(phi, psi)
     slack = lhs - entropy / a - (1.0 + eta) * a / (8.0 * math.pi) * mass * dirichlet
     denom = a * mass * l1_psi**2 + mass / a
-    return max(0.0, slack / denom)
+    return float(np.fmax(slack / denom, 0.0).max())
 
 
 def _min_constant_sublevel(phi, L, s0_tilde, D_tilde, eta) -> float:
@@ -378,22 +384,30 @@ class LemmaCheckRow:
     passed: bool
 
 
-def run_lemma_checks(corpus: FieldCorpus | None = None) -> list:
-    """Full verification pass; returns one row per inequality check.
+def _calibrate_and_hold_out(name: str, items: list, min_constant, gap, scale) -> LemmaCheckRow:
+    """One check under the module docstring's protocol: `min_constant(item)`
+    calibrates K on the first half of `items`, and each gap in `gap(item, K)`
+    on the second half must be >= -REL_TOL * `scale(item, K, gap)`."""
+    half = len(items) // 2
+    kmin = max(0.0, *(min_constant(item) for item in items[:half]))
+    K = SAFETY * kmin if kmin > 0 else 1.0
+    worst = float("inf")
+    ok = True
+    for item in items[half:]:
+        for g in np.atleast_1d(gap(item, K)).tolist():
+            worst = min(worst, g)
+            ok = ok and g >= -REL_TOL * scale(item, K, g)
+    return LemmaCheckRow(name, K, worst, ok)
 
-    Existential constants are calibrated as SAFETY = 2 times the largest
-    minimal constant over the first half of the corpus, then the gap is
-    required to be >= -REL_TOL * (RHS scale), REL_TOL = 1e-8, on the
-    held-out half, so the corpus needs at least two members.
-    """
+
+def run_lemma_checks(corpus: FieldCorpus | None = None) -> list:
+    """Full verification pass; returns one row per inequality check."""
     corpus = corpus or FieldCorpus()
     if corpus.n_members < 2:
         raise ValueError(
             f"need at least 2 corpus members to calibrate and hold out, got {corpus.n_members}"
         )
     pairs = corpus.pairs()
-    half = len(pairs) // 2
-    cal, hold = pairs[:half], pairs[half:]
     rows = []
 
     # --- log-Hessian identity convergence on an analytic field ---
@@ -415,37 +429,24 @@ def run_lemma_checks(corpus: FieldCorpus | None = None) -> list:
     rows.append(LemmaCheckRow("log-hessian gradient-power estimate", EST1_CONST, worst1, worst1 >= -REL_TOL))
     rows.append(LemmaCheckRow("log-hessian mixed-curvature estimate", EST2_CONST, worst2, worst2 >= -REL_TOL))
 
-    # --- entropy-weighted product bound ---
-    kmin = 0.0
-    for phi, psi in cal:
-        for a in A_VALUES:
-            kmin = max(kmin, _min_constant_trudinger(phi, psi, a, ETA))
-    K = SAFETY * kmin if kmin > 0 else 1.0
-    worst = float("inf")
-    ok = True
-    for phi, psi in hold:
-        for a in A_VALUES:
-            gap = trudinger_gap(phi, psi, a, ETA, K)
-            scale = abs(gap) + abs(integrate(phi)) * K
-            worst = min(worst, gap)
-            ok = ok and gap >= -REL_TOL * scale
-    rows.append(LemmaCheckRow("entropy-weighted product bound", K, worst, ok))
+    # --- entropy-weighted product bound, every exponent from one set of terms ---
+    a_values = np.asarray(A_VALUES)
+    rows.append(_calibrate_and_hold_out(
+        "entropy-weighted product bound", pairs,
+        lambda pair: _min_constant_trudinger(*pair, a_values, ETA),
+        lambda pair, K: trudinger_gap(*pair, a_values, ETA, K),
+        lambda pair, K, gap: abs(gap) + abs(integrate(pair[0])) * K,
+    ))
 
     # --- superlevel entropy bound ---
     L, s0t = 1.0, 1.5
     d_tilde = lambda s: np.asarray(s, dtype=float)  # linear growth clears L above s0t
-    kmin = 0.0
-    for phi, _ in cal:
-        kmin = max(kmin, _min_constant_sublevel(phi, L, s0t, d_tilde, ETA))
-    K2 = SAFETY * kmin if kmin > 0 else 1.0
-    worst = float("inf")
-    ok = True
-    for phi, _ in hold:
-        gap = trudinger_sublevel_gap(phi, L, s0t, d_tilde, ETA, K2)
-        scale = abs(gap) + K2 * max(integrate(phi) ** 3, 1.0)
-        worst = min(worst, gap)
-        ok = ok and gap >= -REL_TOL * scale
-    rows.append(LemmaCheckRow("superlevel entropy bound", K2, worst, ok))
+    rows.append(_calibrate_and_hold_out(
+        "superlevel entropy bound", pairs,
+        lambda pair: _min_constant_sublevel(pair[0], L, s0t, d_tilde, ETA),
+        lambda pair, K: trudinger_sublevel_gap(pair[0], L, s0t, d_tilde, ETA, K),
+        lambda pair, K, gap: abs(gap) + K * max(integrate(pair[0]) ** 3, 1.0),
+    ))
 
     # --- subset-mean Poincare ---
     rng = np.random.default_rng(corpus.seed + 99)
@@ -462,19 +463,12 @@ def run_lemma_checks(corpus: FieldCorpus | None = None) -> list:
                 return m
 
     p = 2.0
-    masks = [random_mask() for _ in pairs]
-    cmin = 0.0
-    for (phi, _), m in zip(cal, masks[:half]):
-        cmin = max(cmin, _min_constant_poincare(phi, m, p))
-    C = SAFETY * cmin if cmin > 0 else 1.0
-    worst = float("inf")
-    ok = True
-    for (phi, _), m in zip(hold, masks[half:]):
-        gap = poincare_subset_gap(phi, m, p, C)
-        scale = C * _poincare_terms(phi, m, p)[1] + 1e-30
-        worst = min(worst, gap)
-        ok = ok and gap >= -REL_TOL * scale
-    rows.append(LemmaCheckRow("subset-mean poincare bound", C, worst, ok))
+    rows.append(_calibrate_and_hold_out(
+        "subset-mean poincare bound", [(phi, random_mask()) for phi, _ in pairs],
+        lambda item: _min_constant_poincare(*item, p),
+        lambda item, C: poincare_subset_gap(*item, p, C),
+        lambda item, C, gap: C * _poincare_terms(*item, p)[1] + 1e-30,
+    ))
 
     # --- windowed-forcing ODE envelope ---
     violations = 0

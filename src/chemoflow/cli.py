@@ -10,6 +10,10 @@ Verbs:
     verify-lemmas run the standalone inequality checks, write the report
     validate      parse + validate a configuration, print violations
 
+For every verb, a configuration that fails validation prints
+"VIOLATION: ..." lines and any other rejected value (a ValueError) an
+"ERROR: ..." line on stderr, and the exit code is 1.
+
 The environment variable CHEMOFLOW_THREADS caps transform parallelism
 (default 1, which keeps runs bitwise reproducible across machines).
 """
@@ -126,12 +130,7 @@ def _cmd_sweep_grid(args) -> int:
 
 
 def _cmd_verify_lemmas(args) -> int:
-    corpus = FieldCorpus(n_members=args.members, seed=args.seed)
-    try:
-        rows = run_lemma_checks(corpus)
-    except ValueError as exc:
-        print(f"ERROR: {exc}", file=sys.stderr)
-        return 1
+    rows = run_lemma_checks(FieldCorpus(n_members=args.members, seed=args.seed))
     text = format_report(rows)
     if args.output:
         pathlib.Path(args.output).write_text(text)
@@ -141,12 +140,7 @@ def _cmd_verify_lemmas(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        cfg = _load_config(args.config)
-    except ConfigError as exc:
-        for v in exc.violations:
-            print(f"VIOLATION: {v}", file=sys.stderr)
-        return 1
+    cfg = _load_config(args.config)
     print(f"config OK: {cfg.grid.nx}x{cfg.grid.ny}, gamma={cfg.spec.gamma}, "
           f"epsilon={cfg.spec.epsilon}, t_end={cfg.controls.t_end}")
     return 0
@@ -190,6 +184,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         for v in exc.violations:
             print(f"VIOLATION: {v}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        print(f"ERROR: {exc}", file=sys.stderr)
         return 1
 
 

@@ -24,10 +24,11 @@ Performance rules
   so results do not depend on how they are evaluated.
 * Module-level ``lru_cache`` tables hold read-only arrays only, so a
   PoissonSolver stays immutable and safe to share: ``_face_cutoffs``
-  (rho_eps at the faces, per grid and spec), ``_plans`` (the 1-D
-  transform eigenvalues, per grid) and ``_helmholtz_denominator``
+  (rho_eps at the faces, per grid and spec) and ``_helmholtz_denominator``
   (1 + alpha * lam per grid, layout and alpha; three entries, one per
   layout, since alpha = dt repeats while dt_max sets the step).  The
+  1-D eigenvalues (nx + ny cosines) are recomputed on each denominator
+  miss, which costs little beside one transform.  The
   denominator is divided by, never replaced by a cached reciprocal,
   which would change the last bit.
 """
@@ -321,25 +322,15 @@ def _eigen(n: int, h: float, k0: int, k1: int) -> np.ndarray:
     return (2.0 - 2.0 * np.cos(np.pi * k / n)) / h**2
 
 
-@lru_cache(maxsize=8)
-def _plans(grid: Grid):
-    plans = {
-        "cell_lx": _eigen(grid.nx, grid.hx, 0, grid.nx),
-        "cell_ly": _eigen(grid.ny, grid.hy, 0, grid.ny),
-        "ux_lx": _eigen(grid.nx, grid.hx, 1, grid.nx),
-        "ux_ly": _eigen(grid.ny, grid.hy, 1, grid.ny + 1),
-        "uy_lx": _eigen(grid.nx, grid.hx, 1, grid.nx + 1),
-        "uy_ly": _eigen(grid.ny, grid.hy, 1, grid.ny),
-    }
-    for eig in plans.values():
-        eig.flags.writeable = False
-    return plans
-
-
 def _eigen_sum(grid: Grid, layout: str) -> np.ndarray:
     """lam[i, j] = lam_x[i] + lam_y[j] for layout "cell", "ux" or "uy"."""
-    e = _plans(grid)
-    return e[f"{layout}_lx"][:, None] + e[f"{layout}_ly"][None, :]
+    nx, ny = grid.nx, grid.ny
+    kx, ky = {
+        "cell": ((0, nx), (0, ny)),
+        "ux": ((1, nx), (1, ny + 1)),
+        "uy": ((1, nx + 1), (1, ny)),
+    }[layout]
+    return _eigen(nx, grid.hx, *kx)[:, None] + _eigen(ny, grid.hy, *ky)[None, :]
 
 
 @lru_cache(maxsize=3)

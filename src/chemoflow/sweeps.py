@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import RunConfig
+from .config import ConfigError, RunConfig, validate_config
 from .grid import State, make_grid
 from .operators import PoissonSolver
 from .solver import run
@@ -70,16 +70,22 @@ def _spacetime_l2(frames_a, frames_b, cadence, cell_area) -> tuple:
 
 
 def eps_sweep(base: RunConfig, eps_list: Sequence[float], T: float) -> SweepDistances:
-    """Distances between runs at consecutive regularization strengths."""
+    """Distances between runs at consecutive regularization strengths.
+
+    Raises ConfigError, before any run, if a derived configuration fails
+    validate_config.
+    """
     eps_list = tuple(float(e) for e in eps_list)
     # equal consecutive entries are allowed (they replay deterministically
     # and must report distance 0); increases are not
     if any(e2 > e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be non-increasing")
-    runs = []
-    for eps in eps_list:
-        cfg = dc_replace(base, spec=dc_replace(base.spec, epsilon=eps))
-        runs.append(_collect_run(cfg, T))
+    cfgs = [dc_replace(base, spec=dc_replace(base.spec, epsilon=eps)) for eps in eps_list]
+    # every derived configuration is checked before the first run starts
+    problems = [f"eps = {cfg.spec.epsilon:g}: {v}" for cfg in cfgs for v in validate_config(cfg)]
+    if problems:
+        raise ConfigError(problems)
+    runs = [_collect_run(cfg, T) for cfg in cfgs]
     out = SweepDistances(eps_list, [], [], [])
     for fa, fb in zip(runs, runs[1:]):
         if len(fa) != len(fb):

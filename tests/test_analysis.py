@@ -1,9 +1,16 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from chemoflow import analysis
 from chemoflow.analysis import (
+    A_VALUES,
+    ETA,
     EST1_CONST,
     EST2_CONST,
     FLOOR,
@@ -86,6 +93,16 @@ class TestTrudinger:
         mass = 3.5
         expected = K * mass**3 + (K - math.log(mass)) * mass + K - mass * math.log(4.5)
         assert gap == pytest.approx(expected, abs=1e-10)
+
+    def test_exponent_array_matches_scalar_calls_bitwise(self):
+        a_values = np.asarray(A_VALUES)
+        for phi, psi in FieldCorpus(n_members=2).pairs():
+            gaps = trudinger_gap(phi, psi, a_values, ETA, 0.3)
+            scalar = np.array([trudinger_gap(phi, psi, a, ETA, 0.3) for a in A_VALUES])
+            assert gaps.shape == a_values.shape
+            assert gaps.tobytes() == scalar.tobytes()
+            kmin = analysis._min_constant_trudinger(phi, psi, a_values, ETA)
+            assert kmin == max(analysis._min_constant_trudinger(phi, psi, a, ETA) for a in A_VALUES)
 
     def test_requires_positive_a(self):
         g = make_grid(16, 16, 1.0, 1.0)
@@ -245,3 +262,37 @@ class TestReport:
         text = format_report(rows)
         assert "PASS" in text and "FAIL" not in text
         assert "constant" in text and "worst gap" in text
+
+    def test_trudinger_terms_once_per_member(self, monkeypatch):
+        terms = analysis._trudinger_terms
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return terms(*args)
+
+        monkeypatch.setattr(analysis, "_trudinger_terms", counted)
+        run_lemma_checks(FieldCorpus(n_members=40))
+        assert len(calls) == 40  # 20 calibration + 20 held-out pairs, all exponents at once
+
+
+class TestBenchmarkHooks:
+    def test_traced_verify_lemmas_records_every_analysis_span(self, tmp_path):
+        # the benchmark's tracer replaces module globals of chemoflow.analysis
+        # by name; a fresh interpreter so the wrappers do not leak into other tests
+        root = pathlib.Path(__file__).resolve().parents[1]
+        code = (
+            "import sys, tracing\n"
+            "from chemoflow import cli\n"
+            "tracer = tracing.Tracer()\n"
+            "tracing.install(tracer)\n"
+            "rc = cli.main(['verify-lemmas', '--members', '10', '--output', sys.argv[1]])\n"
+            "seen = {span[0] for span in tracer.spans}\n"
+            "wanted = {n for names in tracing.ANALYSIS_GROUPS.values() for n in names}\n"
+            "print(rc, sorted(wanted - seen))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "perfbench")])}
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "report.txt")],
+                              env=env, capture_output=True, text=True, cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 []"

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from chemoflow import solver
+from chemoflow import solver, sweeps
 from chemoflow.cli import main
 from chemoflow.config import reference_config_text
 from chemoflow.io import CSV_HEADER, parse_timeseries, read_snapshot
@@ -94,6 +94,27 @@ class TestSweeps:
         code = main(["sweep-grid", str(tiny_config), "--grids", "16,16;32,32", "--T", "0.02"])
         assert code == 0
         assert "observed order" in capsys.readouterr().out
+
+
+class TestBadArguments:
+    @pytest.mark.parametrize("argv", [
+        ["sweep-eps", "--eps", "0.1,-0.05"],
+        ["sweep-eps", "--eps", "0.05,0.1"],
+        ["sweep-eps", "--eps", "0.1,abc"],
+        ["sweep-eps", "--eps", "0.1,0"],
+        ["sweep-grid", "--grids", "8,8;12,12"],
+        ["sweep-grid", "--grids", "2,2;4,4"],
+    ], ids=["eps-negative", "eps-increasing", "eps-not-a-number", "eps-zero",
+            "grids-not-nested", "grids-too-small"])
+    def test_error_line_and_exit_1(self, tiny_config, capsys, monkeypatch, argv):
+        runs = []
+        monkeypatch.setattr(sweeps, "run", lambda *a, **k: runs.append(a))
+        code = main([argv[0], str(tiny_config), *argv[1:], "--T", "0.02"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert re.search(r"^(ERROR|VIOLATION): ", err, re.M), err
+        assert "Traceback" not in err
+        assert runs == []  # rejected before the first run, eps = 0 included
 
 
 class TestVerifyLemmas:

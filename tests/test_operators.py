@@ -332,15 +332,8 @@ class TestThreadEnv:
         g = make_grid(16, 16, 1.0, 1.0)
         rhs = ScalarField(g, rng.standard_normal((16, 16)))
         base = PoissonSolver(g).solve(rhs).values.copy()
-        monkeypatch.setenv("CHEMOFLOW_THREADS", "2")
-        import chemoflow.operators as ops
-
-        ops._plans.cache_clear()
-        try:
-            two = PoissonSolver(g).solve(rhs).values
-        finally:
-            monkeypatch.delenv("CHEMOFLOW_THREADS")
-            ops._plans.cache_clear()
+        monkeypatch.setenv("CHEMOFLOW_THREADS", "2")  # read by PoissonSolver.__init__
+        two = PoissonSolver(g).solve(rhs).values
         assert np.abs(base - two).max() < 1e-14
 
     def test_bad_value_defaults_to_one(self, monkeypatch):
@@ -509,8 +502,10 @@ class TestFreshOutputs:
 class TestSpectralCaches:
     def test_read_only(self):
         g = make_grid(12, 20, 1.5, 1.0)
-        for eig in ops._plans(g).values():
-            assert not eig.flags.writeable
+        lam = PoissonSolver(g)._lam  # gauge-fixed eigenvalues of the pressure solve
+        assert not lam.flags.writeable
+        with pytest.raises(ValueError):
+            lam[0, 0] = 0.0
         for layout in ("cell", "ux", "uy"):
             denom = ops._helmholtz_denominator(g, layout, 1e-3)
             assert not denom.flags.writeable

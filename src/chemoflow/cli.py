@@ -11,8 +11,9 @@ Verbs:
     validate      parse + validate a configuration, print violations
 
 For every verb, a configuration that fails validation prints
-"VIOLATION: ..." lines and any other rejected value (a ValueError) an
-"ERROR: ..." line on stderr, and the exit code is 1.
+"VIOLATION: ..." lines, and any other rejected value (a ValueError) or
+file that cannot be read or written (an OSError) an "ERROR: ..." line on
+stderr, and the exit code is 1.
 
 The environment variable CHEMOFLOW_THREADS caps transform parallelism
 (default 1, which keeps runs bitwise reproducible across machines).
@@ -120,8 +121,11 @@ def _cmd_sweep_grid(args) -> int:
     cfg = _load_config(args.config)
     grids = []
     for part in args.grids.split(";"):
-        nx, ny = part.split(",")
-        grids.append((int(nx), int(ny)))
+        try:
+            nx, ny = (int(v) for v in part.split(","))
+        except ValueError:
+            raise ValueError(f"--grids takes nx,ny;nx,ny;..., got {args.grids!r}") from None
+        grids.append((nx, ny))
     rep = refinement_sweep(cfg, grids, args.T)
     print("grids:", rep.grids)
     for key, ords in rep.orders.items():
@@ -185,7 +189,7 @@ def main(argv=None) -> int:
         for v in exc.violations:
             print(f"VIOLATION: {v}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"ERROR: {exc}", file=sys.stderr)
         return 1
 

@@ -2,7 +2,8 @@
 
 Diffusivity D (porous-medium n^(m-1) or tabulated), its regularization
 D_eps with the bracket D <= D_eps <= D + 2*eps and D_eps >= eps, the
-primitives D1_eps, D2_eps, the cutoff sensitivity S_eps, the threshold
+primitives D1_eps (the Kirchhoff potential, whose Laplacian is the
+n-diffusion) and D2_eps, the cutoff sensitivity S_eps, the threshold
 density s0 above which D clears a configured level L, the small-density
 ratio kappa = inf D(n)/n, and the truncated reciprocal-diffusion tables
 Psi0/Psi1/Psi2.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,7 +24,9 @@ __all__ = [
     "TruncationTable",
     "eval_D",
     "eval_D_eps",
+    "eval_D1_eps",
     "eval_D_primitives",
+    "sup_D_eps",
     "eval_S_eps",
     "sensitivity_scale",
     "boundary_cutoff",
@@ -165,67 +169,100 @@ def eval_D_eps(n, spec: ModelSpec):
     return out if out.ndim else float(out)
 
 
-def _tabulated_cumulatives(d: TabulatedDiffusion, epsilon: float):
-    """Exact piecewise integrals of D_eps = D + eps and of its primitive.
+def sup_D_eps(lo: float, hi: float, spec: ModelSpec) -> float:
+    """Supremum of D_eps over [lo, hi]: at hi for the increasing porous-medium
+    D_eps, at an end or a knot inside for the piecewise-linear tabulated one."""
+    d = spec.diffusion
+    if isinstance(d, PorousMedium):
+        return eval_D_eps(hi, spec)
+    knots = np.asarray(d.knots)
+    inside = knots[(knots > lo) & (knots < hi)]
+    return float(np.max(eval_D_eps(np.concatenate([[lo, hi], inside]), spec)))
 
-    D_eps is piecewise linear, so D1 is piecewise quadratic and D2
-    piecewise cubic; both are assembled exactly at the knots.
+
+@lru_cache(maxsize=16)
+def _tabulated_table(d: TabulatedDiffusion, epsilon: float):
+    """Read-only knots k, D_eps values v, slopes, and the exact D1 = I1 and
+    D2 = I2 at the knots of a tabulated law; segment j starts at k[j].
+
+    A knot at 0 is prepended when the first knot is positive, and the
+    segment past the last knot has slope 0 (D is constant beyond both).
     """
     k = np.asarray(d.knots)
     v = np.asarray(d.values) + epsilon
-    if k[0] > 0:  # constant extension down to 0
+    if k[0] > 0:
         k = np.concatenate([[0.0], k])
         v = np.concatenate([[v[0]], v])
     dk = np.diff(k)
-    # integral of D_eps over each interval (trapezoid, exact)
+    slope = np.append(np.diff(v) / dk, 0.0)
     seg1 = 0.5 * (v[:-1] + v[1:]) * dk
     I1 = np.concatenate([[0.0], np.cumsum(seg1)])
-    # integral of D1 over each interval: D1 is quadratic there; Simpson is exact
-    slope = (v[1:] - v[:-1]) / dk
-    mid = I1[:-1] + v[:-1] * (dk / 2.0) + 0.5 * slope * (dk / 2.0) ** 2
-    seg2 = dk / 6.0 * (I1[:-1] + 4.0 * mid + I1[1:])
+    seg2 = I1[:-1] * dk + 0.5 * v[:-1] * dk**2 + slope[:-1] * dk**3 / 6.0
     I2 = np.concatenate([[0.0], np.cumsum(seg2)])
-    return k, v, I1, I2
+    for a in (k, v, slope, I1, I2):
+        a.flags.writeable = False
+    return k, v, slope, I1, I2
+
+
+def _segments(n: np.ndarray, k: np.ndarray):
+    """Segment index j of each density n >= 0 and its offset n - k[j]."""
+    j = np.searchsorted(k[1:], n, side="right")
+    return j, n - k[j]
+
+
+def eval_D1_eps(n, spec: ModelSpec, out=None):
+    """Kirchhoff potential D1_eps(n) = int_0^n D_eps for n >= 0, into `out` if given.
+
+    Its Laplacian is div(D_eps(n) grad n).  Porous medium: the primitive
+    ((n + delta)^m - delta^m)/m of (n + delta)^(m-1), whose eps floor in
+    eval_D_eps binds only when delta underflows.  Tabulated: piecewise
+    quadratic.
+    """
+    n = np.asarray(n, dtype=float)
+    if out is None:
+        out = np.empty_like(n)
+    d = spec.diffusion
+    if isinstance(d, PorousMedium):
+        delta = _eps_shift(spec)
+        if d.m == 2.0:  # n (n/2 + delta)
+            np.multiply(n, 0.5, out=out)
+            out += delta
+            out *= n
+        else:
+            out[...] = ((n + delta) ** d.m - delta**d.m) / d.m
+    else:
+        k, v, slope, I1, _ = _tabulated_table(d, spec.epsilon)
+        j, s = _segments(n, k)
+        np.multiply(slope[j], 0.5, out=out)
+        out *= s
+        out += v[j]
+        out *= s
+        out += I1[j]
+    return out if out.ndim else float(out)
 
 
 def eval_D_primitives(n, spec: ModelSpec):
     """(D1_eps(n), D2_eps(n)) with D1 = int_0^n D_eps and D2 = int_0^n D1.
 
-    Closed forms for porous-medium diffusion; exact piecewise integration
-    for tabulated diffusion (the integrands are piecewise polynomials).
+    D1 is eval_D1_eps; D2 is the closed form for porous-medium diffusion
+    and the exact piecewise cubic for tabulated diffusion.
     """
     n = np.asarray(n, dtype=float)
     if (n < 0).any():
         raise ValueError("density must be >= 0")
+    d1 = eval_D1_eps(n, spec)
     d = spec.diffusion
     if isinstance(d, PorousMedium):
         m = d.m
         delta = _eps_shift(spec)
-        d1 = ((n + delta) ** m - delta**m) / m
         d2 = ((n + delta) ** (m + 1.0) - delta ** (m + 1.0)) / (m * (m + 1.0)) - delta**m * n / m
     else:
-        k, v, I1, I2 = _tabulated_cumulatives(d, spec.epsilon)
-        idx = np.clip(np.searchsorted(k, n, side="right") - 1, 0, len(k) - 2)
-        k0 = k[idx]
-        v0 = v[idx]
-        slope = (v[idx + 1] - v[idx]) / (k[idx + 1] - k[idx])
-        s = n - k0
-        # beyond the last knot D_eps is constant: slope of the last segment
-        # applies only inside it, so clamp s for the within-segment part
-        last = n > k[-1]
-        s_in = np.where(last, 0.0, s)
-        d1 = I1[idx] + v0 * s_in + 0.5 * slope * s_in**2
-        d1_knot = I1[-1]
-        d1 = np.where(last, d1_knot + v[-1] * (n - k[-1]), d1)
-        d2 = I2[idx] + I1[idx] * s_in + 0.5 * v0 * s_in**2 + slope * s_in**3 / 6.0
-        d2 = np.where(
-            last,
-            I2[-1] + d1_knot * (n - k[-1]) + 0.5 * v[-1] * (n - k[-1]) ** 2,
-            d2,
-        )
+        k, v, slope, I1, I2 = _tabulated_table(d, spec.epsilon)
+        j, s = _segments(n, k)
+        d2 = I2[j] + I1[j] * s + 0.5 * v[j] * s**2 + slope[j] * s**3 / 6.0
     if n.ndim:
         return d1, d2
-    return float(d1), float(d2)
+    return d1, float(d2)
 
 
 # ----------------------------------------------------------------------
@@ -286,19 +323,19 @@ def eval_S_eps(x: float, y: float, n: float, c: float, spec: ModelSpec, lx: floa
 # threshold, kappa, truncations
 # ----------------------------------------------------------------------
 
-# smallest threshold density; sample counts of the sampled kappa infimum
-# and of the Psi tables
+# smallest threshold density; sample count of the Psi tables
 S0_FLOOR = 1e-3
-KAPPA_SAMPLES = 4096
 PSI_SAMPLES = 4096
 
 
 def threshold_s0(spec: ModelSpec) -> float:
     """Smallest density s0 >= S0_FLOOR with D(s) >= L for all s >= s0.
 
-    Porous medium: monotone bisection.  Tabulated: scan over the knot
-    range (constant extension beyond).  Raises if the level L is never
-    reached, which violates the liminf condition on D.
+    Bisection for D = L: porous medium on [S0_FLOOR, first power of two
+    where D >= L] (D is increasing), tabulated on the last segment where
+    D dips below L (D is constant beyond the last knot), which gives the
+    first double there at which the interpolated D reaches L.  Raises if
+    the level L is never reached, which violates the liminf condition on D.
     """
     L = spec.L
     d = spec.diffusion
@@ -312,35 +349,31 @@ def threshold_s0(spec: ModelSpec) -> float:
             hi *= 2.0
         else:
             raise ValueError("L unreachable: diffusion never exceeds the threshold level")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if eval_D(mid, spec) >= L:
-                hi = mid
-            else:
-                lo = mid
-        return hi
-    # tabulated: D is constant beyond the last knot
-    knots = np.asarray(d.knots)
-    tail = float(d.values[-1])
-    if tail + 0.0 < L:
-        raise ValueError("L unreachable: tabulated diffusion stays below the threshold level")
-    samples = np.linspace(0.0, knots[-1], 4097)
-    dv = eval_D(samples, spec)
-    below = np.nonzero(dv < L)[0]
-    if below.size == 0:
-        return max(float(samples[1]), S0_FLOOR)
-    if below[-1] == len(samples) - 1:
-        raise ValueError("L unreachable: tabulated diffusion stays below the threshold level")
-    return max(float(samples[below[-1] + 1]), S0_FLOOR)
+    else:
+        if d.values[-1] < L:
+            raise ValueError("L unreachable: tabulated diffusion stays below the threshold level")
+        below = [i for i, v in enumerate(d.values) if v < L]
+        if not below:
+            return S0_FLOOR
+        lo, hi = d.knots[below[-1]], d.knots[below[-1] + 1]
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if eval_D(mid, spec) >= L:
+            hi = mid
+        else:
+            lo = mid
+    return max(hi, S0_FLOOR)
 
 
 def kappa_of(s0: float, spec: ModelSpec) -> float:
     """kappa = inf over n in (0, 2*s0) of D(n)/n; must be positive.
 
-    Analytic for porous-medium diffusion (the ratio n^(m-2) is monotone),
-    an infimum over KAPPA_SAMPLES geometric samples otherwise.  Raises
-    when the ratio degenerates to 0 near n = 0, which happens exactly for
-    m > 2.
+    Analytic for porous-medium diffusion (the ratio n^(m-2) is monotone).
+    Tabulated D is linear between knots, so D(n)/n is monotone there and
+    the infimum is at a knot inside (0, 2*s0) or at 2*s0; when D(0) = 0,
+    the ratio on the first segment is its constant slope, which the next
+    knot or 2*s0 gives.  Raises for porous-medium m > 2, where
+    D(n)/n -> 0 as n -> 0.
     """
     if s0 <= 0:
         raise ValueError("s0 must be positive")
@@ -354,15 +387,9 @@ def kappa_of(s0: float, spec: ModelSpec) -> float:
         raise ValueError(
             "degenerate near zero: D(n)/n -> 0 as n -> 0 for porous-medium m > 2"
         )
-    n = np.geomspace(2.0 * s0 * 1e-9, 2.0 * s0, KAPPA_SAMPLES)
-    ratio = eval_D(n, spec) / n
-    kappa = float(ratio.min())
-    # degeneracy heuristic: infimum attained at the smallest samples and
-    # still decreasing there means the true infimum is 0
-    head = ratio[: KAPPA_SAMPLES // 64]
-    if kappa <= 0 or (np.argmin(ratio) < KAPPA_SAMPLES // 64 and head[0] < head[-1] * 0.5):
-        raise ValueError("degenerate near zero: sampled D(n)/n tends to 0")
-    return kappa
+    k = np.asarray(d.knots)
+    n = np.append(k[(k > 0) & (k < 2.0 * s0)], 2.0 * s0)
+    return float((eval_D(n, spec) / n).min())
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ Conventions
   integral telescopes to zero: conservation holds to round-off.
 * Upwinding on the advective and taxis fluxes keeps cell values of a
   nonnegative transported field nonnegative under the CFL bound
-  dt * (max speed_x / hx + max speed_y / hy) <= 1.
+  dt * (max speed_x / hx + max speed_y / hy) <= 1/2: a field whose
+  velocity is not solenoidal (the taxis drift) can leave a cell through
+  all four faces at once.
 * The pressure Poisson problem (pure Neumann) is solved by cosine
   transforms, which diagonalize the 5-point mirror-ghost Laplacian on a
   uniform grid.  The solve is direct: the projected velocity is
@@ -47,7 +49,7 @@ from .model import (
     ModelSpec,
     boundary_cutoff,
     density_cutoff,
-    eval_D_eps,
+    eval_D1_eps,
     sensitivity_scale,
 )
 
@@ -160,18 +162,13 @@ def advect_scalar(f: ScalarField, v: VectorField) -> ScalarField:
 
 
 def nonlinear_diffuse(n: ScalarField, spec: ModelSpec) -> ScalarField:
-    """div(D_eps(n) grad n) with D_eps at the arithmetic face average of n.
+    """div(D_eps(n) grad n) as the Laplacian of the Kirchhoff potential D1_eps(n).
 
-    No-flux boundary faces contribute nothing, so the result integrates
-    to zero exactly.
+    The face flux D1_eps(b) - D1_eps(a) is D_eps(xi) (b - a) for some xi
+    between the cell values.  Mirror ghosts give no-flux walls, so the
+    result integrates to zero up to round-off.
     """
-    g = n.grid
-    nv = n.values
-    dfx = eval_D_eps(0.5 * (nv[:-1, :] + nv[1:, :]), spec)
-    dfy = eval_D_eps(0.5 * (nv[:, :-1] + nv[:, 1:]), spec)
-    fx = dfx * (nv[1:, :] - nv[:-1, :]) / g.hx
-    fy = dfy * (nv[:, 1:] - nv[:, :-1]) / g.hy
-    return _flux_div(fx, fy, g)
+    return laplace(ScalarField(n.grid, eval_D1_eps(n.values, spec)))
 
 
 @lru_cache(maxsize=16)

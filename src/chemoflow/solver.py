@@ -3,11 +3,13 @@
 One step advances, in order:
 
 1. density n: explicit conservative advection + taxis fluxes at the outer
-   step, then explicit nonlinear diffusion of the transported density in
-   substeps sized on that density: dt_sub * max D_eps * (2/hx^2 + 2/hy^2)
-   <= DIFFUSION_NUMBER = 0.9, below the monotone limit 1, so every substep
-   is a convex combination of neighbouring values and the maximum
-   principle keeps the bound valid for the substeps that follow;
+   step, then explicit diffusion of the transported density in substeps
+   n += dt_sub * Lap_h D1_eps(n), the Laplacian of the Kirchhoff potential
+   D1_eps = int_0^n D_eps, for every diffusion law.  A face flux
+   D1_eps(b) - D1_eps(a) is D_eps(xi) (b - a) with xi between the cell
+   values, so dt_sub * sup D_eps * (2/hx^2 + 2/hy^2) <= DIFFUSION_NUMBER
+   = 0.9, the sup over [min n, max n], makes every substep a convex
+   combination of neighbouring values, which keeps n in that range;
 2. signal c: explicit upwind advection, implicit consumption via the
    factor 1/(1 + dt*n), implicit diffusion (cosine-transform solve);
 3. velocity u: explicit upwind advection, implicit viscous solve
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import ScalarField, State, VectorField
-from .model import ModelSpec, PorousMedium, _eps_shift, eval_D_eps
+from .model import ModelSpec, eval_D1_eps, sup_D_eps
 from .operators import (
     PoissonSolver,
     advect_scalar,
@@ -41,6 +43,7 @@ __all__ = ["TimeControls", "SolverError", "StepInfo", "step", "run"]
 
 NEGATIVE_DENSITY_TOL = -1e-13
 DIFFUSION_NUMBER = 0.9
+MAX_CFL = 0.5
 DT_MIN = 1e-12
 
 
@@ -55,10 +58,10 @@ class TimeControls:
     The outer dt obeys the advective CFL dt*(speed_x/hx + speed_y/hy) <= cfl,
     where the speed includes both the fluid velocity and the chemotactic
     drift (upwind positivity needs both), and never exceeds dt_max; a dt
-    below DT_MIN is a stability failure.  cfl does not scale the explicit
-    n-diffusion: it runs in substeps obeying
-    dt_sub * max D_eps(n) * (2/hx^2 + 2/hy^2) <= DIFFUSION_NUMBER on the
-    density after transport.
+    below DT_MIN is a stability failure.  cfl lies in (0, MAX_CFL]: the
+    taxis drift is not solenoidal, so a cell can lose mass through all
+    four faces in one step, and its upwind update stays nonnegative only
+    for cfl <= 1/2.  cfl does not scale the n-diffusion substeps.
     """
 
     t_end: float
@@ -66,8 +69,8 @@ class TimeControls:
     cfl: float = 0.4
 
     def __post_init__(self):
-        if not (0.0 < self.cfl <= 1.0):
-            raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
+        if not (0.0 < self.cfl <= MAX_CFL):
+            raise ValueError(f"cfl must lie in (0, {MAX_CFL}], got {self.cfl}")
         if not (math.isfinite(self.t_end) and self.t_end >= 0):
             raise ValueError(f"t_end must be finite and >= 0, got {self.t_end}")
         if not (math.isfinite(self.dt_max) and self.dt_max > 0):
@@ -91,27 +94,10 @@ def _advective_dt(state: State, wx, wy, controls: TimeControls) -> float:
     return dt
 
 
-def _max_D_eps(nv: np.ndarray, spec: ModelSpec) -> float:
-    """Supremum of D_eps over [min nv, max nv].
-
-    It bounds D_eps at every face average of nv and, since each substep
-    keeps n inside that range, at every face of the substeps that follow.
-    Porous-medium D_eps is increasing; tabulated D_eps is piecewise
-    linear, so its supremum is at an end of the range or at a knot inside.
-    """
-    lo, hi = float(nv.min()), float(nv.max())
-    d = spec.diffusion
-    if isinstance(d, PorousMedium):
-        return eval_D_eps(hi, spec)
-    knots = np.asarray(d.knots)
-    inside = knots[(knots > lo) & (knots < hi)]
-    return float(np.max(eval_D_eps(np.concatenate([[lo, hi], inside]), spec)))
-
-
 def _diffusive_dt(n: ScalarField, spec: ModelSpec) -> float:
-    """Largest substep with dt_sub * max D_eps(n) * (2/hx^2 + 2/hy^2) <= DIFFUSION_NUMBER."""
+    """Largest substep with dt_sub * sup D_eps(n) * (2/hx^2 + 2/hy^2) <= DIFFUSION_NUMBER."""
     g = n.grid
-    dmax = _max_D_eps(n.values, spec)
+    dmax = sup_D_eps(float(n.values.min()), float(n.values.max()), spec)
     if dmax == 0.0:
         return math.inf
     return DIFFUSION_NUMBER / (dmax * (2.0 / g.hx**2 + 2.0 / g.hy**2))
@@ -207,14 +193,13 @@ def _step_impl(state: State, spec: ModelSpec, controls: TimeControls, poisson: P
 
 
 def _diffusion_substeps(nv: np.ndarray, spec: ModelSpec, dt_sub: float, substeps: int, g):
-    """Explicit conservative diffusion substeps, in place on nv.
+    """Explicit conservative diffusion substeps nv += dt_sub * Lap_h D1_eps(nv), in place.
 
-    The only n-diffusion path.  Same flux-form update as nonlinear_diffuse
-    (same face averages, same diffusive flux, exact telescoping), written
-    in numpy against preallocated buffers since this loop dominates the
-    run time.  For m = 2, D_eps = n + delta, and the face flux
-    ((a+b)/2 + delta)(b - a) is the difference Phi(b) - Phi(a) of the cell
-    values Phi(n) = n (n/2 + delta).
+    The only n-diffusion path, the same update as nonlinear_diffuse for
+    every diffusion law: the face flux is the difference Phi(b) - Phi(a)
+    of the Kirchhoff potential Phi = D1_eps at the two cell values, so the
+    fluxes telescope exactly.  Written in numpy against preallocated
+    buffers since this loop dominates the run time.
 
     The loop runs on the flat C-order view f of nv, where cell (i, j) is
     f[i*ny + j], so every difference is one contiguous loop: x faces pair
@@ -233,34 +218,13 @@ def _diffusion_substeps(nv: np.ndarray, spec: ModelSpec, dt_sub: float, substeps
     ny = g.ny
     cx = dt_sub / g.hx**2
     cy = dt_sub / g.hy**2
-    m2 = isinstance(spec.diffusion, PorousMedium) and spec.diffusion.m == 2.0
-    delta = _eps_shift(spec) if m2 else 0.0
-
+    phi = np.empty_like(f)
     ax = np.empty(f.size - ny)
     ay = np.empty(f.size - 1)
-    if m2:
-        phi = np.empty_like(f)
-    else:
-        dxb = np.empty_like(ax)
-        dyb = np.empty_like(ay)
     for _ in range(substeps):
-        if m2:
-            np.multiply(f, 0.5, out=phi)
-            phi += delta
-            phi *= f
-            np.subtract(phi[ny:], phi[:-ny], out=ax)
-            np.subtract(phi[1:], phi[:-1], out=ay)
-        else:
-            np.add(f[ny:], f[:-ny], out=ax)
-            ax *= 0.5
-            ax[:] = eval_D_eps(ax, spec)
-            np.subtract(f[ny:], f[:-ny], out=dxb)
-            ax *= dxb
-            np.add(f[1:], f[:-1], out=ay)
-            ay *= 0.5
-            ay[:] = eval_D_eps(ay, spec)
-            np.subtract(f[1:], f[:-1], out=dyb)
-            ay *= dyb
+        eval_D1_eps(f, spec, out=phi)
+        np.subtract(phi[ny:], phi[:-ny], out=ax)
+        np.subtract(phi[1:], phi[:-1], out=ay)
         ax *= cx
         ay *= cy
         ay[ny - 1::ny] = 0.0

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from chemoflow import analysis
+from chemoflow.config import reference_config_text
 from chemoflow.analysis import (
     A_VALUES,
     ETA,
@@ -296,3 +297,28 @@ class TestBenchmarkHooks:
                               env=env, capture_output=True, text=True, cwd=tmp_path)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "0 []"
+
+    def test_traced_run_records_every_solver_span(self, tmp_path):
+        # the tracer wraps chemoflow.solver globals by name and reads the
+        # positional arguments of _diffusion_substeps
+        root = pathlib.Path(__file__).resolve().parents[1]
+        config = tmp_path / "run.ini"
+        config.write_text(reference_config_text(t_end=0.05, nx=16, ny=16, cadence=0.05))
+        code = (
+            "import sys, tracing\n"
+            "from chemoflow import cli\n"
+            "tracer = tracing.Tracer()\n"
+            "tracing.install(tracer)\n"
+            "rc = cli.main(['run', sys.argv[1], '--output', sys.argv[2]])\n"
+            "seen = {span[0] for span in tracer.spans}\n"
+            "wanted = {'solver.step', 'solver.diffuse_n'}\n"
+            "wanted |= {'operators.' + op for op in tracing.OPERATOR_SPANS}\n"
+            "print(rc, sorted(wanted - seen), repr(tracer.counters['diffusion_number_max']))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "perfbench")])}
+        done = subprocess.run([sys.executable, "-c", code, str(config), str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True, cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        rc, missing, number = done.stdout.splitlines()[-1].split(" ", 2)
+        assert (rc, missing) == ("0", "[]")
+        assert 0.0 < float(number) <= 0.9

@@ -117,6 +117,20 @@ class TestBadArguments:
         assert runs == []  # rejected before the first run, eps = 0 included
 
 
+    def test_missing_config_is_an_error_line(self, tmp_path, capsys):
+        code = main(["run", str(tmp_path / "nothere.ini")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert re.fullmatch(r"ERROR: .*No such file or directory.*nothere\.ini'\n", err), err
+
+    def test_grids_item_not_a_pair_names_the_option(self, tiny_config, capsys, monkeypatch):
+        runs = []
+        monkeypatch.setattr(sweeps, "run", lambda *a, **k: runs.append(a))
+        code = main(["sweep-grid", str(tiny_config), "--grids", "8;8", "--T", "0.02"])
+        assert code == 1
+        assert capsys.readouterr().err == "ERROR: --grids takes nx,ny;nx,ny;..., got '8;8'\n"
+        assert runs == []
+
 class TestVerifyLemmas:
     def test_report_written(self, tmp_path, capsys):
         report = tmp_path / "lemmas.txt"

@@ -90,6 +90,13 @@ class TestParse:
         with pytest.raises(ConfigError, match=key):
             parse_config(text)
 
+    def test_cfl_above_half_rejected(self):
+        # upwind transport with a non-solenoidal taxis drift stays
+        # nonnegative only for cfl <= 1/2; the message names the bound
+        assert parse_config(MINIMAL.replace("t_end = 0.1", "t_end = 0.1\ncfl = 0.5")).controls.cfl == 0.5
+        with pytest.raises(ConfigError, match=r"cfl must lie in \(0, 0\.5\]"):
+            parse_config(MINIMAL.replace("t_end = 0.1", "t_end = 0.1\ncfl = 0.6"))
+
     def test_tabulated_diffusion(self):
         text = MINIMAL.replace(
             "diffusion = porous_medium\nm = 2.0",

@@ -166,6 +166,15 @@ class TestThreshold:
         assert eval_D(s0, spec) >= 1.0
         assert 1.0 < s0 < 2.0
 
+    def test_tabulated_crossing_solved_on_segment(self):
+        # D crosses L = 1 on [1, 2] at 1 + 0.9/2.9; s0 is the first double
+        # at which the interpolated D reaches L, within an ulp of it
+        spec = tabulated([0.0, 1.0, 2.0], [0.1, 0.1, 3.0], L=1.0)
+        s0 = threshold_s0(spec)
+        assert abs(s0 - (1.0 + 0.9 / 2.9)) <= math.ulp(s0)
+        assert eval_D(s0, spec) >= 1.0 > eval_D(math.nextafter(s0, 0.0), spec)
+        assert threshold_s0(tabulated([0.0, 1.0], [2.0, 3.0], L=1.0)) == 1e-3
+
 
 class TestKappa:
     def test_m2(self):
@@ -181,6 +190,14 @@ class TestKappa:
     def test_tabulated_positive(self):
         k = kappa_of(1.0, tabulated([0.0, 5.0], [1.0, 1.0]))
         assert k == pytest.approx(0.5, rel=1e-3)  # inf of 1/n on (0, 2)
+
+    def test_tabulated_exact(self):
+        # D(n)/n is monotone between knots, so the infimum sits at a knot
+        # or at 2*s0: here at the knot 1, at 2*s0 = 4, and on a first
+        # segment with D(0) = 0, where the ratio is the constant slope 3
+        assert kappa_of(2.0, tabulated([0.0, 1.0, 2.0], [1.0, 0.5, 4.0])) == 0.5
+        assert kappa_of(2.0, tabulated([0.0, 1.0, 2.0], [0.0, 3.0, 3.0])) == 0.75
+        assert kappa_of(0.25, tabulated([0.0, 1.0, 2.0], [0.0, 3.0, 3.0])) == 3.0
 
 
 class TestTruncations:

@@ -1,14 +1,16 @@
 """Cross-cutting integration checks: non-square grids, rotated sensitivity,
-the pure-numpy substep path, unaligned cadences, and CLI-level determinism."""
+the step's invariants for every diffusion law, unaligned cadences, and
+CLI-level determinism."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chemoflow.config import parse_config
 from chemoflow.grid import ScalarField, State, VectorField, integrate, make_grid
-from chemoflow.model import ModelSpec, PorousMedium
+from chemoflow.model import ModelSpec, PorousMedium, TabulatedDiffusion
 from chemoflow.operators import PoissonSolver, div
-from chemoflow.solver import TimeControls, run
+from chemoflow.solver import TimeControls, _step_impl, run
 
 RECT = """\
 [grid]
@@ -77,6 +79,39 @@ class TestRectangularGrid:
         assert all(b <= a + 1e-12 for a, b in zip(cmaxes, cmaxes[1:]))
         # the rotated flux moves mass differently from the isotropic one
         assert np.abs(final_r.n.values - final_i.n.values).max() > 1e-6
+
+
+LAWS = {
+    "m2": PorousMedium(2.0),
+    "m1.8": PorousMedium(1.8),
+    # D(0) = 0 and a peak between cell values 0 and 1
+    "tabulated": TabulatedDiffusion((0.0, 0.5, 1.0, 2.0), (0.0, 4.0, 0.5, 1.0)),
+}
+STEP_GRID = make_grid(20, 14, 1.25, 1.0)
+STEP_POISSON = PoissonSolver(STEP_GRID)
+
+
+class TestStepInvariantsEveryLaw:
+    @given(st.sampled_from(sorted(LAWS)), st.integers(0, 2**31 - 1), st.floats(0.0, 0.9))
+    @settings(max_examples=30, deadline=None)
+    def test_one_step_at_largest_cfl(self, law, seed, zero_fraction):
+        g = STEP_GRID
+        rng = np.random.default_rng(seed)
+        nv = rng.random((g.nx, g.ny)) * 2.0
+        nv[rng.random((g.nx, g.ny)) < zero_fraction] = 0.0
+        nv[0, 0] = 1.0  # never identically zero
+        c = rng.random((g.nx, g.ny)) + 0.2
+        amp = rng.uniform(0.0, 0.5)
+        u = VectorField.from_stream(g, lambda x, y: amp * np.sin(np.pi * x / g.lx) * np.sin(np.pi * y / g.ly))
+        state = State(ScalarField(g, nv), ScalarField(g, c), u, 0.0)
+        spec = ModelSpec(diffusion=LAWS[law], gamma=0.5, s0_sensitivity=1.0,
+                         phi_gradient=(0.0, -1.0), epsilon=0.05, L=1.0, M=2.0)
+        out, info = _step_impl(state, spec, TimeControls(t_end=1.0, cfl=0.5), STEP_POISSON)
+        assert out.n.values.min() >= 0.0
+        assert info.clamped_mass == 0.0
+        m0 = integrate(state.n)
+        assert abs(integrate(out.n) - m0) <= 1e-13 * m0
+        assert out.c.values.max() <= c.max()
 
 
 class TestCadence:

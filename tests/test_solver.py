@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import naive_operators as naive
 from chemoflow import solver
 from chemoflow.grid import ScalarField, State, VectorField, integrate, make_grid
-from chemoflow.model import ModelSpec, PorousMedium, TabulatedDiffusion, eval_D_eps
+from chemoflow.model import ModelSpec, PorousMedium, TabulatedDiffusion, eval_D1_eps, eval_D_eps
 from chemoflow.operators import PoissonSolver, div, nonlinear_diffuse
 from chemoflow.solver import SolverError, TimeControls, _clamp_negative, run, step
 
@@ -122,9 +122,9 @@ class TestStep:
             _clamp_negative(f, 0.125)
 
     def test_substeps_monotone_on_diffused_density(self, monkeypatch):
-        # a 1D cone in c drives taxis toward x = 1/2; at cfl = 1 one step
-        # raises max n from 1 to 2.4 before it is diffused, and substeps
-        # sized on the density before transport reach a number of 2.05
+        # a 1D cone in c drives taxis toward x = 1/2; at cfl = 0.5 one step
+        # raises max n from 1 to 1.71 before it is diffused, and substeps
+        # sized on the density before transport reach a number of 1.39
         g = make_grid(15, 15, 1.0, 1.0)
         spec = ModelSpec(diffusion=PorousMedium(2.0), epsilon=0.05, L=1.0, M=2.0)
         c = ScalarField.from_function(g, lambda x, y: 1.0 + 5.0 * (0.5 - np.abs(x - 0.5)) + 0.0 * y)
@@ -139,10 +139,25 @@ class TestStep:
                 substeps(nv, spec, dt_sub, 1, g)
 
         monkeypatch.setattr(solver, "_diffusion_substeps", one_at_a_time)
-        out = step(st_, spec, TimeControls(t_end=1.0, dt_max=1.0, cfl=1.0), PoissonSolver(g))
+        out = step(st_, spec, TimeControls(t_end=1.0, dt_max=1.0, cfl=0.5), PoissonSolver(g))
         assert numbers and max(numbers) <= 1.0
         assert out.n.values.min() >= 0.0
         assert integrate(out.n) == pytest.approx(1.0, rel=1e-13)
+
+
+    def test_spike_stays_positive_at_largest_cfl(self):
+        # c has its minimum at the spike, so taxis drains the spike cell
+        # through all four faces at once; at cfl = 1/2 its upwind update
+        # reaches 0 and no lower (at 0.6 it went to -0.2)
+        x0, y0 = GRID.xc()[16], GRID.yc()[16]
+        nv = np.full((32, 32), 1e-3)
+        nv[16, 16] = 1.0
+        c = ScalarField.from_function(GRID, lambda x, y: 0.2 + np.abs(x - x0) + np.abs(y - y0))
+        st_ = State(ScalarField(GRID, nv), c, VectorField.zeros(GRID), 0.0)
+        out, info = solver._step_impl(st_, SPEC, TimeControls(t_end=1.0, cfl=0.5), POISSON)
+        assert out.n.values.min() > 0.0
+        assert info.clamped_mass == 0.0
+        assert integrate(out.n) == pytest.approx(integrate(st_.n), rel=1e-13)
 
 
 class TestDiffusionSubsteps:
@@ -177,37 +192,15 @@ class TestDiffusionSubsteps:
 
 def _substeps_2d(nv, spec, dt_sub, substeps, g):
     """The 2-D form of the substep loop: the reference the flat loop must match to the bit."""
-    from chemoflow.model import _eps_shift
-
     cx = dt_sub / g.hx**2
     cy = dt_sub / g.hy**2
-    m2 = isinstance(spec.diffusion, PorousMedium) and spec.diffusion.m == 2.0
-    delta = _eps_shift(spec) if m2 else 0.0
     ax = np.empty((g.nx - 1, g.ny))
     ay = np.empty((g.nx, g.ny - 1))
-    if m2:
-        phi = np.empty_like(nv)
-    else:
-        dxb = np.empty_like(ax)
-        dyb = np.empty_like(ay)
+    phi = np.empty_like(nv)
     for _ in range(substeps):
-        if m2:
-            np.multiply(nv, 0.5, out=phi)
-            phi += delta
-            phi *= nv
-            np.subtract(phi[1:, :], phi[:-1, :], out=ax)
-            np.subtract(phi[:, 1:], phi[:, :-1], out=ay)
-        else:
-            np.add(nv[1:, :], nv[:-1, :], out=ax)
-            ax *= 0.5
-            ax[:] = eval_D_eps(ax, spec)
-            np.subtract(nv[1:, :], nv[:-1, :], out=dxb)
-            ax *= dxb
-            np.add(nv[:, 1:], nv[:, :-1], out=ay)
-            ay *= 0.5
-            ay[:] = eval_D_eps(ay, spec)
-            np.subtract(nv[:, 1:], nv[:, :-1], out=dyb)
-            ay *= dyb
+        eval_D1_eps(nv, spec, out=phi)
+        np.subtract(phi[1:, :], phi[:-1, :], out=ax)
+        np.subtract(phi[:, 1:], phi[:, :-1], out=ay)
         ax *= cx
         ay *= cy
         nv[:-1, :] += ax
@@ -347,3 +340,9 @@ class TestTimeControls:
     def test_cfl_range(self):
         with pytest.raises(ValueError):
             TimeControls(t_end=1.0, cfl=0.0)
+
+    def test_cfl_above_half_rejected(self):
+        assert TimeControls(t_end=1.0, cfl=0.5).cfl == 0.5
+        for cfl in (0.6, 1.0):
+            with pytest.raises(ValueError, match=r"\(0, 0\.5\]"):
+                TimeControls(t_end=1.0, cfl=cfl)

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.random import default_rng  # loaded with the module, not by the first corpus member
 
 from .grid import Grid, ScalarField, cell_gradients, integrate, make_grid
 
@@ -108,7 +109,7 @@ class FieldCorpus:
     def member(self, index: int, grid: Grid | None = None):
         """(phi, psi) pair for one member: phi > 0, psi signed."""
         g = grid if grid is not None else self.grid
-        rng = np.random.default_rng([self.seed, index])
+        rng = default_rng([self.seed, index])
         raw = self._raw(rng, g)
         span = rng.uniform(SPAN_LO, SPAN_HI)
         lo, hi = raw.min(), raw.max()
@@ -304,7 +305,7 @@ def equality_mk_sequence(a: float, b: float, logM0: float, k_max: int) -> np.nda
 
 def slack_mk_sequence(a: float, b: float, logM0: float, k_max: int, seed: int) -> np.ndarray:
     """Admissible sequence with random slack, clipped to stay in [1, inf)."""
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     logs = [logM0]
     for k in range(1, k_max + 1):
         cap = np.logaddexp(k * math.log(a) + 2.0 * logs[-1], 2.0**k * math.log(b))
@@ -449,7 +450,7 @@ def run_lemma_checks(corpus: FieldCorpus | None = None) -> list:
     ))
 
     # --- subset-mean Poincare ---
-    rng = np.random.default_rng(corpus.seed + 99)
+    rng = default_rng(corpus.seed + 99)
     grid = corpus.grid
     varpi = 0.25 * grid.area
     x, y = grid.cell_mesh()
@@ -483,7 +484,7 @@ def run_lemma_checks(corpus: FieldCorpus | None = None) -> list:
     # --- doubling-exponent recursion limit ---
     ok = True
     worst = float("inf")
-    rng = np.random.default_rng(corpus.seed + 5)
+    rng = default_rng(corpus.seed + 5)
     for i in range(100):
         a = float(rng.uniform(1.0, 3.0))
         b = float(rng.uniform(1.0, 2.0))
@@ -500,7 +501,7 @@ def run_lemma_checks(corpus: FieldCorpus | None = None) -> list:
 def _ode_trajectory_margin(seed: int) -> float:
     """Exact integration of y' + a y = h for piecewise-constant admissible h;
     returns min over time of (envelope - y)."""
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     a = float(rng.uniform(0.2, 3.0))
     b = float(rng.uniform(0.1, 2.0))
     tau = float(rng.uniform(0.3, 2.0))

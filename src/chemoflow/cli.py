@@ -17,11 +17,17 @@ stderr, and the exit code is 1.
 
 The environment variable CHEMOFLOW_THREADS caps transform parallelism
 (default 1, which keeps runs bitwise reproducible across machines).
+
+`main` first fixes glibc's malloc thresholds (mmap 32 MiB, trim 64 MiB,
+both, as setting one switches off the dynamic pair; a no-op without
+mallopt): by default freed numpy temporaries go back to the kernel, and
+the next step, record or lemma check faults the same pages in again.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import pathlib
 import sys
 
@@ -29,11 +35,20 @@ from .analysis import FieldCorpus, format_report, run_lemma_checks
 from .config import ConfigError, parse_config
 from .diagnostics import functional_envelope, record, select_functional
 from .grid import integrate
-from .io import emit_snapshot, emit_timeseries
+from .io import emit_snapshot, emit_timeseries, snapshot_name
 from .model import build_truncations, threshold_s0
 from .operators import PoissonSolver
 from .solver import SolverError, run
 from .sweeps import eps_sweep, refinement_sweep
+
+
+def _hold_heap():
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):  # no C library, or none with mallopt
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
 def _load_config(path: str):
@@ -75,7 +90,7 @@ def _cmd_run(args) -> int:
 
     def snapshot_sink(state, clamp):
         # written as recorded, so a run that fails later keeps its snapshots
-        (outdir / f"snapshot_t{state.t:012.6f}.cns2").write_bytes(emit_snapshot(state))
+        (outdir / snapshot_name(state.t)).write_bytes(emit_snapshot(state))
 
     sinks = [record_sink, snapshot_sink] if cfg.snapshots else [record_sink]
     error = None
@@ -151,6 +166,7 @@ def _cmd_validate(args) -> int:
 
 
 def main(argv=None) -> int:
+    _hold_heap()
     parser = argparse.ArgumentParser(prog="chemoflow", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="verb", required=True)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid, ScalarField, State, VectorField, integrate, make_grid
+from .io import snapshot_name
 from .model import (
     ModelSpec,
     PorousMedium,
@@ -235,12 +236,30 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
+def _snapshot_clash(cadence: float, t_end: float):
+    """Two consecutive record times (0, the ticks k * cadence, t_end) whose
+    snapshot names agree, or None.  Names keep six decimals, so ticks agree
+    only if cadence < 1e-6, first at k = floor(0.5e-6 / (1e-6 - cadence))."""
+    if cadence < 1e-6:
+        k = math.floor(0.5e-6 / (1e-6 - cadence))
+        a, b = k * cadence, (k + 1) * cadence
+        if b <= t_end and snapshot_name(a) == snapshot_name(b):
+            return a, b
+    last = math.floor(t_end / cadence + 1e-12) * cadence
+    if last < t_end and snapshot_name(last) == snapshot_name(t_end):
+        return last, t_end
+    return None
+
+
 def validate_config(cfg: RunConfig):
     """Admissibility checks; returns a list of named violations (empty if OK)."""
     spec = cfg.spec
     violations = []
     if not (math.isfinite(cfg.cadence) and cfg.cadence > 0):
         violations.append(f"output cadence must be finite and > 0; got {cfg.cadence}")
+    elif cfg.snapshots and (clash := _snapshot_clash(cfg.cadence, cfg.controls.t_end)):
+        violations.append(f"snapshots at t={clash[0]!r} and t={clash[1]!r} would share the file "
+                          f"{snapshot_name(clash[1])}; snapshot names resolve t to 1e-6")
     if not (0.0 <= spec.gamma <= 5.0 / 6.0):
         violations.append(f"gamma must lie in [0, 5/6]; got {spec.gamma}")
     if not (0.0 < spec.epsilon < 1.0):

@@ -28,6 +28,7 @@ __all__ = [
     "parse_timeseries",
     "emit_snapshot",
     "read_snapshot",
+    "snapshot_name",
     "SnapshotError",
 ]
 
@@ -44,6 +45,11 @@ _HEADER_STRUCT = struct.Struct("<4sIIIddd")
 
 class SnapshotError(ValueError):
     pass
+
+
+def snapshot_name(t: float) -> str:
+    """File name of the snapshot recorded at time t: t to 1e-6, zero-padded."""
+    return f"snapshot_t{t:012.6f}.cns2"
 
 
 def emit_timeseries(records: Sequence[DiagnosticsRecord]) -> str:

@@ -33,6 +33,9 @@ Performance rules
   miss, which costs little beside one transform.  The
   denominator is divided by, never replaced by a cached reciprocal,
   which would change the last bit.
+* scipy.fft is imported by the first PoissonSolver, which holds every
+  transform, so code that never builds one (``verify-lemmas``,
+  ``validate``) never pays the ~0.3 s import.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ import os
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .grid import Grid, ScalarField, VectorField
 from .model import (
@@ -348,7 +350,9 @@ class PoissonSolver:
     """
 
     def __init__(self, grid: Grid):
+        from scipy import fft  # the only transforms; see "Performance rules"
         self.grid = grid
+        self._fft = fft
         self._workers = _workers()
         lam = _eigen_sum(grid, "cell")
         lam[0, 0] = 1.0  # gauge mode, coefficient zeroed in solve
@@ -358,11 +362,11 @@ class PoissonSolver:
     # -- pressure Poisson -------------------------------------------------
     def solve(self, rhs: ScalarField) -> ScalarField:
         """Solve laplace(p) = rhs - mean(rhs); returns zero-mean p."""
-        what = sp_fft.dctn(rhs.values, type=2, norm="ortho", workers=self._workers)
+        what = self._fft.dctn(rhs.values, type=2, norm="ortho", workers=self._workers)
         np.negative(what, out=what)
         what /= self._lam
         what[0, 0] = 0.0
-        p = sp_fft.idctn(what, type=2, norm="ortho", workers=self._workers)
+        p = self._fft.idctn(what, type=2, norm="ortho", workers=self._workers)
         return ScalarField(self.grid, p)
 
     def residual(self, p: ScalarField, rhs: ScalarField) -> float:
@@ -375,24 +379,24 @@ class PoissonSolver:
     # -- semi-implicit Helmholtz solves -----------------------------------
     def helmholtz_cells(self, b: np.ndarray, alpha: float) -> np.ndarray:
         """(I - alpha * laplace) x = b on cell centers, Neumann walls."""
-        bhat = sp_fft.dctn(b, type=2, norm="ortho", workers=self._workers)
+        bhat = self._fft.dctn(b, type=2, norm="ortho", workers=self._workers)
         bhat /= _helmholtz_denominator(self.grid, "cell", alpha)
-        return sp_fft.idctn(bhat, type=2, norm="ortho", workers=self._workers)
+        return self._fft.idctn(bhat, type=2, norm="ortho", workers=self._workers)
 
     def helmholtz_ux(self, b_interior: np.ndarray, alpha: float) -> np.ndarray:
         """(I - alpha * laplace) on interior x-faces, no-slip walls."""
-        bh = sp_fft.dst(b_interior, type=1, axis=0, norm="ortho", workers=self._workers)
-        bh = sp_fft.dst(bh, type=2, axis=1, norm="ortho", workers=self._workers)
+        bh = self._fft.dst(b_interior, type=1, axis=0, norm="ortho", workers=self._workers)
+        bh = self._fft.dst(bh, type=2, axis=1, norm="ortho", workers=self._workers)
         bh /= _helmholtz_denominator(self.grid, "ux", alpha)
-        bh = sp_fft.idst(bh, type=2, axis=1, norm="ortho", workers=self._workers)
-        return sp_fft.idst(bh, type=1, axis=0, norm="ortho", workers=self._workers)
+        bh = self._fft.idst(bh, type=2, axis=1, norm="ortho", workers=self._workers)
+        return self._fft.idst(bh, type=1, axis=0, norm="ortho", workers=self._workers)
 
     def helmholtz_uy(self, b_interior: np.ndarray, alpha: float) -> np.ndarray:
-        bh = sp_fft.dst(b_interior, type=2, axis=0, norm="ortho", workers=self._workers)
-        bh = sp_fft.dst(bh, type=1, axis=1, norm="ortho", workers=self._workers)
+        bh = self._fft.dst(b_interior, type=2, axis=0, norm="ortho", workers=self._workers)
+        bh = self._fft.dst(bh, type=1, axis=1, norm="ortho", workers=self._workers)
         bh /= _helmholtz_denominator(self.grid, "uy", alpha)
-        bh = sp_fft.idst(bh, type=1, axis=1, norm="ortho", workers=self._workers)
-        return sp_fft.idst(bh, type=2, axis=0, norm="ortho", workers=self._workers)
+        bh = self._fft.idst(bh, type=1, axis=1, norm="ortho", workers=self._workers)
+        return self._fft.idst(bh, type=2, axis=0, norm="ortho", workers=self._workers)
 
 
 def project(v_star: VectorField, solver: PoissonSolver):

@@ -221,17 +221,20 @@ def _diffusion_substeps(nv: np.ndarray, spec: ModelSpec, dt_sub: float, substeps
     phi = np.empty_like(f)
     ax = np.empty(f.size - ny)
     ay = np.empty(f.size - 1)
+    phi_xl, phi_xu, phi_yl, phi_yu = phi[:-ny], phi[ny:], phi[:-1], phi[1:]
+    f_xl, f_xu, f_yl, f_yu = f[:-ny], f[ny:], f[:-1], f[1:]
+    row_ends = ay[ny - 1::ny]
     for _ in range(substeps):
         eval_D1_eps(f, spec, out=phi)
-        np.subtract(phi[ny:], phi[:-ny], out=ax)
-        np.subtract(phi[1:], phi[:-1], out=ay)
+        np.subtract(phi_xu, phi_xl, out=ax)
+        np.subtract(phi_yu, phi_yl, out=ay)
         ax *= cx
         ay *= cy
-        ay[ny - 1::ny] = 0.0
-        f[:-ny] += ax
-        f[ny:] -= ax
-        f[:-1] += ay
-        f[1:] -= ay
+        row_ends.fill(0.0)
+        np.add(f_xl, ax, out=f_xl)
+        np.subtract(f_xu, ax, out=f_xu)
+        np.add(f_yl, ay, out=f_yl)
+        np.subtract(f_yu, ay, out=f_yu)
 
 
 def step(state: State, spec: ModelSpec, controls: TimeControls, poisson: PoissonSolver) -> State:

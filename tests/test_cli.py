@@ -178,26 +178,20 @@ def _scipy_loaded_after(code: str) -> list:
 
 class TestImport:
     def test_cli_import_loads_no_scipy_sparse(self):
-        # no scipy at all: the first PoissonSolver imports scipy.fft
         assert _scipy_loaded_after("import chemoflow") == []
         assert _scipy_loaded_after("import chemoflow.cli") == []
 
-    @pytest.mark.parametrize("verb, loads_fft", [
-        ("validate", False), ("verify-lemmas", False), ("run", True),
-    ])
-    def test_only_solver_verbs_load_scipy(self, tmp_path, verb, loads_fft):
+    @pytest.mark.parametrize("verb", ["validate", "verify-lemmas", "run", "sweep-eps"])
+    def test_no_verb_loads_scipy(self, tmp_path, verb):
         config = tmp_path / "run.ini"
         config.write_text(reference_config_text(t_end=0.02, nx=8, ny=8, cadence=0.01))
         argv = {
             "validate": ["validate", str(config)],
             "verify-lemmas": ["verify-lemmas", "--members", "12", "--output", str(tmp_path / "r.txt")],
             "run": ["run", str(config), "--output", str(tmp_path / "out")],
+            "sweep-eps": ["sweep-eps", str(config), "--eps", "0.1,0.05", "--T", "0.02"],
         }[verb]
-        loaded = _scipy_loaded_after(f"from chemoflow.cli import main\nassert main({argv!r}) == 0")
-        if loads_fft:
-            assert "scipy.fft" in loaded
-        else:
-            assert loaded == []
+        assert _scipy_loaded_after(f"from chemoflow.cli import main\nassert main({argv!r}) == 0") == []
 
     def test_package_imports_and_every_export_resolves(self):
         # a fresh interpreter, so a stale name in chemoflow/__init__.py fails here

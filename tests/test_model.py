@@ -13,10 +13,10 @@ from chemoflow.model import (
     eval_D,
     eval_D_eps,
     eval_D_primitives,
-    eval_S_eps,
     kappa_of,
     threshold_s0,
 )
+from naive_operators import eval_S_eps
 
 
 def porous(m, eps=0.05, **kw):

@@ -180,9 +180,15 @@ def parse_config(text: str) -> RunConfig:
             return cast(raw) if cast is not None else raw
         return default
 
+    def get_int(section, key, default):
+        value = get(section, key, default)
+        if not float(value).is_integer():
+            raise ConfigError(f"[{section}] {key} must be an integer; got {parser.get(section, key)!r}")
+        return int(value)
+
     try:
         grid = make_grid(
-            int(get("grid", "nx", 64)), int(get("grid", "ny", 64)),
+            get_int("grid", "nx", 64), get_int("grid", "ny", 64),
             get("grid", "lx", 1.0), get("grid", "ly", 1.0),
         )
     except ValueError as exc:
@@ -215,6 +221,11 @@ def parse_config(text: str) -> RunConfig:
             dt_max=get("time", "dt_max", 0.01),
             cfl=get("time", "cfl", 0.4),
         )
+        seed = get_int("run", "seed", 0)
+        snapshots = get("output", "snapshots", "false", cast=None).lower()
+        if snapshots not in parser.BOOLEAN_STATES:
+            raise ConfigError(f"[output] snapshots must be one of 1/yes/true/on or 0/no/false/off; "
+                              f"got {snapshots!r}")
     except (ValueError, ConfigError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -227,8 +238,8 @@ def parse_config(text: str) -> RunConfig:
         u0_kind=get("initial", "u0", "zero", cast=None),
         cadence=get("output", "cadence", 0.05),
         directory=get("output", "directory", "out", cast=None) or "out",
-        snapshots=get("output", "snapshots", "false", cast=None).strip().lower() in ("1", "true", "yes"),
-        seed=int(get("run", "seed", 0)),
+        snapshots=parser.BOOLEAN_STATES[snapshots],
+        seed=seed,
     )
     problems = validate_config(cfg)
     if problems:

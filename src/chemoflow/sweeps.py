@@ -122,10 +122,10 @@ def refinement_sweep(base: RunConfig, grids: Sequence[tuple], T: float) -> Refin
     """Run nested grids; report per-field observed orders.
 
     `grids` is a list of (nx, ny), coarse to fine, each refining both axes
-    of the previous one by the same integer factor.  Orders come from
-    ratios of consecutive-grid L2 differences; identical consecutive grids
-    produce a zero difference and an undefined (nan) order, reported as
-    such.
+    of the previous one by one integer factor r for the whole sweep (a
+    repeated grid may appear anywhere).  Orders are log_r of ratios of
+    consecutive-grid L2 differences; identical consecutive grids produce a
+    zero difference and an undefined (nan) order, reported as such.
     """
     grids = tuple((int(a), int(b)) for a, b in grids)
     for (nxa, nya), (nxb, nyb) in zip(grids, grids[1:]):
@@ -134,27 +134,26 @@ def refinement_sweep(base: RunConfig, grids: Sequence[tuple], T: float) -> Refin
                 f"grids {nxa}x{nya} -> {nxb}x{nyb} are not nested: each grid must refine "
                 "both axes of the previous one by the same integer factor"
             )
+    factors = {nxb // nxa for (nxa, _), (nxb, _) in zip(grids, grids[1:])} - {1}
+    if len(factors) > 1:
+        raise ValueError(f"grids {' -> '.join(f'{nx}x{ny}' for nx, ny in grids)} mix refinement "
+                         f"factors {sorted(factors)}: a sweep must use one")
+    r = factors.pop() if factors else 1
     finals = [_final_fields(base, g, T) for g in grids]
 
     def l2(a, nx, ny):
         return float(np.sqrt((a**2).sum() * (base.grid.lx / nx) * (base.grid.ly / ny)))
 
     diffs = {"n": [], "c": []}
-    for (nxa, nya), sta, (nxb, nyb), stb in (
-        (grids[i], finals[i], grids[i + 1], finals[i + 1]) for i in range(len(grids) - 1)
-    ):
+    for (nxa, nya), (nxb, nyb), sta, stb in zip(grids, grids[1:], finals, finals[1:]):
         if nxa == nxb and nya == nyb:
             diffs["n"].append(0.0)
             diffs["c"].append(0.0)
             continue
-        fx = nxb // nxa
-        diffs["n"].append(l2(sta.n.values - _restrict(stb.n.values, fx), nxa, nya))
-        diffs["c"].append(l2(sta.c.values - _restrict(stb.c.values, fx), nxa, nya))
+        diffs["n"].append(l2(sta.n.values - _restrict(stb.n.values, r), nxa, nya))
+        diffs["c"].append(l2(sta.c.values - _restrict(stb.c.values, r), nxa, nya))
 
-    orders = {}
-    for key, d in diffs.items():
-        ords = []
-        for d1, d2 in zip(d, d[1:]):
-            ords.append(math.log2(d1 / d2) if d1 > 0 and d2 > 0 else float("nan"))
-        orders[key] = ords
+    # both differences are nonzero only if some grid is refined, so r > 1
+    orders = {key: [math.log2(d1 / d2) / math.log2(r) if d1 > 0 and d2 > 0 else float("nan")
+                    for d1, d2 in zip(d, d[1:])] for key, d in diffs.items()}
     return RefinementReport(grids, diffs, orders)

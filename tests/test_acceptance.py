@@ -8,6 +8,7 @@ u0 = 0, horizon T = 10, record cadence 0.05.
 """
 
 import math
+from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
@@ -131,6 +132,17 @@ class TestReferenceRun:
             ok_f and ok_g,
             f"F: mu={rep.mu:.3g} Gamma={rep.Gamma:.3g} frac={rep.residual_nonpos_fraction:.3f}; "
             f"G: mu={rep7.mu:.3g} Gamma={rep7.Gamma:.3g} frac={rep7.residual_nonpos_fraction:.3f}",
+        )
+
+    def test_energy_envelope_rejects_growth(self, reference):
+        # the reference F, made to grow by 20 % per unit time, must fail the hold-out
+        _, records, _, _ = reference
+        probe = [dc_replace(r, F=r.F * (1.0 + 0.2 * r.t)) for r in records]
+        rep = functional_envelope(probe, functional="F")
+        _report(
+            "energy-envelope-rejects-growth",
+            not rep.feasible,
+            f"F*(1+0.2t): mu={rep.mu:.3g} Gamma={rep.Gamma:.3g} frac={rep.residual_nonpos_fraction:.3f}",
         )
 
     def test_window_averaged_dissipation(self, reference):

@@ -120,8 +120,9 @@ class TestBadArguments:
         ["sweep-eps", "--eps", "0.1,0"],
         ["sweep-grid", "--grids", "8,8;12,12"],
         ["sweep-grid", "--grids", "2,2;4,4"],
+        ["sweep-grid", "--grids", "8,8;16,16;48,48"],
     ], ids=["eps-negative", "eps-increasing", "eps-not-a-number", "eps-zero",
-            "grids-not-nested", "grids-too-small"])
+            "grids-not-nested", "grids-too-small", "grids-mixed-factors"])
     def test_error_line_and_exit_1(self, tiny_config, capsys, monkeypatch, argv):
         runs = []
         monkeypatch.setattr(sweeps, "run", lambda *a, **k: runs.append(a))

@@ -54,6 +54,29 @@ class TestParse:
         assert cfg.grid.nx == 64
         assert cfg.spec.M == 1.5
 
+    @pytest.mark.parametrize("old, new, key", [
+        ("nx = 64", "nx = 64.9", "nx"),
+        ("seed = 0", "seed = 2.7", "seed"),
+    ])
+    def test_fractional_integer_key_rejected(self, old, new, key):
+        with pytest.raises(ConfigError, match=rf"{key} must be an integer; got '{new.split()[-1]}'"):
+            parse_config(reference_config_text(t_end=0.2).replace(old, new))
+
+    def test_integral_float_accepted_as_integer(self):
+        cfg = parse_config(reference_config_text(t_end=0.2).replace("nx = 64", "nx = 32.0"))
+        assert cfg.grid.nx == 32
+
+    @pytest.mark.parametrize("word, value", [("on", True), ("Yes", True), ("1", True),
+                                             ("off", False), ("no", False), ("0", False)])
+    def test_snapshots_boolean_words(self, word, value):
+        text = reference_config_text(t_end=0.2).replace("snapshots = false", f"snapshots = {word}")
+        assert parse_config(text).snapshots is value
+
+    def test_snapshots_unknown_word_rejected(self):
+        text = reference_config_text(t_end=0.2).replace("snapshots = false", "snapshots = maybe")
+        with pytest.raises(ConfigError, match="snapshots must be one of .*; got 'maybe'"):
+            parse_config(text)
+
     def test_gamma_too_large(self):
         with pytest.raises(ConfigError, match=r"\[0, 5/6\]"):
             parse_config(reference_config_text(gamma=0.9))

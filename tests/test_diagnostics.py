@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chemoflow.diagnostics import (
+    FEASIBILITY,
+    MU_RANGE,
     DiagnosticsRecord,
     functional_envelope,
     record,
@@ -143,20 +145,46 @@ class TestEnvelope:
         assert rep.mu >= 0.5
 
     @given(
-        f_values=st.lists(st.floats(1e-12, 1e6), min_size=2, max_size=200),
+        f_values=st.lists(st.floats(1e-12, 1e6), min_size=1, max_size=200),
         t0=st.floats(0.0, 1e3),
         gaps=st.lists(st.floats(1e-9, 1e3), min_size=199, max_size=199),
     )
-    def test_always_feasible(self, f_values, t0, gaps):
+    def test_report_well_formed(self, f_values, t0, gaps):
         # gaps >= 1e-9 keep dF/dt finite; one below ~1e-300 overflows it
         # (see test_overflowing_quotient_rejected)
         ts = t0 + np.concatenate([[0.0], np.cumsum(gaps[: len(f_values) - 1])])
         values = iter(f_values)
         rep = functional_envelope(synth_series(lambda t: next(values), ts))
-        assert rep.feasible
-        assert rep.residual_nonpos_fraction >= 0.99
-        assert 1e-3 <= rep.mu <= 1e2
+        assert 0.0 <= rep.residual_nonpos_fraction <= 1.0
+        assert rep.feasible == (rep.residual_nonpos_fraction >= FEASIBILITY)
+        assert MU_RANGE[0] <= rep.mu <= MU_RANGE[1]
         assert rep.envelope_bound >= f_values[0]
+        assert rep.max_value == max(f_values)
+
+    @pytest.mark.parametrize("growth", [
+        pytest.param(lambda t: 1.0 + 0.2 * t, id="linear"),
+        pytest.param(lambda t: math.exp(0.05 * t), id="exponential"),
+    ])
+    def test_growth_past_calibration_rejected(self, growth):
+        # a transient that settles like the reference F (8.0 to 1.55 in its
+        # first interval of 0.05), then grows
+        rows = synth_series(lambda t: (1.3 + 6.7 * math.exp(-66.0 * t)) * growth(t),
+                            np.linspace(0, 10, 201))
+        rep = functional_envelope(rows)
+        assert not rep.feasible
+        assert rep.residual_nonpos_fraction == 0.0
+
+    def test_round_off_noise_at_rest_feasible(self):
+        # a state at rest: F constant up to +-9e-15 of round-off
+        noise = iter(np.random.default_rng(0).uniform(-9e-15, 9e-15, 201))
+        rows = synth_series(lambda t: 1.302172864557 + next(noise), np.linspace(0, 10, 201))
+        rep = functional_envelope(rows)
+        assert rep.feasible and rep.residual_nonpos_fraction == 1.0
+
+    def test_two_records_trivially_feasible(self):
+        rep = functional_envelope(synth_series(lambda t: 2.0 - t, [0.0, 0.5]))
+        assert rep.feasible and rep.residual_nonpos_fraction == 1.0
+        assert rep.envelope_bound == 2.0 and rep.max_value == 2.0
 
     def test_overflowing_quotient_rejected(self):
         rows = synth_series(lambda t: 1.0 if t == 0.0 else 1e6, [0.0, 1e-310])

@@ -113,6 +113,18 @@ class TestRefinement:
         for order in rep.orders["n"]:
             assert 1.7 < order < 2.4
 
+    def test_diffusion_second_order_refining_by_three(self):
+        # orders are log base r of the difference ratios; log2 would read ~3.1
+        cfg = parse_config(PURE_DIFFUSION)
+        rep = refinement_sweep(cfg, [(8, 8), (24, 24), (72, 72)], T=0.05)
+        for order in rep.orders["n"]:
+            assert 1.7 < order < 2.4
+
+    def test_mixed_factors_rejected(self):
+        cfg = parse_config(PURE_DIFFUSION)
+        with pytest.raises(ValueError, match=r"8x8 -> 16x16 -> 48x48 mix refinement factors \[2, 3\]"):
+            refinement_sweep(cfg, [(8, 8), (16, 16), (48, 48)], T=0.02)
+
     def test_advection_first_order(self):
         cfg = parse_config(ADVECTION_DOMINATED)
         rep = refinement_sweep(cfg, [(16, 16), (32, 32), (64, 64), (128, 128)], T=0.2)

@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 from numpy.random import default_rng  # loaded with the module, not by the first corpus member
 
-from .grid import Grid, ScalarField, cell_gradients, integrate, make_grid
+from .grid import Grid, ScalarField, cell_derivative, cell_gradients, integrate, make_grid
 
 __all__ = [
     "FieldCorpus",
@@ -76,9 +77,9 @@ class FieldCorpus:
 
     The series sum_{k,m} a_km cos(k pi x/lx) cos(m pi y/ly) is separable,
     so each field is built as Cx A Cy^T from two cosine tables of shape
-    (nx, max_mode+1) and (ny, max_mode+1) and the amplitude matrix A
-    (A[0, 0] = 0), not as a sum of full-grid mode products.  The
-    amplitudes are drawn in one call, in (k, m) row-major order.
+    (nx, max_mode+1) and (ny, max_mode+1), made once per corpus, and the
+    amplitude matrix A (A[0, 0] = 0), not as a sum of full-grid mode
+    products.  The amplitudes are drawn in one call, in (k, m) row-major order.
     """
 
     nx: int = 64
@@ -94,27 +95,35 @@ class FieldCorpus:
     def grid(self) -> Grid:
         return make_grid(self.nx, self.ny, self.lx, self.ly)
 
-    def _raw(self, rng, grid) -> np.ndarray:
-        # cx A cy^T, contracted one mode axis at a time by broadcasting:
-        # BLAS matmul and einsum both left the peak resident memory higher
+    @cached_property
+    def _tables(self):
+        """(spectral weights of A, cx, cy), shared by every member."""
+        g = self.grid
         modes = np.arange(self.max_mode + 1)
-        amps = np.zeros((modes.size, modes.size))
-        amps.flat[1:] = rng.standard_normal(amps.size - 1)  # (k, m) row-major, (0, 0) skipped
-        amps /= (1.0 + np.add.outer(modes**2, modes**2)) ** (self.decay / 2.0)
-        cx = np.cos(modes * np.pi * grid.xc()[:, None] / self.lx)
-        cy = np.cos(modes * np.pi * grid.yc()[:, None] / self.ly)
-        rows = (amps[:, None, :] * cy[None, :, :]).sum(axis=2)  # (k, j): A cy^T
-        return (cx[:, :, None] * rows[None, :, :]).sum(axis=1)
+        weights = (1.0 + np.add.outer(modes**2, modes**2)) ** (self.decay / 2.0)
+        cx = np.cos(modes * np.pi * g.xc()[:, None] / self.lx)
+        cy = np.cos(modes * np.pi * g.yc()[:, None] / self.ly)
+        weights.flags.writeable = cx.flags.writeable = cy.flags.writeable = False
+        return weights, cx, cy
 
-    def member(self, index: int, grid: Grid | None = None):
+    def _raw(self, rng) -> np.ndarray:
+        # two small BLAS products: the first costs OpenBLAS ~0.4 MB of peak RSS,
+        # and each field then takes a tenth of the time of a broadcast contraction
+        weights, cx, cy = self._tables
+        amps = np.zeros(weights.shape)
+        amps.flat[1:] = rng.standard_normal(amps.size - 1)  # (k, m) row-major, (0, 0) skipped
+        amps /= weights
+        return cx @ (amps @ cy.T)
+
+    def member(self, index: int):
         """(phi, psi) pair for one member: phi > 0, psi signed."""
-        g = grid if grid is not None else self.grid
+        g = self.grid
         rng = default_rng([self.seed, index])
-        raw = self._raw(rng, g)
+        raw = self._raw(rng)
         span = rng.uniform(SPAN_LO, SPAN_HI)
         lo, hi = raw.min(), raw.max()
         phi = FLOOR + span * (raw - lo) / max(hi - lo, 1e-300)
-        raw2 = self._raw(rng, g)
+        raw2 = self._raw(rng)
         amp = rng.uniform(0.3, 2.0)
         psi = raw2 * (amp / max(np.abs(raw2).max(), 1e-300))
         return ScalarField(g, phi), ScalarField(g, psi)
@@ -132,9 +141,7 @@ class FieldCorpus:
 
 def _hessian(gx, gy, grid):
     """(d2/dx2, d2/dxdy, d2/dy2) from the first derivatives gx, gy."""
-    gxx, gxy = cell_gradients(gx, grid)
-    _, gyy = cell_gradients(gy, grid)
-    return gxx, gxy, gyy
+    return (*cell_gradients(gx, grid), cell_derivative(gy, grid.hy, 1))
 
 
 def _integral(values, grid) -> float:
@@ -163,6 +170,8 @@ def log_hessian_identity_residual(phi: ScalarField):
     """
     g = phi.grid
     v = phi.values
+    if min(g.nx, g.ny) < 2 * MARGIN + 1:
+        raise ValueError(f"need at least {2 * MARGIN + 1} cells per axis, got a {g.nx}x{g.ny} grid")
     if (v <= 0).any():
         raise ValueError("field must be strictly positive")
     gx, gy = cell_gradients(v, g)
@@ -513,14 +522,15 @@ def _ode_trajectory_margin(seed: int) -> float:
     h = rng.uniform(0.0, b, size=n_pieces)
     if rng.uniform() < 0.3:
         h[:] = b  # saturated forcing
+    forcing = b * tau / (1.0 - math.exp(-a * tau))  # ode_envelope's, hoisted
+    decay = math.exp(-a * dt)
     y = y0
     t = 0.0
     margin = ode_envelope(y0, a, b, tau, 0.0) - y0
-    for k in range(n_pieces):
-        decay = math.exp(-a * dt)
-        y = y * decay + h[k] / a * (1.0 - decay)
+    for hk in h.tolist():
+        y = y * decay + hk / a * (1.0 - decay)
         t += dt
-        margin = min(margin, ode_envelope(y0, a, b, tau, t) - y)
+        margin = min(margin, y0 * math.exp(-a * t) + forcing - y)
     return margin
 
 

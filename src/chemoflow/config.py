@@ -175,10 +175,13 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(violations)
 
     def get(section, key, default=None, cast=float):
-        if parser.has_option(section, key):
-            raw = parser.get(section, key)
-            return cast(raw) if cast is not None else raw
-        return default
+        if cast is None or not parser.has_option(section, key):
+            return parser.get(section, key, fallback=default)
+        raw = parser.get(section, key)
+        try:
+            return cast(raw)
+        except ValueError:
+            raise ConfigError(f"[{section}] {key} must be numeric; got {raw!r}") from None
 
     def get_int(section, key, default):
         value = get(section, key, default)
@@ -200,8 +203,8 @@ def parse_config(text: str) -> RunConfig:
             diffusion = PorousMedium(get("model", "m", 2.0))
         elif diff_kind.strip().lower() == "tabulated":
             diffusion = TabulatedDiffusion(
-                _floats_list(get("model", "table_knots", "0,1", cast=None)),
-                _floats_list(get("model", "table_values", "1,1", cast=None)),
+                get("model", "table_knots", (0.0, 1.0), cast=_floats_list),
+                get("model", "table_values", (1.0, 1.0), cast=_floats_list),
             )
         else:
             raise ConfigError(f"unknown diffusion kind {diff_kind!r}")
@@ -211,7 +214,7 @@ def parse_config(text: str) -> RunConfig:
             s0_sensitivity=get("model", "s0_sensitivity", 1.0),
             sensitivity_kind=(get("model", "sensitivity_kind", "isotropic", cast=None) or "isotropic").strip(),
             rotation_angle=get("model", "rotation_angle", 0.0),
-            phi_gradient=_floats_list(get("model", "phi_gradient", "0,0", cast=None)),
+            phi_gradient=get("model", "phi_gradient", (0.0, 0.0), cast=_floats_list),
             epsilon=get("model", "epsilon", 0.05),
             L=get("model", "l", 1.0),
             M=get("model", "m_bound", 1.0),

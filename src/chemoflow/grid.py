@@ -21,6 +21,7 @@ __all__ = [
     "State",
     "make_grid",
     "integrate",
+    "cell_derivative",
     "cell_gradients",
 ]
 
@@ -222,7 +223,22 @@ def integrate(f: ScalarField) -> float:
     return float(f.values.sum() * f.grid.cell_area)
 
 
+def cell_derivative(values: np.ndarray, h: float, axis: int) -> np.ndarray:
+    """d/d(axis) of cell-centered values with spacing h, bitwise equal to
+    np.gradient(values, h, axis=axis, edge_order=2): the same operations in
+    the same order.  The centered differences run on the flat view at the
+    axis's stride; in y they also span row ends, which the wall stencils overwrite."""
+    out = np.empty(values.shape)
+    stride = values.shape[1] if axis == 0 else 1
+    f, d = values.reshape(-1), out.reshape(-1)
+    np.subtract(f[2 * stride:], f[:-2 * stride], out=d[stride:-stride])
+    d[stride:-stride] /= 2.0 * h
+    f, d = (values, out) if axis == 0 else (values.T, out.T)
+    d[0] = -1.5 / h * f[0] + 2.0 / h * f[1] + -0.5 / h * f[2]
+    d[-1] = 0.5 / h * f[-3] + -2.0 / h * f[-2] + 1.5 / h * f[-1]
+    return out
+
+
 def cell_gradients(values: np.ndarray, grid: Grid):
-    """(d/dx, d/dy) of cell-centered values: centered in the interior,
-    one-sided second order at the walls."""
-    return np.gradient(values, grid.hx, grid.hy, edge_order=2)
+    """(d/dx, d/dy) of cell-centered values, bitwise equal to np.gradient."""
+    return cell_derivative(values, grid.hx, 0), cell_derivative(values, grid.hy, 1)

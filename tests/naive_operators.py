@@ -5,6 +5,10 @@ in-place accumulation.  The forms below do the same floating-point
 operations in the same order on fresh temporaries, so the tests can
 require the two to agree to the bit.
 
+The ODE trajectory margin of the lemma checks is here too, as a plain
+loop that recomputes each invariant per piece, for the same bitwise pin
+against `chemoflow.analysis._ode_trajectory_margin`.
+
 The last section holds independent reference routes, which agree with
 the package only to a tolerance: the Poisson and Helmholtz solves by
 scipy's fast cosine and sine transforms and by a sparse LU solve,
@@ -21,6 +25,7 @@ from scipy import fft as sp_fft
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
+from chemoflow.analysis import ode_envelope
 from chemoflow.grid import ScalarField, VectorField
 from chemoflow.model import ModelSpec, boundary_cutoff, density_cutoff, sensitivity_scale
 
@@ -149,6 +154,35 @@ def advect_velocity(u):
         + np.minimum(by, 0.0) * fwd_y2
     )
     return tend
+
+
+# ----------------------------------------------------------------------
+# lemma checks
+# ----------------------------------------------------------------------
+
+def ode_trajectory_margin(seed: int) -> float:
+    """Exact integration of y' + a y = h for piecewise-constant admissible h;
+    returns min over time of (envelope - y)."""
+    rng = np.random.default_rng(seed)
+    a = float(rng.uniform(0.2, 3.0))
+    b = float(rng.uniform(0.1, 2.0))
+    tau = float(rng.uniform(0.3, 2.0))
+    y0 = float(rng.uniform(0.0, 3.0))
+    t_end = 12.0
+    n_pieces = 240
+    dt = t_end / n_pieces
+    h = rng.uniform(0.0, b, size=n_pieces)
+    if rng.uniform() < 0.3:
+        h[:] = b  # saturated forcing
+    y = y0
+    t = 0.0
+    margin = ode_envelope(y0, a, b, tau, 0.0) - y0
+    for k in range(n_pieces):
+        decay = math.exp(-a * dt)
+        y = y * decay + h[k] / a * (1.0 - decay)
+        t += dt
+        margin = min(margin, ode_envelope(y0, a, b, tau, t) - y)
+    return margin
 
 
 # ----------------------------------------------------------------------

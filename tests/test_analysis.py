@@ -29,6 +29,8 @@ from chemoflow.analysis import (
 )
 from chemoflow.grid import ScalarField, make_grid
 
+import naive_operators as naive
+
 
 class TestLogHessianIdentity:
     def test_constant_field(self):
@@ -52,6 +54,17 @@ class TestLogHessianIdentity:
             _, g1, g2 = log_hessian_identity_residual(phi)
             assert g1 >= -1e-8
             assert g2 >= -1e-8
+
+    @pytest.mark.parametrize("nx, ny", [(4, 4), (4, 16), (16, 4)])
+    def test_grid_without_interior_rejected(self, nx, ny):
+        phi = ScalarField.full(make_grid(nx, ny, 1.0, 1.0), 1.0)
+        with pytest.raises(ValueError, match=rf"at least 5 cells per axis.* {nx}x{ny} grid"):
+            log_hessian_identity_residual(phi)
+
+    def test_smallest_grid_with_interior(self):
+        g = make_grid(5, 5, 1.0, 1.0)
+        res, _, _ = log_hessian_identity_residual(ScalarField.from_function(g, lambda x, y: 1.0 + x * y))
+        assert math.isfinite(res)
 
     def test_positivity_required(self):
         g = make_grid(16, 16, 1.0, 1.0)
@@ -146,6 +159,17 @@ class TestOdeEnvelope:
                     violations += 1
         assert violations == 0
 
+    def test_trajectory_margin_matches_loop_twin_bitwise(self):
+        saturated = 0
+        for seed in range(200):
+            got = analysis._ode_trajectory_margin(seed)
+            want = naive.ode_trajectory_margin(seed)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            rng = np.random.default_rng(seed)
+            rng.uniform(size=4 + 240)  # a, b, tau, y0 and the forcing pieces
+            saturated += rng.uniform() < 0.3
+        assert 20 <= saturated <= 180  # both forcing kinds are pinned
+
 
 class TestMkLimit:
     def test_closed_form_doubling(self):
@@ -225,7 +249,8 @@ class TestCorpus:
 class _PerModeCorpus(FieldCorpus):
     """Reference: the series summed one full-grid mode product at a time."""
 
-    def _raw(self, rng, grid):
+    def _raw(self, rng):
+        grid = self.grid
         x, y = grid.cell_mesh()
         out = np.zeros((grid.nx, grid.ny))
         for k in range(self.max_mode + 1):
@@ -257,6 +282,10 @@ class TestReport:
         with pytest.raises(ValueError, match="at least 2 corpus members"):
             run_lemma_checks(FieldCorpus(n_members=members))
 
+    def test_corpus_grid_without_interior_rejected(self):
+        with pytest.raises(ValueError, match="at least 5 cells per axis.* 4x4 grid"):
+            run_lemma_checks(FieldCorpus(nx=4, ny=4, n_members=4))
+
     def test_all_checks_pass(self):
         rows = run_lemma_checks(FieldCorpus(n_members=40))
         assert all(r.passed for r in rows)
@@ -275,6 +304,25 @@ class TestReport:
         monkeypatch.setattr(analysis, "_trudinger_terms", counted)
         run_lemma_checks(FieldCorpus(n_members=40))
         assert len(calls) == 40  # 20 calibration + 20 held-out pairs, all exponents at once
+
+
+class TestBlasThreads:
+    def test_report_bits_do_not_depend_on_blas_threads(self, tmp_path):
+        # the corpus fields are BLAS products; the report must not depend
+        # on how many threads OpenBLAS splits them across
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.txt"
+            env = {**os.environ, "PYTHONPATH": str(src),
+                   "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            done = subprocess.run([sys.executable, "-m", "chemoflow.cli", "verify-lemmas",
+                                   "--members", "12", "--output", str(out)],
+                                  env=env, capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+            reports.append(out.read_bytes())
+        assert b"PASS" in reports[0]
+        assert reports[0] == reports[1]
 
 
 class TestBenchmarkHooks:

@@ -34,6 +34,16 @@ class TestValidate:
         assert main(["validate", str(path)]) == 1
         assert "VIOLATION" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new, line", [
+        ("gamma = 0.5", "gamma = abc", "VIOLATION: [model] gamma must be numeric; got 'abc'"),
+        ("cadence = 0.05", "cadence = x", "VIOLATION: [output] cadence must be numeric; got 'x'"),
+    ])
+    def test_non_numeric_value_is_a_named_violation(self, tmp_path, capsys, old, new, line):
+        path = tmp_path / "bad.ini"
+        path.write_text(reference_config_text(t_end=0.1, nx=16, ny=16).replace(old, new))
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [line]
+
 
 class TestRun:
     def test_writes_csv_and_passes_monitors(self, tiny_config, tmp_path, capsys):

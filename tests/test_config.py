@@ -62,6 +62,21 @@ class TestParse:
         with pytest.raises(ConfigError, match=rf"{key} must be an integer; got '{new.split()[-1]}'"):
             parse_config(reference_config_text(t_end=0.2).replace(old, new))
 
+    @pytest.mark.parametrize("old, new", [
+        ("gamma = 0.5", "gamma = abc"),
+        ("cadence = 0.05", "cadence = x"),
+        ("lx = 1.0", "lx = one"),
+        ("nx = 64", "nx = many"),
+        ("phi_gradient = 0.0, -1.0", "phi_gradient = 0.0, down"),
+    ])
+    def test_non_numeric_value_named(self, old, new):
+        key, value = (part.strip() for part in new.split("="))
+        section = {"gamma": "model", "cadence": "output", "lx": "grid", "nx": "grid",
+                   "phi_gradient": "model"}[key]
+        with pytest.raises(ConfigError) as info:
+            parse_config(reference_config_text(t_end=0.2).replace(old, new))
+        assert info.value.violations == [f"[{section}] {key} must be numeric; got {value!r}"]
+
     def test_integral_float_accepted_as_integer(self):
         cfg = parse_config(reference_config_text(t_end=0.2).replace("nx = 64", "nx = 32.0"))
         assert cfg.grid.nx == 32

@@ -7,6 +7,8 @@ from chemoflow.grid import (
     ScalarField,
     State,
     VectorField,
+    cell_derivative,
+    cell_gradients,
     integrate,
     make_grid,
 )
@@ -64,6 +66,26 @@ class TestIntegrate:
         g = make_grid(8, 8, 1.0, 1.0)
         f = ScalarField(g, rng.random((8, 8)))
         assert integrate(f) >= 0.0
+
+
+class TestCellGradients:
+    @given(st.integers(4, 70), st.integers(4, 70), st.floats(0.01, 100.0), st.floats(0.01, 100.0),
+           st.integers(0, 2**31 - 1))
+    def test_bitwise_equal_to_numpy_gradient(self, nx, ny, lx, ly, seed):
+        g = make_grid(nx, ny, lx, ly)
+        r = np.random.default_rng(seed)
+        v = r.standard_normal((nx, ny)) * 10.0 ** r.uniform(-6, 6, (nx, ny))
+        want = np.gradient(v, g.hx, g.hy, edge_order=2)
+        got = cell_gradients(v, g)
+        one_axis = (cell_derivative(v, g.hx, 0), cell_derivative(v, g.hy, 1))
+        for w, a, b in zip(want, got, one_axis):
+            assert a.tobytes() == w.tobytes() and b.tobytes() == w.tobytes()
+
+    def test_strided_input(self, rng):
+        g = make_grid(9, 6, 1.0, 2.0)
+        v = rng.standard_normal((6, 9)).T  # a transposed, non-contiguous view
+        for w, a in zip(np.gradient(v, g.hx, g.hy, edge_order=2), cell_gradients(v, g)):
+            assert a.tobytes() == w.tobytes()
 
 
 class TestVectorField:

@@ -76,13 +76,13 @@ class RunConfig:
     seed: int = 0
 
     def initial_state(self) -> State:
-        n0 = _build_scalar(self.grid, self.n0_kind, normalize_mass=True)
-        c0 = _build_scalar(self.grid, self.c0_kind)
+        n0 = _build_scalar(self.grid, "n0", self.n0_kind, normalize_mass=True)
+        c0 = _build_scalar(self.grid, "c0", self.c0_kind)
         u0 = _build_velocity(self.grid, self.u0_kind)
         return State(n0, c0, u0, 0.0)
 
 
-def _parse_catalogue(text: str):
+def _parse_catalogue(field: str, text: str):
     head, _, rest = text.partition(":")
     kind = head.strip().lower()
     params = {}
@@ -92,7 +92,11 @@ def _parse_catalogue(text: str):
             k, _, v = part.partition("=")
             if not _:
                 raise ConfigError(f"malformed catalogue parameter {part.strip()!r}")
-            params[k.strip()] = float(v)
+            try:
+                params[k.strip()] = float(v)
+            except ValueError:
+                raise ConfigError(f"{field} {kind} parameter {k.strip()} must be numeric; "
+                                  f"got {v.strip()!r}") from None
     return kind, params
 
 
@@ -102,8 +106,8 @@ def _require_params(kind, params, allowed):
         raise ConfigError(f"unknown parameters {sorted(unknown)} for initial kind {kind!r}")
 
 
-def _build_scalar(grid: Grid, text: str, normalize_mass: bool = False) -> ScalarField:
-    kind, p = _parse_catalogue(text)
+def _build_scalar(grid: Grid, field: str, text: str, normalize_mass: bool = False) -> ScalarField:
+    kind, p = _parse_catalogue(field, text)
     if kind == "constant":
         _require_params(kind, p, {"value"})
         return ScalarField.full(grid, p.get("value", 1.0))
@@ -135,7 +139,7 @@ def _build_scalar(grid: Grid, text: str, normalize_mass: bool = False) -> Scalar
 
 
 def _build_velocity(grid: Grid, text: str) -> VectorField:
-    kind, p = _parse_catalogue(text)
+    kind, p = _parse_catalogue("u0", text)
     if kind == "zero":
         _require_params(kind, p, set())
         return VectorField.zeros(grid)
@@ -274,8 +278,6 @@ def validate_config(cfg: RunConfig):
     elif cfg.snapshots and (clash := _snapshot_clash(cfg.cadence, cfg.controls.t_end)):
         violations.append(f"snapshots at t={clash[0]!r} and t={clash[1]!r} would share the file "
                           f"{snapshot_name(clash[1])}; snapshot names resolve t to 1e-6")
-    if not (0.0 <= spec.gamma <= 5.0 / 6.0):
-        violations.append(f"gamma must lie in [0, 5/6]; got {spec.gamma}")
     if not (0.0 < spec.epsilon < 1.0):
         violations.append(f"epsilon must lie in (0, 1) for a run; got {spec.epsilon}")
     if isinstance(spec.diffusion, PorousMedium) and not (1.0 < spec.diffusion.m <= 2.0):

@@ -100,10 +100,8 @@ class ModelSpec:
     M: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 <= self.gamma <= GAMMA_MAX + 1e-15):
-            raise ValueError(
-                f"gamma must lie in [0, 5/6], got {self.gamma}"
-            )
+        if not (0.0 <= self.gamma <= GAMMA_MAX):
+            raise ValueError(f"gamma must lie in [0, 5/6], got {self.gamma}")
         # epsilon = 0 is admitted for direct coefficient evaluation (the
         # unregularized limit); simulation configs require epsilon in (0, 1).
         if not (0.0 <= self.epsilon < 1.0):

@@ -26,15 +26,13 @@ Performance rules
   intermediates are computed in place (``out=``, ``+=``) with the same
   floating-point operations in the same order as the plain expressions,
   so results do not depend on how they are evaluated.
-* Module-level ``lru_cache`` tables hold read-only arrays only, so a
-  PoissonSolver stays immutable and safe to share: ``_face_cutoffs``
-  (rho_eps at the faces, per grid and spec) and ``_helmholtz_denominator``
-  (1 + alpha * lam per grid, layout and alpha; three entries, one per
-  layout, since alpha = dt repeats while dt_max sets the step).  The
-  1-D eigenvalues (nx + ny cosines) are recomputed on each denominator
-  miss, which costs little beside one solve.  The
-  denominator is divided by, never replaced by a cached reciprocal,
-  which would change the last bit.
+* Cached tables hold read-only arrays only, so a PoissonSolver stays
+  immutable and safe to share: the module-level ``_face_cutoffs``
+  (rho_eps at the faces, per grid and spec) and the solver's bases and
+  eigenvalue sums lam, per layout.  Nothing is keyed on dt: each
+  Helmholtz solve forms 1 + alpha * lam anew, two operations per entry
+  that cost little beside the solve.  The denominator is divided by,
+  never replaced by a reciprocal, which would change the last bit.
 * Each spectral solve is four dense products with the 1-D bases that
   PoissonSolver builds once (Ax B Ay^T, divide, Ax^T Bh Ay), so it costs
   O(nx ny (nx + ny)) and needs numpy only: no verb imports scipy.  On one
@@ -343,35 +341,12 @@ def _basis(n: int, k0: int, k1: int) -> np.ndarray:
     return a
 
 
-def _ranges(grid: Grid, layout: str):
-    """The k ranges in x and y for layout "cell", "ux" or "uy"."""
-    nx, ny = grid.nx, grid.ny
-    return {
-        "cell": ((0, nx), (0, ny)),
-        "ux": ((1, nx), (1, ny + 1)),
-        "uy": ((1, nx + 1), (1, ny)),
-    }[layout]
-
-
-def _eigen_sum(grid: Grid, layout: str) -> np.ndarray:
-    """lam[i, j] = lam_x[i] + lam_y[j] for layout "cell", "ux" or "uy"."""
-    kx, ky = _ranges(grid, layout)
-    return _eigen(grid.nx, grid.hx, *kx)[:, None] + _eigen(grid.ny, grid.hy, *ky)[None, :]
-
-
-@lru_cache(maxsize=3)
-def _helmholtz_denominator(grid: Grid, layout: str, alpha: float) -> np.ndarray:
-    """1 + alpha * lam, read-only; one entry per layout while alpha repeats."""
-    denom = 1.0 + alpha * _eigen_sum(grid, layout)
-    denom.flags.writeable = False
-    return denom
-
-
 class PoissonSolver:
     """Direct solver for the cell-centered Neumann Poisson problem.
 
     Diagonalization on the uniform grid by the 1-D eigenbases of each
-    layout (Lynch, Rice & Thomas 1964), built once here.  The same object
+    layout (Lynch, Rice & Thomas 1964), built once here together with the
+    eigenvalue sums lam[i, j] = lam_x[i] + lam_y[j].  The same object
     carries the semi-implicit Helmholtz solves for the signal and the
     velocity components; it is immutable after construction and safe to
     share.
@@ -379,26 +354,37 @@ class PoissonSolver:
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        self._bases = {}
-        for layout in ("cell", "ux", "uy"):
-            kx, ky = _ranges(grid, layout)
-            self._bases[layout] = (_basis(grid.nx, *kx), _basis(grid.ny, *ky))
-        lam = _eigen_sum(grid, "cell")
-        lam[0, 0] = np.inf  # gauge mode: its coefficient divides to zero in solve
-        lam.flags.writeable = False
-        self._lam = lam
+        nx, ny = grid.nx, grid.ny
+        self._bases, self._lam = {}, {}
+        for layout, kx, ky in (
+            ("cell", (0, nx), (0, ny)),
+            ("ux", (1, nx), (1, ny + 1)),
+            ("uy", (1, nx + 1), (1, ny)),
+        ):
+            self._bases[layout] = (_basis(nx, *kx), _basis(ny, *ky))
+            lam = _eigen(nx, grid.hx, *kx)[:, None] + _eigen(ny, grid.hy, *ky)[None, :]
+            lam.flags.writeable = False
+            self._lam[layout] = lam
+        gauged = self._lam["cell"].copy()
+        gauged[0, 0] = np.inf  # gauge mode: its coefficient divides to zero in solve
+        gauged.flags.writeable = False
+        self._gauged = gauged
 
-    def _diagonal_solve(self, layout: str, b: np.ndarray, denom: np.ndarray) -> np.ndarray:
-        """Ax^T ((Ax b Ay^T) / denom) Ay with the bases of `layout`."""
+    def _diagonal_solve(self, layout: str, b: np.ndarray, alpha) -> np.ndarray:
+        """Ax^T ((Ax b Ay^T) / d) Ay with the bases of `layout`, where
+        d = 1 + alpha * lam, or the gauge-fixed lam if alpha is None."""
         ax, ay = self._bases[layout]
         bh = ax @ b @ ay.T
-        bh /= denom
+        if alpha is None:
+            bh /= self._gauged
+        else:
+            bh /= 1.0 + alpha * self._lam[layout]
         return ax.T @ bh @ ay
 
     # -- pressure Poisson -------------------------------------------------
     def solve(self, rhs: ScalarField) -> ScalarField:
         """Solve laplace(p) = rhs - mean(rhs); returns zero-mean p."""
-        p = self._diagonal_solve("cell", rhs.values, self._lam)
+        p = self._diagonal_solve("cell", rhs.values, None)
         np.negative(p, out=p)  # laplace has the eigenvalues -lam
         return ScalarField(self.grid, p)
 
@@ -412,15 +398,15 @@ class PoissonSolver:
     # -- semi-implicit Helmholtz solves -----------------------------------
     def helmholtz_cells(self, b: np.ndarray, alpha: float) -> np.ndarray:
         """(I - alpha * laplace) x = b on cell centers, Neumann walls."""
-        return self._diagonal_solve("cell", b, _helmholtz_denominator(self.grid, "cell", alpha))
+        return self._diagonal_solve("cell", b, alpha)
 
     def helmholtz_ux(self, b_interior: np.ndarray, alpha: float) -> np.ndarray:
         """(I - alpha * laplace) on interior x-faces, no-slip walls."""
-        return self._diagonal_solve("ux", b_interior, _helmholtz_denominator(self.grid, "ux", alpha))
+        return self._diagonal_solve("ux", b_interior, alpha)
 
     def helmholtz_uy(self, b_interior: np.ndarray, alpha: float) -> np.ndarray:
         """(I - alpha * laplace) on interior y-faces, no-slip walls."""
-        return self._diagonal_solve("uy", b_interior, _helmholtz_denominator(self.grid, "uy", alpha))
+        return self._diagonal_solve("uy", b_interior, alpha)
 
 
 def project(v_star: VectorField, solver: PoissonSolver):

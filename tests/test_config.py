@@ -222,6 +222,16 @@ class TestInitialData:
         with pytest.raises(ConfigError, match="unknown scalar initial"):
             parse_config(MINIMAL.replace("n0 = constant: value=1.0", "n0 = blob: q=1"))
 
+    @pytest.mark.parametrize("field, text, message", [
+        ("n0", "gaussian: mass=abc, sigma=0.15", "n0 gaussian parameter mass must be numeric; got 'abc'"),
+        ("c0", "cosine: base=1.0, amp=half", "c0 cosine parameter amp must be numeric; got 'half'"),
+        ("u0", "vortex: amp=x", "u0 vortex parameter amp must be numeric; got 'x'"),
+    ])
+    def test_non_numeric_parameter_named(self, field, text, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(reference_config_text(t_end=0.2, **{field: text}))
+        assert info.value.violations == [f"initial data rejected: {message}"]
+
     def test_unknown_catalogue_parameter(self):
         with pytest.raises(ConfigError, match="unknown parameters"):
             parse_config(MINIMAL.replace("n0 = constant: value=1.0", "n0 = constant: mass=1"))

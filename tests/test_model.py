@@ -242,6 +242,11 @@ class TestModelSpecValidation:
         with pytest.raises(ValueError, match=r"\[0, 5/6\]"):
             porous(2.0, gamma=0.9)
 
+    def test_gamma_bound_is_exact(self):
+        assert porous(2.0, gamma=5.0 / 6.0).gamma == 5.0 / 6.0
+        with pytest.raises(ValueError, match=r"\[0, 5/6\]"):
+            porous(2.0, gamma=math.nextafter(5.0 / 6.0, 1.0))
+
     def test_epsilon_range(self):
         with pytest.raises(ValueError, match="epsilon"):
             porous(2.0, eps=1.0)

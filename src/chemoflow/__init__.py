@@ -11,7 +11,7 @@ from .model import (
     build_truncations,
     eval_D,
     eval_D_eps,
-    eval_D_primitives,
+    eval_D2_eps,
     kappa_of,
     threshold_s0,
 )
@@ -19,13 +19,10 @@ from .operators import (
     PoissonSolver,
     advect_scalar,
     div,
-    grad,
-    laplace,
-    nonlinear_diffuse,
     project,
     taxis_flux_div,
 )
-from .solver import SolverError, TimeControls, run, step
+from .solver import SolverError, TimeControls, run
 from .diagnostics import (
     DiagnosticsRecord,
     functional_envelope,

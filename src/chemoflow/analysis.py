@@ -128,9 +128,6 @@ class FieldCorpus:
         psi = raw2 * (amp / max(np.abs(raw2).max(), 1e-300))
         return ScalarField(g, phi), ScalarField(g, psi)
 
-    def positive_fields(self):
-        return [self.member(i)[0] for i in range(self.n_members)]
-
     def pairs(self):
         return [self.member(i) for i in range(self.n_members)]
 

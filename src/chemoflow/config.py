@@ -1,7 +1,8 @@
 """INI run configuration: parsing, hypothesis validation, initial data.
 
 Sections: [grid], [model], [initial], [time], [output], optional [run]
-(seed, accepted and ignored).  Unknown sections or keys are rejected.  Validation names the
+(seed: checked to be an integer, then ignored; no RunConfig field holds
+it).  Unknown sections or keys are rejected.  Validation names the
 violated admissibility condition, one named check per hypothesis.
 
 Initial data comes from a fixed catalogue instead of free-form
@@ -73,7 +74,6 @@ class RunConfig:
     cadence: float = 0.05
     directory: str = "out"
     snapshots: bool = False
-    seed: int = 0
 
     def initial_state(self) -> State:
         n0 = _build_scalar(self.grid, "n0", self.n0_kind, normalize_mass=True)
@@ -228,7 +228,7 @@ def parse_config(text: str) -> RunConfig:
             dt_max=get("time", "dt_max", 0.01),
             cfl=get("time", "cfl", 0.4),
         )
-        seed = get_int("run", "seed", 0)
+        get_int("run", "seed", 0)  # integer-checked, never read
         snapshots = get("output", "snapshots", "false", cast=None).lower()
         if snapshots not in parser.BOOLEAN_STATES:
             raise ConfigError(f"[output] snapshots must be one of 1/yes/true/on or 0/no/false/off; "
@@ -246,7 +246,6 @@ def parse_config(text: str) -> RunConfig:
         cadence=get("output", "cadence", 0.05),
         directory=get("output", "directory", "out", cast=None) or "out",
         snapshots=parser.BOOLEAN_STATES[snapshots],
-        seed=seed,
     )
     problems = validate_config(cfg)
     if problems:

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .grid import State, cell_gradients
-from .model import ModelSpec, TruncationTable, eval_D_eps, eval_D_primitives
+from .model import ModelSpec, TruncationTable, eval_D2_eps, eval_D_eps
 from .operators import div
 
 __all__ = [
@@ -101,7 +101,7 @@ def record(
     grad_n2 = gx_n**2 + gy_n**2
 
     deps = eval_D_eps(nv, spec)
-    _, d2eps = eval_D_primitives(nv, spec)
+    d2eps = eval_D2_eps(nv, spec)
 
     uxc = 0.5 * (state.u.ux[:-1, :] + state.u.ux[1:, :])
     uyc = 0.5 * (state.u.uy[:, :-1] + state.u.uy[:, 1:])

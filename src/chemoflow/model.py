@@ -26,7 +26,7 @@ __all__ = [
     "eval_D",
     "eval_D_eps",
     "eval_D1_eps",
-    "eval_D_primitives",
+    "eval_D2_eps",
     "sup_D_eps",
     "sensitivity_scale",
     "boundary_cutoff",
@@ -239,16 +239,15 @@ def eval_D1_eps(n, spec: ModelSpec, out=None):
     return out if out.ndim else float(out)
 
 
-def eval_D_primitives(n, spec: ModelSpec):
-    """(D1_eps(n), D2_eps(n)) with D1 = int_0^n D_eps and D2 = int_0^n D1.
+def eval_D2_eps(n, spec: ModelSpec):
+    """D2_eps(n) = int_0^n D1_eps for n >= 0.
 
-    D1 is eval_D1_eps; D2 is the closed form for porous-medium diffusion
-    and the exact piecewise cubic for tabulated diffusion.
+    The closed form for porous-medium diffusion and the exact piecewise
+    cubic for tabulated diffusion.
     """
     n = np.asarray(n, dtype=float)
     if (n < 0).any():
         raise ValueError("density must be >= 0")
-    d1 = eval_D1_eps(n, spec)
     d = spec.diffusion
     if isinstance(d, PorousMedium):
         m = d.m
@@ -258,9 +257,7 @@ def eval_D_primitives(n, spec: ModelSpec):
         k, v, slope, I1, I2 = _tabulated_table(d, spec.epsilon)
         j, s = _segments(n, k)
         d2 = I2[j] + I1[j] * s + 0.5 * v[j] * s**2 + slope[j] * s**3 / 6.0
-    if n.ndim:
-        return d1, d2
-    return d1, float(d2)
+    return d2 if n.ndim else float(d2)
 
 
 # ----------------------------------------------------------------------
@@ -384,12 +381,6 @@ class TruncationTable:
     psi0: np.ndarray
     psi1: np.ndarray
     psi2: np.ndarray
-
-    def eval_psi0(self, x):
-        return np.interp(np.asarray(x, dtype=float), self.s, self.psi0, right=0.0)
-
-    def eval_psi1(self, x):
-        return np.interp(np.asarray(x, dtype=float), self.s, self.psi1, right=0.0)
 
     def eval_psi2(self, x):
         return np.interp(np.asarray(x, dtype=float), self.s, self.psi2, right=0.0)

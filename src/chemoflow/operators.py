@@ -4,9 +4,13 @@ Conventions
 -----------
 * Scalars carry homogeneous Neumann walls, realized by mirror ghosts; the
   corresponding face gradient is zero on boundary faces.
-* Divergence-form operators (advection, nonlinear diffusion, taxis) are
-  written as face fluxes with exactly zero boundary flux, so their
-  integral telescopes to zero: conservation holds to round-off.
+* Divergence-form operators (advection, taxis) are written as face
+  fluxes with exactly zero boundary flux, so their integral telescopes
+  to zero: conservation holds to round-off.  The n-diffusion is not an
+  operator here: solver._diffusion_substeps applies it in place.
+* Only what a step or a verb calls lives here.  The plain forms the
+  tests compare against (grad, the 5-point Laplacian, the nonlinear
+  diffusion and the Poisson residual) are in tests/naive_operators.py.
 * Upwinding on the advective and taxis fluxes keeps cell values of a
   nonnegative transported field nonnegative under the CFL bound
   dt * (max speed_x / hx + max speed_y / hy) <= 1/2: a field whose
@@ -16,7 +20,7 @@ Conventions
   Helmholtz solves use the orthonormal eigenbases of the 1-D
   second-difference operators (cosines for Neumann unknowns, sines for
   no-slip and Dirichlet ones), whose tensor products diagonalize the
-  5-point Laplacian on a uniform grid.  The solve is direct: the
+  5-point Laplacian Lap_h on a uniform grid.  The solve is direct: the
   projected velocity is discretely solenoidal to round-off.
 
 Performance rules
@@ -51,22 +55,13 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import Grid, ScalarField, VectorField
-from .model import (
-    ModelSpec,
-    boundary_cutoff,
-    density_cutoff,
-    eval_D1_eps,
-    sensitivity_scale,
-)
+from .model import ModelSpec, boundary_cutoff, density_cutoff, sensitivity_scale
 
 __all__ = [
     "PoissonSolver",
-    "grad",
     "div",
-    "laplace",
     "advect_scalar",
     "advect_velocity",
-    "nonlinear_diffuse",
     "taxis_flux_div",
     "taxis_face_velocity",
     "project",
@@ -97,30 +92,11 @@ def _face_mean(a: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def grad(f: ScalarField) -> VectorField:
-    """Face gradient with homogeneous-Neumann ghosts (boundary faces 0)."""
-    g = f.grid
-    v = VectorField.zeros(g)
-    v.ux[1:-1, :] = _face_diff(f.values, 0, g.hx)
-    v.uy[:, 1:-1] = _face_diff(f.values, 1, g.hy)
-    return v
-
-
 def div(v: VectorField) -> ScalarField:
     """Conservative cell divergence of a face field."""
     g = v.grid
     out = _face_diff(v.ux, 0, g.hx)
     out += _face_diff(v.uy, 1, g.hy)
-    return ScalarField(g, out)
-
-
-def laplace(f: ScalarField) -> ScalarField:
-    """5-point Laplacian with Neumann mirror ghosts (= div(grad(f)))."""
-    g = f.grid
-    p = np.pad(f.values, 1, mode="edge")
-    out = (p[2:, 1:-1] - 2.0 * p[1:-1, 1:-1] + p[:-2, 1:-1]) / g.hx**2 + (
-        p[1:-1, 2:] - 2.0 * p[1:-1, 1:-1] + p[1:-1, :-2]
-    ) / g.hy**2
     return ScalarField(g, out)
 
 
@@ -158,16 +134,6 @@ def advect_scalar(f: ScalarField, v: VectorField) -> ScalarField:
     fx = _upwind_flux(v.ux[1:-1, :], f.values[:-1, :], f.values[1:, :])
     fy = _upwind_flux(v.uy[:, 1:-1], f.values[:, :-1], f.values[:, 1:])
     return _flux_div(fx, fy, f.grid)
-
-
-def nonlinear_diffuse(n: ScalarField, spec: ModelSpec) -> ScalarField:
-    """div(D_eps(n) grad n) as the Laplacian of the Kirchhoff potential D1_eps(n).
-
-    The face flux D1_eps(b) - D1_eps(a) is D_eps(xi) (b - a) for some xi
-    between the cell values.  Mirror ghosts give no-flux walls, so the
-    result integrates to zero up to round-off.
-    """
-    return laplace(ScalarField(n.grid, eval_D1_eps(n.values, spec)))
 
 
 @lru_cache(maxsize=16)
@@ -236,9 +202,12 @@ def taxis_face_velocity(n: ScalarField, c: ScalarField, spec: ModelSpec):
     return scale_x, scale_y
 
 
-def taxis_flux_div(n: ScalarField, c: ScalarField, spec: ModelSpec, faces=None) -> ScalarField:
-    """div(n S_eps grad c) with n upwinded by the sign of the face velocity."""
-    wx, wy = taxis_face_velocity(n, c, spec) if faces is None else faces
+def taxis_flux_div(n: ScalarField, faces) -> ScalarField:
+    """div(n S_eps grad c) with n upwinded by the sign of the face velocity.
+
+    `faces` is the pair (wx, wy) that taxis_face_velocity returns.
+    """
+    wx, wy = faces
     fx = _upwind_flux(wx, n.values[:-1, :], n.values[1:, :])
     fy = _upwind_flux(wy, n.values[:, :-1], n.values[:, 1:])
     return _flux_div(fx, fy, n.grid)
@@ -383,29 +352,22 @@ class PoissonSolver:
 
     # -- pressure Poisson -------------------------------------------------
     def solve(self, rhs: ScalarField) -> ScalarField:
-        """Solve laplace(p) = rhs - mean(rhs); returns zero-mean p."""
+        """Solve Lap_h p = rhs - mean(rhs); returns zero-mean p."""
         p = self._diagonal_solve("cell", rhs.values, None)
-        np.negative(p, out=p)  # laplace has the eigenvalues -lam
+        np.negative(p, out=p)  # Lap_h has the eigenvalues -lam
         return ScalarField(self.grid, p)
-
-    def residual(self, p: ScalarField, rhs: ScalarField) -> float:
-        """Relative 2-norm residual against the mean-free right-hand side."""
-        b = rhs.values - rhs.values.mean()
-        r = laplace(p).values - b
-        denom = np.linalg.norm(b)
-        return float(np.linalg.norm(r) / denom) if denom > 0 else float(np.linalg.norm(r))
 
     # -- semi-implicit Helmholtz solves -----------------------------------
     def helmholtz_cells(self, b: np.ndarray, alpha: float) -> np.ndarray:
-        """(I - alpha * laplace) x = b on cell centers, Neumann walls."""
+        """(I - alpha * Lap_h) x = b on cell centers, Neumann walls."""
         return self._diagonal_solve("cell", b, alpha)
 
     def helmholtz_ux(self, b_interior: np.ndarray, alpha: float) -> np.ndarray:
-        """(I - alpha * laplace) on interior x-faces, no-slip walls."""
+        """(I - alpha * Lap_h) on interior x-faces, no-slip walls."""
         return self._diagonal_solve("ux", b_interior, alpha)
 
     def helmholtz_uy(self, b_interior: np.ndarray, alpha: float) -> np.ndarray:
-        """(I - alpha * laplace) on interior y-faces, no-slip walls."""
+        """(I - alpha * Lap_h) on interior y-faces, no-slip walls."""
         return self._diagonal_solve("uy", b_interior, alpha)
 
 

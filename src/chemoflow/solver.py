@@ -39,7 +39,7 @@ from .operators import (
     taxis_flux_div,
 )
 
-__all__ = ["TimeControls", "SolverError", "StepInfo", "step", "run"]
+__all__ = ["TimeControls", "SolverError", "StepInfo", "run"]
 
 NEGATIVE_DENSITY_TOL = -1e-13
 DIFFUSION_NUMBER = 0.9
@@ -87,8 +87,8 @@ class StepInfo:
 def _advective_dt(state: State, wx, wy, controls: TimeControls) -> float:
     g = state.n.grid
     ux_max, uy_max = state.u.max_speed()
-    sx = ux_max + (float(np.abs(wx).max()) if wx.size else 0.0)
-    sy = uy_max + (float(np.abs(wy).max()) if wy.size else 0.0)
+    sx = ux_max + float(np.abs(wx).max())
+    sy = uy_max + float(np.abs(wy).max())
     rate = sx / g.hx + sy / g.hy
     dt = controls.dt_max if rate == 0.0 else min(controls.dt_max, controls.cfl / rate)
     return dt
@@ -147,7 +147,7 @@ def _step_impl(state: State, spec: ModelSpec, controls: TimeControls, poisson: P
     # --- (i) density update -------------------------------------------------
     # the operators return fresh arrays, so the updates accumulate in place
     tend = advect_scalar(state.n, state.u).values
-    tend += taxis_flux_div(state.n, state.c, spec, faces=(wx, wy)).values
+    tend += taxis_flux_div(state.n, (wx, wy)).values
     tend *= dt
     n_new = ScalarField(g, np.subtract(state.n.values, tend, out=tend))
     clamped = _clamp_negative(n_new, t_new)
@@ -195,8 +195,9 @@ def _step_impl(state: State, spec: ModelSpec, controls: TimeControls, poisson: P
 def _diffusion_substeps(nv: np.ndarray, spec: ModelSpec, dt_sub: float, substeps: int, g):
     """Explicit conservative diffusion substeps nv += dt_sub * Lap_h D1_eps(nv), in place.
 
-    The only n-diffusion path, the same update as nonlinear_diffuse for
-    every diffusion law: the face flux is the difference Phi(b) - Phi(a)
+    The only n-diffusion path, for every diffusion law; its plain form,
+    nonlinear_diffuse in tests/naive_operators.py, is the 5-point
+    Laplacian of D1_eps.  The face flux is the difference Phi(b) - Phi(a)
     of the Kirchhoff potential Phi = D1_eps at the two cell values, so the
     fluxes telescope exactly.  Written in numpy against preallocated
     buffers since this loop dominates the run time.
@@ -237,12 +238,6 @@ def _diffusion_substeps(nv: np.ndarray, spec: ModelSpec, dt_sub: float, substeps
         np.subtract(f_yu, ay, out=f_yu)
 
 
-def step(state: State, spec: ModelSpec, controls: TimeControls, poisson: PoissonSolver) -> State:
-    """Advance one time step; see the module docstring for the scheme."""
-    new_state, _ = _step_impl(state, spec, controls, poisson)
-    return new_state
-
-
 def _check_finite(state: State):
     if not (
         np.isfinite(state.n.values).all()
@@ -277,9 +272,9 @@ def run(
 ) -> State:
     """Advance to t_end, invoking sinks at the record cadence.
 
-    Sinks are called as sink(state_copy, clamp_total) with an immutable
-    snapshot; the first call happens at the initial time and the last at
-    the final time.  Steps are clipped so records land exactly on cadence
+    Sinks are called as sink(snapshot, clamp_total), all with the same
+    read-only copy; the first call happens at the initial time and the
+    last at the final time.  Steps are clipped so records land exactly on cadence
     ticks, which keeps time series from different runs comparable; a
     final time between ticks gets one more record.  A SolverError is
     prefixed with the index of the step that raised it, counted from 0.
@@ -290,8 +285,10 @@ def run(
     clamp_total = 0.0
 
     def emit():
-        for sink in sinks:
-            sink(state.copy(frozen=True), clamp_total)
+        if sinks:
+            frozen = state.copy(frozen=True)
+            for sink in sinks:
+                sink(frozen, clamp_total)
         return state.t
 
     recorded_t = emit()

@@ -5,6 +5,11 @@ in-place accumulation.  The forms below do the same floating-point
 operations in the same order on fresh temporaries, so the tests can
 require the two to agree to the bit.
 
+The forms that no step or verb calls live only here: the face gradient
+`grad`, the 5-point Neumann Laplacian `laplace`, the nonlinear diffusion
+`nonlinear_diffuse` (the plain form of `solver._diffusion_substeps`) and
+the relative Poisson residual `poisson_residual`.
+
 The ODE trajectory margin of the lemma checks is here too, as a plain
 loop that recomputes each invariant per piece, for the same bitwise pin
 against `chemoflow.analysis._ode_trajectory_margin`.
@@ -27,7 +32,7 @@ from scipy.sparse.linalg import splu
 
 from chemoflow.analysis import ode_envelope
 from chemoflow.grid import ScalarField, VectorField
-from chemoflow.model import ModelSpec, boundary_cutoff, density_cutoff, sensitivity_scale
+from chemoflow.model import ModelSpec, boundary_cutoff, density_cutoff, eval_D1_eps, sensitivity_scale
 
 
 def _lam(n, h, k):
@@ -59,6 +64,36 @@ def div(v):
     g = v.grid
     out = (v.ux[1:, :] - v.ux[:-1, :]) / g.hx + (v.uy[:, 1:] - v.uy[:, :-1]) / g.hy
     return ScalarField(g, out)
+
+
+def _five_point(p, g):
+    """5-point Laplacian of the interior of a ghost-padded array."""
+    return (p[2:, 1:-1] - 2 * p[1:-1, 1:-1] + p[:-2, 1:-1]) / g.hx**2 + (
+        p[1:-1, 2:] - 2 * p[1:-1, 1:-1] + p[1:-1, :-2]
+    ) / g.hy**2
+
+
+def laplace(f):
+    """5-point Laplacian with Neumann mirror ghosts (= div(grad(f)))."""
+    return ScalarField(f.grid, _five_point(np.pad(f.values, 1, mode="edge"), f.grid))
+
+
+def nonlinear_diffuse(n, spec):
+    """div(D_eps(n) grad n) as the Laplacian of the Kirchhoff potential D1_eps(n).
+
+    The face flux D1_eps(b) - D1_eps(a) is D_eps(xi) (b - a) for some xi
+    between the cell values.  Mirror ghosts give no-flux walls, so the
+    result integrates to zero up to round-off.
+    """
+    return laplace(ScalarField(n.grid, eval_D1_eps(n.values, spec)))
+
+
+def poisson_residual(p, rhs):
+    """Relative 2-norm residual of laplace(p) against the mean-free rhs."""
+    b = rhs.values - rhs.values.mean()
+    r = laplace(p).values - b
+    denom = np.linalg.norm(b)
+    return float(np.linalg.norm(r) / denom) if denom > 0 else float(np.linalg.norm(r))
 
 
 def _flux_div(fx, fy, g):
@@ -256,13 +291,6 @@ def lu_solve(g, rhs):
     x = splu(a.tocsc()).solve(b.ravel().copy())
     p = x.reshape(g.nx, g.ny)
     return ScalarField(g, p - p.mean())
-
-
-def _five_point(p, g):
-    """5-point Laplacian of the interior of a ghost-padded array."""
-    return (p[2:, 1:-1] - 2 * p[1:-1, 1:-1] + p[:-2, 1:-1]) / g.hx**2 + (
-        p[1:-1, 2:] - 2 * p[1:-1, 1:-1] + p[1:-1, :-2]
-    ) / g.hy**2
 
 
 def explicit_cells(g, b, alpha):

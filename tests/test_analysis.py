@@ -50,7 +50,7 @@ class TestLogHessianIdentity:
 
     def test_corpus_integral_estimates(self):
         corpus = FieldCorpus(n_members=100)
-        for phi in corpus.positive_fields():
+        for phi in [corpus.member(i)[0] for i in range(corpus.n_members)]:
             _, g1, g2 = log_hessian_identity_residual(phi)
             assert g1 >= -1e-8
             assert g2 >= -1e-8
@@ -242,7 +242,7 @@ class TestCorpus:
 
     def test_strictly_positive(self):
         corpus = FieldCorpus(n_members=10)
-        for phi in corpus.positive_fields():
+        for phi in [corpus.member(i)[0] for i in range(corpus.n_members)]:
             assert phi.values.min() >= FLOOR
 
 

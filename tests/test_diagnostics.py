@@ -17,8 +17,8 @@ from chemoflow.model import (
     ModelSpec,
     PorousMedium,
     build_truncations,
+    eval_D2_eps,
     eval_D_eps,
-    eval_D_primitives,
     threshold_s0,
 )
 
@@ -37,7 +37,7 @@ class TestRecord:
         g = make_grid(32, 32, 1.0, 1.0)
         st = State(ScalarField.full(g, 1.0), ScalarField.full(g, 1.2), VectorField.zeros(g), 0.0)
         r = record(st, spec, table)
-        _, d2 = eval_D_primitives(1.0, spec)
+        d2 = eval_D2_eps(1.0, spec)
         assert r.F == pytest.approx(d2 * g.area, rel=1e-12)
         assert r.G == pytest.approx(d2 * g.area, rel=1e-12)
         # constant signal: gradient terms at round-off level only
@@ -75,7 +75,7 @@ class TestRecord:
         r = record(st, spec, table)
         assert r.mass_n == 0.0 and r.I_logn == 0.0 and r.n_max == 0.0
         expected_f = r.I_c4 + g.area * table.eval_psi2(0.0)
-        extra_d2 = eval_D_primitives(0.0, spec)[1] * g.area
+        extra_d2 = eval_D2_eps(0.0, spec) * g.area
         assert r.F == pytest.approx(expected_f + extra_d2, rel=1e-12)
 
     def test_brute_force_functional_recomputation(self, rng):
@@ -94,7 +94,7 @@ class TestRecord:
             for j in range(12):
                 nv, cv = n.values[i, j], c.values[i, j]
                 grad2 = gx[i, j] ** 2 + gy[i, j] ** 2
-                d2 = eval_D_primitives(nv, spec)[1]
+                d2 = eval_D2_eps(nv, spec)
                 psi2 = float(table.eval_psi2(nv))
                 cell = g.cell_area
                 f_bf += (d2 + nv * grad2 / cv + grad2**2 / cv**3 + psi2) * cell

@@ -11,8 +11,9 @@ from chemoflow.model import (
     TabulatedDiffusion,
     build_truncations,
     eval_D,
+    eval_D1_eps,
+    eval_D2_eps,
     eval_D_eps,
-    eval_D_primitives,
     kappa_of,
     threshold_s0,
 )
@@ -71,15 +72,18 @@ class TestDiffusivity:
 
 class TestPrimitives:
     def test_unregularized_m2(self):
-        d1, d2 = eval_D_primitives(1.0, porous(2.0, eps=0.0))
+        spec = porous(2.0, eps=0.0)
+        d1, d2 = eval_D1_eps(1.0, spec), eval_D2_eps(1.0, spec)
         assert d1 == pytest.approx(0.5)
         assert d2 == pytest.approx(1.0 / 6.0)
 
     def test_zero_density(self):
-        assert eval_D_primitives(0.0, porous(1.7, eps=0.3)) == (0.0, 0.0)
+        spec = porous(1.7, eps=0.3)
+        assert (eval_D1_eps(0.0, spec), eval_D2_eps(0.0, spec)) == (0.0, 0.0)
 
     def test_m2_with_eps(self):
-        d1, d2 = eval_D_primitives(2.0, porous(2.0, eps=0.5))
+        spec = porous(2.0, eps=0.5)
+        d1, d2 = eval_D1_eps(2.0, spec), eval_D2_eps(2.0, spec)
         assert d1 == pytest.approx(3.0)       # n^2/2 + eps*n
         assert d2 == pytest.approx(7.0 / 3.0)  # n^3/6 + eps*n^2/2
 
@@ -91,9 +95,9 @@ class TestPrimitives:
 
         for n in (0.3, 1.0, 2.7, 3.5, 6.0):
             d1_ref = quad(d_eps, 0.0, n, limit=200)[0]
-            d1, d2 = eval_D_primitives(n, spec)
+            d1, d2 = eval_D1_eps(n, spec), eval_D2_eps(n, spec)
             assert d1 == pytest.approx(d1_ref, rel=1e-9)
-            d2_ref = quad(lambda s: eval_D_primitives(s, spec)[0], 0.0, n, limit=200)[0]
+            d2_ref = quad(lambda s: eval_D1_eps(s, spec), 0.0, n, limit=200)[0]
             assert d2 == pytest.approx(d2_ref, rel=1e-8)
 
     @given(st.floats(1.05, 2.0), st.floats(0.0, 0.9), st.integers(0, 10**6))
@@ -103,9 +107,9 @@ class TestPrimitives:
         r = np.random.default_rng(seed)
         n = np.sort(r.uniform(0.0, 10.0, size=16))
         h = 1e-3
-        _, lo = eval_D_primitives(n - np.minimum(n, h), spec)
-        _, mid = eval_D_primitives(n, spec)
-        _, hi = eval_D_primitives(n + h, spec)
+        lo = eval_D2_eps(n - np.minimum(n, h), spec)
+        mid = eval_D2_eps(n, spec)
+        hi = eval_D2_eps(n + h, spec)
         second = hi - 2 * mid + lo
         assert (second >= -1e-9).all()
 
@@ -209,13 +213,14 @@ class TestTruncations:
         d = 2.0
         spec = self._const_d_spec(d)
         t = build_truncations(spec, 1.0)
-        assert t.eval_psi0(0.5) == pytest.approx(1.0 / d, rel=1e-6)
-        assert t.eval_psi0(1.5) == pytest.approx(0.5 / d, rel=1e-6)
-        assert t.eval_psi0(3.0) == 0.0
+        psi0 = lambda x: np.interp(x, t.s, t.psi0, right=0.0)
+        assert psi0(0.5) == pytest.approx(1.0 / d, rel=1e-6)
+        assert psi0(1.5) == pytest.approx(0.5 / d, rel=1e-6)
+        assert psi0(3.0) == 0.0
 
     def test_vanishing_at_two_s0(self):
         t = build_truncations(self._const_d_spec(2.0), 1.0)
-        assert abs(t.eval_psi1(2.0)) < 1e-12
+        assert abs(np.interp(2.0, t.s, t.psi1, right=0.0)) < 1e-12
         assert abs(t.eval_psi2(2.0)) < 1e-12
 
     def test_psi2_at_zero(self):

@@ -17,13 +17,11 @@ from chemoflow.operators import (
     advect_scalar,
     advect_velocity,
     div,
-    grad,
-    laplace,
-    nonlinear_diffuse,
     project,
     taxis_face_velocity,
     taxis_flux_div,
 )
+from naive_operators import grad, laplace, nonlinear_diffuse
 
 
 def random_facefield(grid, rng, scale=1.0):
@@ -194,13 +192,15 @@ class TestTaxis:
     def test_zero_for_constant_signal(self, rng):
         g = make_grid(16, 16, 1.0, 1.0)
         n = ScalarField(g, rng.random((16, 16)))
-        out = taxis_flux_div(n, ScalarField.full(g, 2.0), self._spec())
+        c = ScalarField.full(g, 2.0)
+        out = taxis_flux_div(n, taxis_face_velocity(n, c, self._spec()))
         assert not out.values.any()
 
     def test_zero_for_zero_density(self):
         g = make_grid(16, 16, 1.0, 1.0)
         c = ScalarField.from_function(g, lambda x, y: 1.0 + 0.3 * np.cos(np.pi * x))
-        out = taxis_flux_div(ScalarField.zeros(g), c, self._spec())
+        n = ScalarField.zeros(g)
+        out = taxis_flux_div(n, taxis_face_velocity(n, c, self._spec()))
         assert not out.values.any()
 
     def test_conservation(self, rng):
@@ -209,7 +209,7 @@ class TestTaxis:
             spec = self._spec(sensitivity_kind=kind, rotation_angle=theta)
             n = ScalarField(g, rng.random((8, 8)))
             c = ScalarField(g, rng.random((8, 8)) + 0.5)
-            assert abs(integrate(taxis_flux_div(n, c, spec))) < 1e-13
+            assert abs(integrate(taxis_flux_div(n, taxis_face_velocity(n, c, spec)))) < 1e-13
 
     def test_faces_vanish_near_wall(self):
         g = make_grid(32, 32, 1.0, 1.0)
@@ -274,7 +274,7 @@ class TestPoisson:
         solver = PoissonSolver(g)
         rhs = ScalarField(g, rng.standard_normal((32, 24)))
         p = solver.solve(rhs)
-        assert solver.residual(p, rhs) <= 1e-10
+        assert naive.poisson_residual(p, rhs) <= 1e-10
         assert abs(p.values.mean()) < 1e-12
 
     def test_dct_vs_lu(self, rng):
@@ -479,8 +479,10 @@ class TestBitwisePins:
     def test_div_and_grad(self, shape):
         g, n, _, u = pin_fields(shape, 0)
         assert same_bits(div(u).values, naive.div(u).values)
-        new, ref = grad(n), naive.grad(n)
-        assert same_bits(new.ux, ref.ux) and same_bits(new.uy, ref.uy)
+        # the face differences of the projection and the taxis drift
+        ref = naive.grad(n)
+        assert same_bits(ops._face_diff(n.values, 0, g.hx), ref.ux[1:-1, :])
+        assert same_bits(ops._face_diff(n.values, 1, g.hy), ref.uy[:, 1:-1])
 
     @pytest.mark.parametrize("kind", ["isotropic", "rotation"])
     @pytest.mark.parametrize("dense", [False, True])
@@ -503,7 +505,7 @@ class TestBitwisePins:
             new = taxis_face_velocity(n, c, spec)
             ref = naive.taxis_face_velocity(n, c, spec)
             assert same_bits(new[0], ref[0]) and same_bits(new[1], ref[1])
-            assert same_bits(taxis_flux_div(n, c, spec).values,
+            assert same_bits(taxis_flux_div(n, taxis_face_velocity(n, c, spec)).values,
                              naive.taxis_flux_div(n, c, spec).values)
         # the cutoff is evaluated (twice per call) only when some n * eps > 1
         assert len(calls) == (8 if dense else 0)
@@ -566,11 +568,10 @@ class TestFreshOutputs:
         for kind in ("isotropic", "rotation"):
             spec = taxis_spec(kind)
             self._check(lambda n, c: taxis_face_velocity(n, c, spec), (n1, c1), (n2, c2))
-            self._check(lambda n, c: taxis_flux_div(n, c, spec), (n1, c1), (n2, c2))
+            self._check(lambda n, c: taxis_flux_div(n, taxis_face_velocity(n, c, spec)), (n1, c1), (n2, c2))
         self._check(advect_velocity, (u1,), (u2,))
         self._check(advect_scalar, (n1, u1), (n2, u2))
         self._check(div, (u1,), (u2,))
-        self._check(grad, (n1,), (n2,))
         self._check(lambda u: project(u, solver), (u1,), (u2,))
         self._check(solver.solve, (n1,), (n2,))
         self._check(solver.helmholtz_cells, (n1.values, 1e-3), (n2.values, 1e-3))

@@ -9,8 +9,13 @@ from chemoflow import solver
 from chemoflow.config import parse_config, reference_config_text
 from chemoflow.grid import ScalarField, State, VectorField, integrate, make_grid
 from chemoflow.model import ModelSpec, PorousMedium, TabulatedDiffusion, eval_D1_eps, eval_D_eps
-from chemoflow.operators import PoissonSolver, div, nonlinear_diffuse
-from chemoflow.solver import SolverError, TimeControls, _clamp_negative, run, step
+from chemoflow.operators import PoissonSolver, div
+from chemoflow.solver import SolverError, TimeControls, _clamp_negative, run
+
+
+def step(*args):
+    """One step of the scheme, without its StepInfo."""
+    return solver._step_impl(*args)[0]
 
 
 GRID = make_grid(32, 32, 1.0, 1.0)
@@ -170,7 +175,7 @@ class TestDiffusionSubsteps:
         spec = ModelSpec(diffusion=diffusion, epsilon=0.05)
         n = ScalarField(g, np.random.default_rng(3).random((24, 16)) * 2.0)
         dt_sub = 0.9 * solver._diffusive_dt(n, spec)
-        expected = n.values + dt_sub * nonlinear_diffuse(n, spec).values
+        expected = n.values + dt_sub * naive.nonlinear_diffuse(n, spec).values
         nv = n.values.copy()
         solver._diffusion_substeps(nv, spec, dt_sub, 1, g)
         assert np.abs(nv - expected).max() <= 1e-13 * np.abs(expected).max()
@@ -278,11 +283,15 @@ class TestRun:
         assert frames1 == frames2
 
     def test_sink_snapshots_are_frozen(self):
-        seen = []
+        seen, also_seen = [], []
         run(bump_state(), SPEC, TimeControls(t_end=0.05), POISSON,
-            sinks=[lambda s, c: seen.append(s)], cadence=0.05)
-        with pytest.raises(ValueError):
-            seen[0].n.values[0, 0] = 9.0
+            sinks=[lambda s, c: seen.append(s), lambda s, c: also_seen.append(s)], cadence=0.05)
+        # one copy per record, shared by every sink
+        assert len(seen) == len(also_seen) == 2
+        assert all(a is b for a, b in zip(seen, also_seen))
+        for arr in (seen[0].n.values, seen[0].c.values, seen[0].u.ux, seen[0].u.uy):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 9.0
 
     def test_initial_data_rejected(self):
         st_ = bump_state()

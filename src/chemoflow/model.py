@@ -27,6 +27,7 @@ __all__ = [
     "eval_D_eps",
     "eval_D1_eps",
     "eval_D2_eps",
+    "kirchhoff_units",
     "sup_D_eps",
     "sensitivity_scale",
     "boundary_cutoff",
@@ -222,12 +223,7 @@ def eval_D1_eps(n, spec: ModelSpec, out=None):
     d = spec.diffusion
     if isinstance(d, PorousMedium):
         delta = _eps_shift(spec)
-        if d.m == 2.0:  # n (n/2 + delta)
-            np.multiply(n, 0.5, out=out)
-            out += delta
-            out *= n
-        else:
-            out[...] = ((n + delta) ** d.m - delta**d.m) / d.m
+        out[...] = ((n + delta) ** d.m - delta**d.m) / d.m
     else:
         k, v, slope, I1, _ = _tabulated_table(d, spec.epsilon)
         j, s = _segments(n, k)
@@ -237,6 +233,33 @@ def eval_D1_eps(n, spec: ModelSpec, out=None):
         out *= s
         out += I1[j]
     return out if out.ndim else float(out)
+
+
+def kirchhoff_units(spec: ModelSpec, cx: float):
+    """(scale, shift, potential) for the shifted variable w = scale * n + shift.
+
+    potential(w, out) writes P(w), with P(w_b) - P(w_a) = scale * cx *
+    (D1_eps(b) - D1_eps(a)), so the substep n_a += cx (D1_eps(b) - D1_eps(a))
+    is w_a += P(w_b) - P(w_a).  Porous medium: w = k (n + delta), where
+    k = cx/2 for m = 2 makes P(w) = w^2; other m keep k = 1, since
+    (cx/m)^(1/(m-1)) underflows as m -> 1, and P(w) = cx/m w^m.
+    Tabulated: w = n and P = cx D1_eps.
+    """
+    d = spec.diffusion
+    if isinstance(d, TabulatedDiffusion):
+        def potential(w, out):
+            eval_D1_eps(w, spec, out=out)
+            out *= cx
+        return 1.0, 0.0, potential
+    delta = _eps_shift(spec)
+    if d.m == 2.0:
+        scale = 0.5 * cx
+        return scale, scale * delta, np.square
+
+    def potential(w, out):
+        np.power(w, d.m, out=out)
+        out *= cx / d.m
+    return 1.0, delta, potential
 
 
 def eval_D2_eps(n, spec: ModelSpec):

@@ -20,11 +20,11 @@ from chemoflow.analysis import (
 )
 from chemoflow.config import parse_config, reference_config_text
 from chemoflow.diagnostics import functional_envelope, record, select_functional
-from chemoflow.grid import ScalarField, integrate, make_grid
+from chemoflow.grid import ScalarField, State, VectorField, integrate, make_grid
 from chemoflow.io import emit_snapshot, emit_timeseries
-from chemoflow.model import build_truncations, threshold_s0
+from chemoflow.model import ModelSpec, PorousMedium, build_truncations, threshold_s0
 from chemoflow.operators import PoissonSolver
-from chemoflow.solver import run
+from chemoflow.solver import TimeControls, run
 from chemoflow.sweeps import eps_sweep
 
 
@@ -190,6 +190,46 @@ class TestExactSolutions:
             "uniform-state-exact",
             ok,
             f"c rel err {c_err:.3e} (tol {5*dt:.2e}), |u| {u_max:.2e}, |n-1| {n_err:.2e}",
+        )
+
+    @pytest.mark.parametrize("m, epsilon", [(2.0, 1e-6), (1.5, 1e-3)])
+    def test_barenblatt_spatial_order(self, m, epsilon):
+        # with S0 = 0 and no buoyancy, u stays 0 and n solves
+        # n_t = div(D_eps(n) grad n); for D = n^(m-1) and delta =
+        # eps^(1/(m-1)) = 1e-6 that is nearly n(x, t) = U(x, t/m), with U
+        # the Barenblatt profile of u_t = Lap u^m (alpha = 1/m in 2-D),
+        # whose support grows from radius 0.15 to 0.35 inside the square
+        alpha = 1.0 / m
+        k = alpha * (m - 1.0) / (4.0 * m)
+        r0, r1, peak = 0.15, 0.35, 1.3
+        top = (k * peak * r1**2) ** ((m - 1.0) / m)
+        tau1 = (top ** (1.0 / (m - 1.0)) / peak) ** m
+        tau0 = tau1 * (r0 / r1) ** (2.0 * m)
+
+        def cell_averages(g, tau, sub=8):
+            s = (np.arange(sub) + 0.5) / sub
+            x = (np.arange(g.nx)[:, None] + s).ravel() * g.hx - 0.5
+            y = (np.arange(g.ny)[:, None] + s).ravel() * g.hy - 0.5
+            r2 = x[:, None] ** 2 + y[None, :] ** 2
+            u = tau**-alpha * np.maximum(top - k * r2 * tau**-alpha, 0.0) ** (1.0 / (m - 1.0))
+            return u.reshape(g.nx, sub, g.ny, sub).mean(axis=(1, 3))
+
+        spec = ModelSpec(diffusion=PorousMedium(m), s0_sensitivity=0.0, phi_gradient=(0.0, 0.0),
+                         epsilon=epsilon, L=0.5, M=10.0)
+        errors = []
+        for nn in (32, 64, 128):
+            g = make_grid(nn, nn, 1.0, 1.0)
+            initial = State(ScalarField(g, cell_averages(g, tau0)), ScalarField.full(g, 1.0),
+                            VectorField.zeros(g), m * tau0)
+            final = run(initial, spec, TimeControls(t_end=m * tau1, dt_max=1e-3), PoissonSolver(g))
+            assert final.n.values.min() >= 0.0
+            errors.append(float(np.abs(final.n.values - cell_averages(g, tau1)).sum()) * g.cell_area)
+        orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
+        _report(
+            f"barenblatt-order-m{m:g}",
+            min(orders) >= 1.75,
+            "L1 " + " / ".join(f"{e:.3e}" for e in errors)
+            + " on 32^2 / 64^2 / 128^2, orders " + ", ".join(f"{o:.2f}" for o in orders) + " (tol 1.75)",
         )
 
 

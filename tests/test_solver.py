@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import naive_operators as naive
 from chemoflow import solver
 from chemoflow.config import parse_config, reference_config_text
 from chemoflow.grid import ScalarField, State, VectorField, integrate, make_grid
-from chemoflow.model import ModelSpec, PorousMedium, TabulatedDiffusion, eval_D1_eps, eval_D_eps
+from chemoflow.model import ModelSpec, PorousMedium, TabulatedDiffusion, eval_D_eps, kirchhoff_units
 from chemoflow.operators import PoissonSolver, div
 from chemoflow.solver import SolverError, TimeControls, _clamp_negative, run
 
@@ -182,6 +182,36 @@ class TestDiffusionSubsteps:
         assert abs(nv.sum() - n.values.sum()) <= 1e-14 * n.values.sum()
         assert nv.min() >= 0.0
 
+    @given(
+        law=st.sampled_from([
+            PorousMedium(1.01), PorousMedium(1.5), PorousMedium(2.0),
+            TabulatedDiffusion((0.0, 1.0, 2.0), (0.0, 1.0, 0.5)),  # D(0) = 0
+            TabulatedDiffusion((0.0, 0.5, 1.0), (0.1, 10.0, 1.0)),  # D peaks between cell values 0 and 1
+        ]),
+        epsilon=st.floats(1e-5, 0.1),
+        nx=st.integers(4, 24), ny=st.integers(4, 24), ly=st.floats(0.5, 2.0),
+        substeps=st.integers(1, 8), seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_substeps_keep_range_and_mass(self, law, epsilon, nx, ny, ly, substeps, seed):
+        g = make_grid(nx, ny, 1.0, ly)
+        assume(g.hx != g.hy)
+        spec = ModelSpec(diffusion=law, epsilon=epsilon)
+        rng = np.random.default_rng(seed)
+        n = ScalarField(g, rng.random((nx, ny)) * 2.0)
+        n.values[rng.random((nx, ny)) < 0.3] = 0.0
+        lo, hi, mass = n.values.min(), n.values.max(), n.values.sum()
+        dt_sub = solver._diffusive_dt(n, spec)
+        nv = n.values.copy()
+        solver._diffusion_substeps(nv, spec, dt_sub, substeps, g)
+        assert nv.min() >= solver.NEGATIVE_DENSITY_TOL
+        assert lo - 1e-14 * hi <= nv.min() and nv.max() <= hi * (1.0 + 1e-14)
+        assert abs(nv.sum() - mass) <= 1e-14 * mass
+        one = n.values.copy()
+        solver._diffusion_substeps(one, spec, dt_sub, 1, g)
+        expected = n.values + dt_sub * naive.nonlinear_diffuse(n, spec).values
+        assert np.abs(one - expected).max() <= 1e-13 * np.abs(expected).max()
+
     def test_substeps_sized_on_peak_between_cell_values(self):
         # tabulated D peaks at n = 1/2, between the cell values 0 and 1, so
         # D_eps at the face averages is far above D_eps at every cell
@@ -198,33 +228,42 @@ class TestDiffusionSubsteps:
 
 def _substeps_2d(nv, spec, dt_sub, substeps, g):
     """The 2-D form of the substep loop: the reference the flat loop must match to the bit."""
-    cx = dt_sub / g.hx**2
-    cy = dt_sub / g.hy**2
+    scale, shift, potential = kirchhoff_units(spec, dt_sub / g.hx**2)
+    ratio = (g.hx / g.hy) ** 2
     ax = np.empty((g.nx - 1, g.ny))
     ay = np.empty((g.nx, g.ny - 1))
     phi = np.empty_like(nv)
+    nv *= scale
+    nv += shift
     for _ in range(substeps):
-        eval_D1_eps(nv, spec, out=phi)
+        potential(nv, phi)
         np.subtract(phi[1:, :], phi[:-1, :], out=ax)
         np.subtract(phi[:, 1:], phi[:, :-1], out=ay)
-        ax *= cx
-        ay *= cy
+        if ratio != 1.0:
+            ay *= ratio
         nv[:-1, :] += ax
         nv[1:, :] -= ax
         nv[:, :-1] += ay
         nv[:, 1:] -= ay
+    nv -= shift
+    nv /= scale
+
+
+PIN_LAWS = (PorousMedium(2.0), PorousMedium(1.8), TabulatedDiffusion((0.0, 0.5, 2.0), (0.2, 1.5, 0.7)),
+            PorousMedium(1.05))
 
 
 class TestFlatSubstepLoop:
-    @pytest.mark.parametrize("diffusion", [
-        PorousMedium(2.0), PorousMedium(1.8), TabulatedDiffusion((0.0, 0.5, 2.0), (0.2, 1.5, 0.7)),
+    @pytest.mark.parametrize("diffusion, epsilon", [
+        pytest.param(law, eps, id=f"diffusion{i}" + ("" if eps == 0.05 else "-eps1e-05"))
+        for eps in (0.05, 1e-5) for i, law in enumerate(PIN_LAWS)
     ])
     @pytest.mark.parametrize("nx, ny, lx, ly", [
         (4, 4, 1.0, 1.0), (4, 9, 1.0, 1.0), (9, 4, 1.0, 1.0), (24, 16, 1.5, 1.0), (33, 65, 1.0, 1.0),
     ])
-    def test_matches_2d_loop_bitwise(self, diffusion, nx, ny, lx, ly):
+    def test_matches_2d_loop_bitwise(self, diffusion, epsilon, nx, ny, lx, ly):
         g = make_grid(nx, ny, lx, ly)
-        spec = ModelSpec(diffusion=diffusion, epsilon=0.05)
+        spec = ModelSpec(diffusion=diffusion, epsilon=epsilon)
         rng = np.random.default_rng(nx * 100 + ny)
         n = ScalarField(g, rng.random((nx, ny)) * 2.0)
         n.values[rng.random((nx, ny)) < 0.3] = 0.0

@@ -19,6 +19,14 @@ stderr, and the exit code is 1.
 both, as setting one switches off the dynamic pair; a no-op without
 mallopt): by default freed numpy temporaries go back to the kernel, and
 the next step, record or lemma check faults the same pages in again.
+
+Each verb imports only the modules it runs: `run` and `validate` load
+neither `analysis` (with the `numpy.random` it brings) nor `sweeps`.
+The benchmark harness (perfbench/) replaces `run`, `run_lemma_checks`
+and the layer entry points `_cmd_run` calls by name on this module
+before `main` runs, so the verbs look them up in the module globals.
+That is why `run_lemma_checks` is a module-level function importing
+`analysis` on its first call, not a name imported inside the verb.
 """
 
 from __future__ import annotations
@@ -28,7 +36,6 @@ import ctypes
 import pathlib
 import sys
 
-from .analysis import FieldCorpus, format_report, run_lemma_checks
 from .config import ConfigError, parse_config
 from .diagnostics import functional_envelope, record, select_functional
 from .grid import integrate
@@ -36,7 +43,6 @@ from .io import emit_snapshot, emit_timeseries, snapshot_name
 from .model import build_truncations, threshold_s0
 from .operators import PoissonSolver
 from .solver import SolverError, run
-from .sweeps import eps_sweep, refinement_sweep
 
 
 def _hold_heap():
@@ -46,6 +52,13 @@ def _hold_heap():
         return
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
+def run_lemma_checks(corpus):
+    """`analysis.run_lemma_checks`, importing `analysis` on the first call."""
+    from .analysis import run_lemma_checks
+
+    return run_lemma_checks(corpus)
 
 
 def _load_config(path: str):
@@ -118,6 +131,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep_eps(args) -> int:
+    from .sweeps import eps_sweep
+
     cfg = _load_config(args.config)
     eps_list = [float(e) for e in args.eps.split(",")]
     d = eps_sweep(cfg, eps_list, args.T)
@@ -130,6 +145,8 @@ def _cmd_sweep_eps(args) -> int:
 
 
 def _cmd_sweep_grid(args) -> int:
+    from .sweeps import refinement_sweep
+
     cfg = _load_config(args.config)
     grids = []
     for part in args.grids.split(";"):
@@ -146,6 +163,8 @@ def _cmd_sweep_grid(args) -> int:
 
 
 def _cmd_verify_lemmas(args) -> int:
+    from .analysis import FieldCorpus, format_report
+
     rows = run_lemma_checks(FieldCorpus(n_members=args.members, seed=args.seed))
     text = format_report(rows)
     if args.output:

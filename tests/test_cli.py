@@ -177,14 +177,31 @@ class TestVerifyLemmas:
         assert "PASS" not in captured.out
 
 
-def _scipy_loaded_after(code: str) -> list:
-    """The scipy modules a fresh interpreter holds after running code."""
+def _modules_after(code: str) -> set:
+    """The modules a fresh interpreter holds after running code."""
     # fresh, so modules other tests imported do not count
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    code += "\nimport sys; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code += "\nimport sys; print(sorted(sys.modules))"
     done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, check=True)
-    return ast.literal_eval(done.stdout.splitlines()[-1])
+    return set(ast.literal_eval(done.stdout.splitlines()[-1]))
+
+
+def _scipy_loaded_after(code: str) -> list:
+    return sorted(m for m in _modules_after(code) if m.startswith("scipy"))
+
+
+def _verb_code(verb: str, tmp_path) -> str:
+    """Code that runs one verb through `main` on an 8x8 config, asserting exit 0."""
+    config = tmp_path / "run.ini"
+    config.write_text(reference_config_text(t_end=0.02, nx=8, ny=8, cadence=0.01))
+    argv = {
+        "validate": ["validate", str(config)],
+        "verify-lemmas": ["verify-lemmas", "--members", "12", "--output", str(tmp_path / "r.txt")],
+        "run": ["run", str(config), "--output", str(tmp_path / "out")],
+        "sweep-eps": ["sweep-eps", str(config), "--eps", "0.1,0.05", "--T", "0.02"],
+    }[verb]
+    return f"from chemoflow.cli import main\nassert main({argv!r}) == 0"
 
 
 class TestImport:
@@ -192,20 +209,25 @@ class TestImport:
         assert _scipy_loaded_after("import chemoflow") == []
         assert _scipy_loaded_after("import chemoflow.cli") == []
 
+    def test_package_import_loads_no_submodule(self):
+        assert sorted(m for m in _modules_after("import chemoflow") if m.startswith("chemoflow.")) == []
+
     @pytest.mark.parametrize("verb", ["validate", "verify-lemmas", "run", "sweep-eps"])
     def test_no_verb_loads_scipy(self, tmp_path, verb):
-        config = tmp_path / "run.ini"
-        config.write_text(reference_config_text(t_end=0.02, nx=8, ny=8, cadence=0.01))
-        argv = {
-            "validate": ["validate", str(config)],
-            "verify-lemmas": ["verify-lemmas", "--members", "12", "--output", str(tmp_path / "r.txt")],
-            "run": ["run", str(config), "--output", str(tmp_path / "out")],
-            "sweep-eps": ["sweep-eps", str(config), "--eps", "0.1,0.05", "--T", "0.02"],
-        }[verb]
-        assert _scipy_loaded_after(f"from chemoflow.cli import main\nassert main({argv!r}) == 0") == []
+        assert _scipy_loaded_after(_verb_code(verb, tmp_path)) == []
+
+    @pytest.mark.parametrize("verb, unused", [
+        ("validate", {"chemoflow.analysis", "chemoflow.sweeps", "numpy.random"}),
+        ("run", {"chemoflow.analysis", "chemoflow.sweeps", "numpy.random"}),
+        ("sweep-eps", {"chemoflow.analysis", "numpy.random"}),
+        ("verify-lemmas", {"chemoflow.sweeps"}),
+    ])
+    def test_verb_loads_only_the_modules_it_runs(self, tmp_path, verb, unused):
+        assert sorted(unused & _modules_after(_verb_code(verb, tmp_path))) == []
 
     def test_package_imports_and_every_export_resolves(self):
-        # a fresh interpreter, so a stale name in chemoflow/__init__.py fails here
+        # a fresh interpreter imports every submodule by name, so one that no
+        # verb loads is checked too
         src = pathlib.Path(__file__).resolve().parents[1] / "src"
         code = (
             "import importlib, pkgutil, chemoflow\n"

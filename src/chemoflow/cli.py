@@ -114,7 +114,7 @@ def _cmd_run(args) -> int:
         print(f"ERROR: {error}", file=sys.stderr)
         return 1
 
-    functional = select_functional(spec, n0_mass=initial_mass)
+    functional = select_functional(spec)
     report = functional_envelope(records, functional=functional)
     print(f"wrote {outdir / 'timeseries.csv'} ({len(records)} records)")
     print(

@@ -135,21 +135,11 @@ def record(
     )
 
 
-def select_functional(spec: ModelSpec, n0_mass: float | None = None) -> str:
-    """Pick the functional matching the sensitivity exponent.
-
-    gamma <= 1/2 uses F; gamma in (1/2, 5/6] (the range ModelSpec admits)
-    uses G and additionally requires the initial mass bound ||n0||_1 <= M.
-    """
-    if spec.gamma <= 0.5:
-        return "F"
-    if n0_mass is None:
-        raise ValueError("gamma > 1/2 requires the initial mass to check ||n0||_1 <= M")
-    if n0_mass > spec.M * (1.0 + 1e-12):
-        raise ValueError(
-            f"gamma > 1/2 requires ||n0||_1 <= M, got mass {n0_mass} > M = {spec.M}"
-        )
-    return "G"
+def select_functional(spec: ModelSpec) -> str:
+    """Pick the functional matching the sensitivity exponent: F for
+    gamma <= 1/2, G for gamma in (1/2, 5/6] (the range ModelSpec admits).
+    G's extra hypothesis ||n0||_1 <= M is checked by config.validate_config."""
+    return "F" if spec.gamma <= 0.5 else "G"
 
 
 @dataclass(frozen=True)

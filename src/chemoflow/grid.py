@@ -118,9 +118,9 @@ class ScalarField:
     def copy(self) -> "ScalarField":
         return ScalarField(self.grid, self.values.copy())
 
-    def check_finite(self):
+    def check_finite(self, name: str):
         if not np.isfinite(self.values).all():
-            raise ValueError("scalar field contains non-finite entries")
+            raise ValueError(f"{name} contains non-finite entries")
 
 
 @dataclass
@@ -181,9 +181,9 @@ class VectorField:
         """(max |ux|, max |uy|) over all faces."""
         return float(np.abs(self.ux).max()), float(np.abs(self.uy).max())
 
-    def check_finite(self):
+    def check_finite(self, name: str):
         if not (np.isfinite(self.ux).all() and np.isfinite(self.uy).all()):
-            raise ValueError("vector field contains non-finite entries")
+            raise ValueError(f"{name} contains non-finite entries")
 
 
 @dataclass
@@ -196,9 +196,9 @@ class State:
     t: float = 0.0
 
     def validate(self):
-        self.n.check_finite()
-        self.c.check_finite()
-        self.u.check_finite()
+        self.n.check_finite("density n")
+        self.c.check_finite("signal c")
+        self.u.check_finite("velocity u")
         if self.t < 0 or not math.isfinite(self.t):
             raise ValueError(f"time must be finite and >= 0, got {self.t}")
         if (self.n.values < 0).any():
@@ -206,7 +206,7 @@ class State:
         if (self.c.values <= 0).any():
             raise ValueError("signal c must be > 0 entrywise")
         if not self.u.normal_boundary_is_zero():
-            raise ValueError("velocity has nonzero boundary-normal entries")
+            raise ValueError("velocity u has nonzero boundary-normal entries")
 
     def copy(self, frozen: bool = False) -> "State":
         st = State(self.n.copy(), self.c.copy(), self.u.copy(), self.t)

@@ -8,6 +8,14 @@ S_eps (operators.taxis_face_velocity applies it at the faces), the threshold
 density s0 above which D clears a configured level L, the small-density
 ratio kappa = inf D(n)/n, and the truncated reciprocal-diffusion tables
 Psi0/Psi1/Psi2.
+
+Each hypothesis on the coefficients is checked once, by the type that
+owns it: PorousMedium takes m in (1, 2], which for D = n^(m-1) is
+liminf_{n->0} D(n)/n > 0 and so kappa > 0; TabulatedDiffusion takes D > 0
+on (0, inf); ModelSpec takes gamma in [0, 5/6] and eps in (0, 1); and
+threshold_s0 raises when D never clears L (liminf_{n->inf} D(n) > L).
+The bounds by M involve the initial data; config.validate_config checks
+them.
 """
 
 from __future__ import annotations
@@ -42,15 +50,15 @@ GAMMA_MAX = 5.0 / 6.0
 
 @dataclass(frozen=True)
 class PorousMedium:
-    """D(n) = n^(m-1). m in (1, 2] is required for simulation configs
-    (kappa > 0 fails for m > 2); construction allows any m > 1 so the
-    failure mode itself is testable."""
+    """D(n) = n^(m-1) with m in (1, 2], checked here: m > 1 makes D
+    degenerate at 0, and m <= 2 is the hypothesis liminf_{n->0} D(n)/n > 0
+    (kappa > 0).  The one comparison also rejects nan and inf."""
 
     m: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.m) and self.m > 1.0):
-            raise ValueError(f"porous-medium exponent must satisfy m > 1, got {self.m}")
+        if not (1.0 < self.m <= 2.0):
+            raise ValueError(f"porous-medium exponent must lie in (1, 2], got {self.m}")
 
 
 @dataclass(frozen=True)
@@ -87,7 +95,9 @@ class ModelSpec:
     s0_sensitivity the constant bound factor S0, phi_gradient the constant
     gravitational-potential gradient, epsilon the regularization strength,
     L the diffusion threshold level, and M the a-priori bound parameter
-    (||c0||_inf <= M, and ||n0||_1 <= M when gamma > 1/2).
+    (||c0||_inf <= M, and ||n0||_1 <= M when gamma > 1/2).  This type
+    checks gamma in [0, 5/6] and epsilon in (0, 1); the bounds by M involve
+    the initial data, which config.validate_config checks.
     """
 
     diffusion: object
@@ -103,10 +113,8 @@ class ModelSpec:
     def __post_init__(self):
         if not (0.0 <= self.gamma <= GAMMA_MAX):
             raise ValueError(f"gamma must lie in [0, 5/6], got {self.gamma}")
-        # epsilon = 0 is admitted for direct coefficient evaluation (the
-        # unregularized limit); simulation configs require epsilon in (0, 1).
-        if not (0.0 <= self.epsilon < 1.0):
-            raise ValueError(f"epsilon must lie in [0, 1), got {self.epsilon}")
+        if not (0.0 < self.epsilon < 1.0):
+            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if self.s0_sensitivity < 0 or not math.isfinite(self.s0_sensitivity):
             raise ValueError(f"S0 must be finite and >= 0, got {self.s0_sensitivity}")
         if self.sensitivity_kind not in ("isotropic", "rotation"):
@@ -133,10 +141,7 @@ def eval_D(n, spec: ModelSpec):
     n = np.asarray(n, dtype=float)
     d = spec.diffusion
     if isinstance(d, PorousMedium):
-        if d.m == 2.0:
-            out = n.copy()
-        else:
-            out = np.power(n, d.m - 1.0)
+        out = np.power(n, d.m - 1.0)
     else:
         out = np.interp(n, d.knots, d.values)
     return out if out.ndim else float(out)
@@ -145,7 +150,7 @@ def eval_D(n, spec: ModelSpec):
 def _eps_shift(spec: ModelSpec) -> float:
     # delta with (n + delta)^(m-1) = D_eps for porous-medium diffusion
     m = spec.diffusion.m
-    return spec.epsilon ** (1.0 / (m - 1.0)) if spec.epsilon > 0 else 0.0
+    return spec.epsilon ** (1.0 / (m - 1.0))
 
 
 def eval_D_eps(n, spec: ModelSpec):
@@ -159,10 +164,7 @@ def eval_D_eps(n, spec: ModelSpec):
     n = np.asarray(n, dtype=float)
     d = spec.diffusion
     if isinstance(d, PorousMedium):
-        shifted = n + _eps_shift(spec)
-        out = shifted if d.m == 2.0 else np.power(shifted, d.m - 1.0)
-        if spec.epsilon > 0:
-            out = np.maximum(out, spec.epsilon)
+        out = np.maximum(np.power(n + _eps_shift(spec), d.m - 1.0), spec.epsilon)
     else:
         out = np.interp(n, d.knots, d.values) + spec.epsilon
     return out if out.ndim else float(out)
@@ -296,18 +298,12 @@ def _smoothstep(t):
 def boundary_cutoff(x, y, spec: ModelSpec, lx: float, ly: float):
     """rho_eps: 0 within distance eps of the wall, 1 beyond 2*eps."""
     dist = np.minimum(np.minimum(x, lx - x), np.minimum(y, ly - y))
-    eps = spec.epsilon
-    if eps == 0.0:
-        return np.ones_like(np.asarray(dist, dtype=float))
-    return _smoothstep((dist - eps) / eps)
+    return _smoothstep((dist - spec.epsilon) / spec.epsilon)
 
 
 def density_cutoff(n, spec: ModelSpec):
     """chi_eps: 1 on [0, 1/eps], 0 on [2/eps, inf), smoothstep between."""
-    eps = spec.epsilon
-    if eps == 0.0:
-        return np.ones_like(np.asarray(n, dtype=float))
-    return 1.0 - _smoothstep(np.asarray(n, dtype=float) * eps - 1.0)
+    return 1.0 - _smoothstep(np.asarray(n, dtype=float) * spec.epsilon - 1.0)
 
 
 def sensitivity_scale(c, spec: ModelSpec):
@@ -369,21 +365,14 @@ def kappa_of(s0: float, spec: ModelSpec) -> float:
     Tabulated D is linear between knots, so D(n)/n is monotone there and
     the infimum is at a knot inside (0, 2*s0) or at 2*s0; when D(0) = 0,
     the ratio on the first segment is its constant slope, which the next
-    knot or 2*s0 gives.  Raises for porous-medium m > 2, where
-    D(n)/n -> 0 as n -> 0.
+    knot or 2*s0 gives.  Positive for every law these types admit
+    (PorousMedium keeps m <= 2, TabulatedDiffusion D > 0 on (0, inf)).
     """
     if s0 <= 0:
         raise ValueError("s0 must be positive")
     d = spec.diffusion
     if isinstance(d, PorousMedium):
-        m = d.m
-        if m == 2.0:
-            return 1.0
-        if m < 2.0:
-            return float((2.0 * s0) ** (m - 2.0))
-        raise ValueError(
-            "degenerate near zero: D(n)/n -> 0 as n -> 0 for porous-medium m > 2"
-        )
+        return float((2.0 * s0) ** (d.m - 2.0))
     k = np.asarray(d.knots)
     n = np.append(k[(k > 0) & (k < 2.0 * s0)], 2.0 * s0)
     return float((eval_D(n, spec) / n).min())

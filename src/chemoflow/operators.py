@@ -378,7 +378,7 @@ def project(v_star: VectorField, solver: PoissonSolver):
     by removing the mean of div(v_star) (which is zero up to round-off for
     fields with no-penetration walls anyway).
     """
-    v_star.check_finite()
+    v_star.check_finite("projection input")
     if not v_star.normal_boundary_is_zero():
         raise ValueError("projection input must have zero boundary-normal entries")
     g = v_star.grid

@@ -41,7 +41,7 @@ from .operators import (
     taxis_flux_div,
 )
 
-__all__ = ["TimeControls", "SolverError", "StepInfo", "run"]
+__all__ = ["TimeControls", "SolverError", "StepInfo", "check_initial", "run"]
 
 NEGATIVE_DENSITY_TOL = -1e-13
 DIFFUSION_NUMBER = 0.9
@@ -60,10 +60,11 @@ class TimeControls:
     The outer dt obeys the advective CFL dt*(speed_x/hx + speed_y/hy) <= cfl,
     where the speed includes both the fluid velocity and the chemotactic
     drift (upwind positivity needs both), and never exceeds dt_max; a dt
-    below DT_MIN is a stability failure.  cfl lies in (0, MAX_CFL]: the
-    taxis drift is not solenoidal, so a cell can lose mass through all
-    four faces in one step, and its upwind update stays nonnegative only
-    for cfl <= 1/2.  cfl does not scale the n-diffusion substeps.
+    below DT_MIN is a stability failure, so dt_max >= DT_MIN is required
+    up front.  cfl lies in (0, MAX_CFL]: the taxis drift is not
+    solenoidal, so a cell can lose mass through all four faces in one
+    step, and its upwind update stays nonnegative only for cfl <= 1/2.
+    cfl does not scale the n-diffusion substeps.
     """
 
     t_end: float
@@ -75,8 +76,8 @@ class TimeControls:
             raise ValueError(f"cfl must lie in (0, {MAX_CFL}], got {self.cfl}")
         if not (math.isfinite(self.t_end) and self.t_end >= 0):
             raise ValueError(f"t_end must be finite and >= 0, got {self.t_end}")
-        if not (math.isfinite(self.dt_max) and self.dt_max > 0):
-            raise ValueError(f"dt_max must be finite and > 0, got {self.dt_max}")
+        if not (math.isfinite(self.dt_max) and self.dt_max >= DT_MIN):
+            raise ValueError(f"dt_max must be finite and >= DT_MIN = {DT_MIN:g}, got {self.dt_max}")
 
 
 @dataclass
@@ -265,14 +266,19 @@ def _check_finite(state: State):
         )
 
 
-def _check_initial(state: State):
+def check_initial(state: State):
+    """Raise ValueError, naming the field (n, c or u), unless `state` is an
+    admissible initial state: finite, n >= 0 and not identically 0, c > 0,
+    u discretely solenoidal with zero boundary-normal entries.  `run` calls
+    it, and config.validate_config calls it on the configured state, so
+    `validate` accepts exactly the initial states `run` accepts."""
     state.validate()
     if not state.n.values.any():
-        raise ValueError("initial density must not vanish identically")
+        raise ValueError("initial density n must not vanish identically")
     d = div(state.u)
     scale = max(1.0, max(state.u.max_speed()))
     if np.abs(d.values).max() > 1e-10 * scale / min(state.n.grid.hx, state.n.grid.hy):
-        raise ValueError("initial velocity is not discretely solenoidal")
+        raise ValueError("initial velocity u is not discretely solenoidal")
 
 
 def run(
@@ -293,7 +299,7 @@ def run(
     prefixed with the index of the step that raised it, counted from 0.
     Fully deterministic.
     """
-    _check_initial(initial)
+    check_initial(initial)
     state = initial
     clamp_total = 0.0
 

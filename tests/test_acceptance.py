@@ -124,7 +124,7 @@ class TestReferenceRun:
         ok_f = rep.feasible and rep.residual_nonpos_fraction >= 0.99
 
         cfg7, records7, _, _ = reference_gamma07
-        fn = select_functional(cfg7.spec, n0_mass=records7[0].mass_n)
+        fn = select_functional(cfg7.spec)
         rep7 = functional_envelope(records7, functional=fn)
         ok_g = fn == "G" and rep7.feasible and rep7.residual_nonpos_fraction >= 0.99
         _report(
@@ -250,6 +250,47 @@ class TestExactSolutions:
             "L1 " + " / ".join(f"{e:.3e}" for e in errors)
             + " at eps " + " / ".join(f"{e:g}" for e in eps_list)
             + ", orders " + ", ".join(f"{o:.3f}" for o in orders) + " (tol 1 +- 0.15)",
+        )
+
+
+def _aggregation_peak(nn, L, amp):
+    """sup over record ticks of n_max for a uniform density n0 = 0.5 drawn up
+    the gradient of c0 = 1 + amp cos(pi x) cos(pi y) by strong taxis (S0 = 20),
+    with D = 0, 0.02, L at n = 0, 1, 3 (constant beyond) and threshold level L,
+    to T = 0.2 at cadence 0.0025 on nn x nn."""
+    text = reference_config_text(
+        t_end=0.2, nx=nn, ny=nn, cadence=0.0025, n0="constant: value=0.5",
+        c0=f"cosine: base=1.0, amp={amp}, kx=1, ky=1",
+    )
+    text = (text.replace("s0_sensitivity = 1.0", "s0_sensitivity = 20")
+            .replace("diffusion = porous_medium\nm = 2.0",
+                     f"diffusion = tabulated\ntable_knots = 0, 1, 3\ntable_values = 0, 0.02, {L}")
+            .replace("l = 2.0", f"l = {L}"))
+    cfg = parse_config(text)
+    peaks = []
+    run(cfg.initial_state(), cfg.spec, cfg.controls, PoissonSolver(cfg.grid),
+        sinks=[lambda state, clamp: peaks.append(float(state.n.values.max()))], cadence=cfg.cadence)
+    return max(peaks)
+
+
+class TestThresholdMechanism:
+    """The theorem's threshold: for ||c0||_inf <= M, large-density diffusion
+    above a level L = L(M) keeps n bounded.  Here taxis drives n_max from 0.5
+    to several times that, and the peak falls as L rises and as c0 (so M)
+    shrinks.  Both orderings are gated on two grids."""
+
+    @pytest.mark.parametrize("nn", [32, 64])
+    def test_peak_ordered_in_threshold_level_and_signal_bound(self, nn):
+        by_level = [_aggregation_peak(nn, L, 0.45) for L in (0.05, 0.5, 5.0)]
+        weak_signal = _aggregation_peak(nn, 0.5, 0.2)
+        ok = (by_level[0] > by_level[1] > by_level[2] and weak_signal < by_level[1]
+              and min(by_level + [weak_signal]) >= 3 * 0.5)
+        _report(
+            f"threshold-mechanism-{nn}",
+            ok,
+            "peak n_max " + " / ".join(f"{p:.4f}" for p in by_level)
+            + f" at L = 0.05 / 0.5 / 5 (amp 0.45), {weak_signal:.4f} at L = 0.5, amp 0.2;"
+            " strictly decreasing in L and in amp, each >= 3 max n0 = 1.5",
         )
 
 

@@ -44,6 +44,25 @@ class TestValidate:
         assert main(["validate", str(path)]) == 1
         assert capsys.readouterr().err.splitlines() == [line]
 
+    @pytest.mark.parametrize("kw, line", [
+        (dict(c0="cosine: base=1.0, amp=0.5, kx=nan, ky=1"),
+         "initial data rejected: signal c contains non-finite entries"),
+        (dict(u0="vortex: amp=1e308"),
+         "initial data rejected: velocity u contains non-finite entries"),
+        (dict(n0="gaussian: mass=1.0, sigma=0"),
+         "initial data rejected: n0 gaussian parameter sigma must be > 0; got 0.0"),
+        (dict(n0="gaussian: mass=1.0, sigma=0.001", nx=8, ny=8),
+         "initial data rejected: n0 gaussian with sigma=0.001 underflows to 0 on every cell, "
+         "so its discrete mass cannot be normalized"),
+        (dict(dt_max=1e-300), "dt_max must be finite and >= DT_MIN = 1e-12, got 1e-300"),
+    ], ids=["c0-nan", "u0-overflow", "sigma-zero", "gaussian-underflow", "dt_max-below-DT_MIN"])
+    def test_what_run_rejects_is_a_named_violation(self, tmp_path, capsys, kw, line):
+        # `run` refuses each of these, so `validate` names the refusal up front
+        path = tmp_path / "bad.ini"
+        path.write_text(reference_config_text(**{"t_end": 0.1, "nx": 16, "ny": 16, **kw}))
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"VIOLATION: {line}"]
+
 
 class TestRun:
     def test_writes_csv_and_passes_monitors(self, tiny_config, tmp_path, capsys):

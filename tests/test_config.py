@@ -1,4 +1,6 @@
+import pathlib
 import re
+from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
@@ -13,7 +15,10 @@ from chemoflow.config import (
 from chemoflow.grid import integrate
 from chemoflow.io import snapshot_name
 from chemoflow.model import PorousMedium, TabulatedDiffusion
-from chemoflow.operators import div
+from chemoflow.operators import PoissonSolver, div
+from chemoflow.solver import run
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 MINIMAL = """\
 [grid]
@@ -118,8 +123,14 @@ class TestParse:
             parse_config(MINIMAL.replace("epsilon = 0.1", "epsilon = 0.0"))
 
     def test_m_above_two_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=re.escape("exponent must lie in (1, 2], got 2.5")):
             parse_config(MINIMAL.replace("m = 2.0", "m = 2.5"))
+
+    @pytest.mark.parametrize("m", ["1.0", "nan", "inf"])
+    def test_m_one_or_non_finite_rejected(self, m):
+        # PorousMedium's one comparison 1 < m <= 2 also rejects nan and inf
+        with pytest.raises(ConfigError, match=re.escape("exponent must lie in (1, 2]")):
+            parse_config(MINIMAL.replace("m = 2.0", f"m = {m}"))
 
     def test_signal_bound_checked(self):
         bad = MINIMAL.replace("c0 = constant: value=1.0", "c0 = constant: value=5.0")
@@ -127,7 +138,7 @@ class TestParse:
             parse_config(bad)
 
     @pytest.mark.parametrize("key,value", [
-        ("t_end", "nan"), ("t_end", "inf"), ("dt_max", "nan"),
+        ("t_end", "nan"), ("t_end", "inf"), ("dt_max", "nan"), ("dt_max", "1e-300"),
         ("cadence", "0"), ("cadence", "-1"), ("cadence", "nan"),
     ])
     def test_time_controls_and_cadence_checked(self, key, value):
@@ -235,6 +246,52 @@ class TestInitialData:
     def test_unknown_catalogue_parameter(self):
         with pytest.raises(ConfigError, match="unknown parameters"):
             parse_config(MINIMAL.replace("n0 = constant: value=1.0", "n0 = constant: mass=1"))
+
+    @pytest.mark.parametrize("field", ["n0", "c0"])
+    @pytest.mark.parametrize("sigma", ["0", "-0.15", "nan"])
+    def test_gaussian_sigma_must_be_positive(self, field, sigma):
+        # the Gaussian exp(-r^2 / (2 sigma^2)) needs sigma > 0 for n0 and c0 alike
+        text = reference_config_text(t_end=0.1, nx=8, ny=8, **{field: f"gaussian: sigma={sigma}"})
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert info.value.violations == [
+            f"initial data rejected: {field} gaussian parameter sigma must be > 0; got {float(sigma)}"]
+
+    def test_gaussian_vanishing_on_the_grid_rejected(self):
+        # on 8^2 the nearest cell centre is 1/16 from each axis of the bump,
+        # so exp(-(2/256)/(2 sigma^2)) underflows to 0 on every cell
+        text = reference_config_text(t_end=0.1, nx=8, ny=8, n0="gaussian: mass=1.0, sigma=0.001")
+        with pytest.raises(ConfigError, match="underflows to 0 on every cell"):
+            parse_config(text)
+        assert parse_config(text.replace("sigma=0.001", "sigma=0.01")).initial_state().n.values.any()
+
+
+class TestValidateMatchesRun:
+    """validate_config checks the built initial state with solver.check_initial,
+    the check `run` starts with, so a configuration `validate` accepts never
+    has its initial state refused by `run`, and each refusal names its field."""
+
+    @pytest.mark.parametrize("field, kind, message", [
+        ("c0", "cosine: base=1.0, amp=0.5, kx=nan, ky=1", "signal c contains non-finite entries"),
+        ("c0", "cosine: base=0.4, amp=0.5", "signal c must be > 0 entrywise"),
+        ("u0", "vortex: amp=1e308", "velocity u contains non-finite entries"),
+        ("n0", "gaussian: mass=nan", "density n contains non-finite entries"),
+        ("n0", "gaussian: mass=-1.0", "density n must be >= 0 entrywise"),
+        ("n0", "constant: value=0", "initial density n must not vanish identically"),
+    ])
+    def test_same_refusal_as_run(self, field, kind, message):
+        base = parse_config(reference_config_text(t_end=0.01, nx=8, ny=8))
+        cfg = dc_replace(base, **{f"{field}_kind": kind})
+        assert validate_config(cfg) == [f"initial data rejected: {message}"]
+        with pytest.raises(ValueError) as info:
+            run(cfg.initial_state(), cfg.spec, cfg.controls, PoissonSolver(cfg.grid))
+        assert str(info.value) == message
+
+
+def test_readme_ini_block_is_the_reference_config():
+    blocks = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    assert parse_config(blocks[0]) == parse_config(reference_config_text(t_end=10.0))
 
 
 class TestValidateList:

@@ -208,16 +208,14 @@ class TestSelectFunctional:
 
     def test_small_gamma(self):
         assert select_functional(self._spec(0.3)) == "F"
+        assert select_functional(self._spec(0.5)) == "F"
 
-    def test_large_gamma_with_mass_bound(self):
-        assert select_functional(self._spec(0.8), n0_mass=1.0) == "G"
-
-    def test_large_gamma_needs_mass(self):
-        with pytest.raises(ValueError, match="n0"):
-            select_functional(self._spec(0.8))
-        with pytest.raises(ValueError, match="n0"):
-            select_functional(self._spec(0.8), n0_mass=2.0)
+    def test_large_gamma(self):
+        # the mass bound ||n0||_1 <= M that G needs is a config check
+        # (test_config.py::TestParse::test_large_gamma_needs_mass_bound)
+        assert select_functional(self._spec(0.8)) == "G"
+        assert select_functional(self._spec(5.0 / 6.0)) == "G"
 
     def test_gamma_out_of_range(self):
         with pytest.raises(ValueError):
-            select_functional(self._spec(0.85), n0_mass=1.0)
+            self._spec(0.85)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -45,7 +46,8 @@ class TestDiffusivity:
         assert eval_D(1.0, spec) <= v <= eval_D(1.0, spec) + 2 * spec.epsilon
 
     def test_regularized_floor_at_zero(self):
-        assert eval_D_eps(0.0, porous(3.0, eps=0.04)) == pytest.approx(0.04)
+        # the shift 0.04^(1/0.004) underflows to 0, so only the floor keeps D_eps >= eps
+        assert eval_D_eps(0.0, porous(1.004, eps=0.04)) == 0.04
 
     def test_regularized_large_density(self):
         assert eval_D_eps(10.0, porous(2.0, eps=0.1)) == pytest.approx(10.1)
@@ -71,12 +73,6 @@ class TestDiffusivity:
 
 
 class TestPrimitives:
-    def test_unregularized_m2(self):
-        spec = porous(2.0, eps=0.0)
-        d1, d2 = eval_D1_eps(1.0, spec), eval_D2_eps(1.0, spec)
-        assert d1 == pytest.approx(0.5)
-        assert d2 == pytest.approx(1.0 / 6.0)
-
     def test_zero_density(self):
         spec = porous(1.7, eps=0.3)
         assert (eval_D1_eps(0.0, spec), eval_D2_eps(0.0, spec)) == (0.0, 0.0)
@@ -188,8 +184,9 @@ class TestKappa:
         assert kappa_of(2.0, porous(1.5)) == pytest.approx(0.5)
 
     def test_m_above_2_degenerate(self):
-        with pytest.raises(ValueError, match="degenerate near zero"):
-            kappa_of(0.5, porous(2.5))
+        # m > 2 makes D(n)/n -> 0 as n -> 0 (kappa = 0): PorousMedium rejects it
+        with pytest.raises(ValueError, match=r"\(1, 2\]"):
+            PorousMedium(2.5)
 
     def test_tabulated_positive(self):
         k = kappa_of(1.0, tabulated([0.0, 5.0], [1.0, 1.0]))
@@ -206,8 +203,9 @@ class TestKappa:
 
 class TestTruncations:
     def _const_d_spec(self, d):
-        # tabulated D == d with eps = 0 gives D_eps == d exactly
-        return tabulated([0.0, 100.0], [d, d], eps=0.0)
+        # tabulated D == d - 0.25 with eps = 0.25 gives D_eps == d exactly
+        # (binary-exact values, so the sum d - 0.25 + 0.25 rounds to d)
+        return tabulated([0.0, 100.0], [d - 0.25, d - 0.25], eps=0.25)
 
     def test_branches(self):
         d = 2.0
@@ -226,9 +224,10 @@ class TestTruncations:
     def test_psi2_at_zero(self):
         d = 2.0
         t = build_truncations(self._const_d_spec(d), 1.0)
-        # piecewise integration gives Psi2(0) = 7/(6d); bound is 3*s0/kappa = 6/d
+        # piecewise integration gives Psi2(0) = 7/(6d); kappa is inf D(n)/n
+        # over (0, 2) of D = d - 0.25, so the bound 3*s0/kappa is 6/(d - 0.25)
         assert t.eval_psi2(0.0) == pytest.approx(7.0 / (6.0 * d), rel=1e-5)
-        assert t.psi2_bound == pytest.approx(6.0 / d, rel=1e-3)
+        assert t.psi2_bound == pytest.approx(6.0 / (d - 0.25), rel=1e-3)
         assert t.eval_psi2(0.0) <= t.psi2_bound
 
     @given(st.floats(1.2, 2.0), st.floats(0.2, 3.0))
@@ -253,8 +252,10 @@ class TestModelSpecValidation:
             porous(2.0, gamma=math.nextafter(5.0 / 6.0, 1.0))
 
     def test_epsilon_range(self):
-        with pytest.raises(ValueError, match="epsilon"):
-            porous(2.0, eps=1.0)
+        # eps = 0 (the unregularized system) is not a mode of these functions
+        for eps in (1.0, 0.0, -0.1, math.nan):
+            with pytest.raises(ValueError, match=re.escape("epsilon must lie in (0, 1)")):
+                porous(2.0, eps=eps)
 
     def test_tabulated_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):

@@ -170,8 +170,9 @@ class TestNonlinearDiffuse:
 
     def test_reduces_to_laplacian_for_constant_d(self, rng):
         g = make_grid(16, 16, 1.0, 1.0)
+        # D = 0.75 and eps = 0.25 are binary-exact, so D_eps == 1 exactly
         spec = ModelSpec(
-            diffusion=TabulatedDiffusion((0.0, 100.0), (1.0, 1.0)), epsilon=0.0
+            diffusion=TabulatedDiffusion((0.0, 100.0), (0.75, 0.75)), epsilon=0.25
         )
         n = ScalarField(g, rng.random((16, 16)) + 0.5)
         assert np.allclose(nonlinear_diffuse(n, spec).values, laplace(n).values, atol=1e-12)

@@ -419,3 +419,10 @@ class TestTimeControls:
         for cfl in (0.6, 1.0):
             with pytest.raises(ValueError, match=r"\(0, 0\.5\]"):
                 TimeControls(t_end=1.0, cfl=cfl)
+
+    def test_dt_max_below_dt_min_rejected(self):
+        # every step would be a stability violation, so the controls refuse it
+        assert TimeControls(t_end=1.0, dt_max=solver.DT_MIN).dt_max == solver.DT_MIN
+        for dt_max in (1e-300, math.nextafter(solver.DT_MIN, 0.0)):
+            with pytest.raises(ValueError, match="dt_max must be finite and >= DT_MIN"):
+                TimeControls(t_end=1.0, dt_max=dt_max)

@@ -277,7 +277,42 @@ class TestSeparableCorpus:
                 assert np.abs(got.values - want.values).max() <= 1e-14 * np.abs(want.values).max()
 
 
+# format_report(run_lemma_checks(FieldCorpus(n_members=...))) at the default
+# seed, recorded before the corpus was streamed; any change to calibration
+# order, hold-out order or the RNG streams shows here.  7 members has an odd
+# split and a superlevel calibration half with kmin = 0 (K = 1).
+_GOLDEN_HEAD = (
+    "check                                          constant       worst gap   result\n"
+    "--------------------------------------------------------------------------------\n"
+    "log-hessian identity: convergence order         1.88808         1.88808     PASS\n"
+)
+_GOLDEN_TAIL = (
+    "windowed-forcing ode envelope                         0       0.0356296     PASS\n"
+    "doubling-exponent recursion limit               2.82843         2.74473     PASS\n"
+)
+GOLDEN_REPORTS = {
+    40: _GOLDEN_HEAD + (
+        "log-hessian gradient-power estimate             29.3137         19090.9     PASS\n"
+        "log-hessian mixed-curvature estimate            41.1421         26292.3     PASS\n"
+        "entropy-weighted product bound                 0.212555         0.10013     PASS\n"
+        "superlevel entropy bound                       0.156482        0.619033     PASS\n"
+        "subset-mean poincare bound                     0.542882        0.356305     PASS\n"
+    ) + _GOLDEN_TAIL,
+    7: _GOLDEN_HEAD + (
+        "log-hessian gradient-power estimate             29.3137         45301.8     PASS\n"
+        "log-hessian mixed-curvature estimate            41.1421         62715.4     PASS\n"
+        "entropy-weighted product bound                 0.212555        0.256606     PASS\n"
+        "superlevel entropy bound                              1         5.94001     PASS\n"
+        "subset-mean poincare bound                     0.530413        0.728722     PASS\n"
+    ) + _GOLDEN_TAIL,
+}
+
+
 class TestReport:
+    @pytest.mark.parametrize("members", sorted(GOLDEN_REPORTS))
+    def test_report_matches_golden_text(self, members):
+        assert format_report(run_lemma_checks(FieldCorpus(n_members=members))) == GOLDEN_REPORTS[members]
+
     @pytest.mark.parametrize("members", [-3, 0, 1])
     def test_corpus_too_small_to_hold_out(self, members):
         with pytest.raises(ValueError, match="at least 2 corpus members"):

@@ -8,7 +8,8 @@ the ranges of gamma, epsilon and m by the model types that hold them
 (model.ModelSpec, model.PorousMedium), the reach of the threshold level
 L by model.threshold_s0, the time controls by solver.TimeControls, the
 built initial state by solver.check_initial, the function `run` calls,
-and the bounds ||c0||_inf <= M and, for gamma > 1/2, ||n0||_1 <= M here.
+and here the bounds ||c0||_inf <= M, for gamma > 1/2 ||n0||_1 <= M,
+min c0 >= C0_FLOOR and the first step's CFL dt (as the solver has it) >= DT_MIN.
 
 Initial data comes from a fixed catalogue instead of free-form
 expressions, so the provenance of every test state is auditable:
@@ -36,7 +37,8 @@ import numpy as np
 from .grid import Grid, ScalarField, State, VectorField, integrate, make_grid
 from .io import snapshot_name
 from .model import ModelSpec, PorousMedium, TabulatedDiffusion, threshold_s0
-from .solver import TimeControls, check_initial
+from .operators import taxis_face_velocity
+from .solver import DT_MIN, TimeControls, _advective_dt, check_initial
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "validate_config", "reference_config_text"]
 
@@ -61,6 +63,10 @@ _SCHEMA = {
     "output": {"cadence", "directory", "snapshots"},
     "run": {"seed"},
 }
+
+# smallest admissible min c0: diagnostics.record divides by c**5, which
+# underflows below tiny**(1/5) = 2.9e-62 (to 0, making the record nan, by 2e-65)
+C0_FLOOR = float(np.finfo(float).tiny) ** 0.2
 
 
 @dataclass(frozen=True)
@@ -233,8 +239,8 @@ def parse_config(text: str) -> RunConfig:
         )
         controls = TimeControls(
             t_end=get("time", "t_end", 1.0),
-            dt_max=get("time", "dt_max", 0.01),
-            cfl=get("time", "cfl", 0.4),
+            dt_max=get("time", "dt_max", TimeControls.dt_max),
+            cfl=get("time", "cfl", TimeControls.cfl),
         )
         get_int("run", "seed", 0)  # integer-checked, never read
         snapshots = get("output", "snapshots", "false", cast=None).lower()
@@ -299,6 +305,12 @@ def validate_config(cfg: RunConfig):
     cmax = float(c0.values.max())
     if cmax > spec.M * (1.0 + 1e-12):
         violations.append(f"requires ||c0||_inf <= M; got {cmax:.6g} > M = {spec.M:.6g}")
+    if (cmin := float(c0.values.min())) < C0_FLOOR:
+        violations.append(f"requires min c0 >= {C0_FLOOR:.3g}, below which the record's c^5 "
+                          f"underflows; got {cmin:.3g}")
+    if (dt := _advective_dt(state, *taxis_face_velocity(n0, c0, spec), cfg.controls)) < DT_MIN:
+        violations.append(f"the first step's CFL dt = {dt:.3e} is below DT_MIN = {DT_MIN:g}; "
+                          f"the initial velocity or taxis drift is too fast for the grid")
     if spec.gamma > 0.5:
         mass = integrate(n0)
         if mass > spec.M * (1.0 + 1e-12):

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -328,6 +329,20 @@ class TestReport:
         text = format_report(rows)
         assert "PASS" in text and "FAIL" not in text
         assert "constant" in text and "worst gap" in text
+
+    def test_peak_memory_does_not_grow_with_members(self):
+        # the corpus is streamed, at most analysis.BATCH members alive at a time,
+        # so 160 more members (about 11 MB of fields and masks if held) add nothing
+        run_lemma_checks(FieldCorpus(n_members=2))  # caches and lazy imports
+        peaks = {}
+        for members in (40, 200):
+            tracemalloc.start()
+            try:
+                run_lemma_checks(FieldCorpus(n_members=members))
+                peaks[members] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[200] - peaks[40] <= 0.5e6, peaks
 
     def test_trudinger_terms_once_per_member(self, monkeypatch):
         terms = analysis._trudinger_terms

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from chemoflow.config import (
+    C0_FLOOR,
     ConfigError,
     _snapshot_clash,
     parse_config,
@@ -14,9 +15,10 @@ from chemoflow.config import (
 )
 from chemoflow.grid import integrate
 from chemoflow.io import snapshot_name
-from chemoflow.model import PorousMedium, TabulatedDiffusion
+from chemoflow.diagnostics import record
+from chemoflow.model import PorousMedium, TabulatedDiffusion, build_truncations, threshold_s0
 from chemoflow.operators import PoissonSolver, div
-from chemoflow.solver import run
+from chemoflow.solver import SolverError, run
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -286,6 +288,37 @@ class TestValidateMatchesRun:
         with pytest.raises(ValueError) as info:
             run(cfg.initial_state(), cfg.spec, cfg.controls, PoissonSolver(cfg.grid))
         assert str(info.value) == message
+
+
+class TestValidateMatchesFirstStepAndRecord:
+    """validate_config computes the first step's CFL dt as the solver does and
+    bounds c0 below where the record's c^5 underflows, so `run` can take the
+    first step and the first record of every configuration `validate` accepts."""
+
+    @pytest.mark.parametrize("amp", ["1e12", "1e200"])
+    def test_too_fast_initial_velocity_rejected(self, amp):
+        base = parse_config(reference_config_text(t_end=0.01, nx=8, ny=8))
+        cfg = dc_replace(base, u0_kind=f"vortex: amp={amp}")
+        (problem,) = validate_config(cfg)
+        assert re.fullmatch(r"the first step's CFL dt = \S+ is below DT_MIN = 1e-12; "
+                            r"the initial velocity or taxis drift is too fast for the grid", problem)
+        with pytest.raises(SolverError, match="step 0: stability violation"):
+            run(cfg.initial_state(), cfg.spec, cfg.controls, PoissonSolver(cfg.grid))
+        assert validate_config(dc_replace(base, u0_kind="vortex: amp=1e6")) == []
+
+    def test_signal_below_record_floor_rejected(self):
+        base = parse_config(reference_config_text(t_end=0.01, nx=8, ny=8))
+        table = build_truncations(base.spec, threshold_s0(base.spec))
+        for value, accepted in ((C0_FLOOR, True), (float(np.nextafter(C0_FLOOR, 0.0)), False), (1e-300, False)):
+            cfg = dc_replace(base, c0_kind=f"constant: value={value!r}")
+            problems = validate_config(cfg)
+            assert problems == ([] if accepted else
+                                [f"requires min c0 >= 2.95e-62, below which the record's c^5 "
+                                 f"underflows; got {value:.3g}"])
+            if accepted:
+                assert np.isfinite(record(cfg.initial_state(), cfg.spec, table).I_c6)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite diagnostics entry I_c4"):
+            record(cfg.initial_state(), cfg.spec, table)
 
 
 def test_readme_ini_block_is_the_reference_config():

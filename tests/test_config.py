@@ -13,9 +13,9 @@ from chemoflow.config import (
     reference_config_text,
     validate_config,
 )
+from chemoflow.diagnostics import record
 from chemoflow.grid import integrate
 from chemoflow.io import snapshot_name
-from chemoflow.diagnostics import record
 from chemoflow.model import PorousMedium, TabulatedDiffusion, build_truncations, threshold_s0
 from chemoflow.operators import PoissonSolver, div
 from chemoflow.solver import SolverError, run
@@ -309,16 +309,19 @@ class TestValidateMatchesFirstStepAndRecord:
     def test_signal_below_record_floor_rejected(self):
         base = parse_config(reference_config_text(t_end=0.01, nx=8, ny=8))
         table = build_truncations(base.spec, threshold_s0(base.spec))
-        for value, accepted in ((C0_FLOOR, True), (float(np.nextafter(C0_FLOOR, 0.0)), False), (1e-300, False)):
-            cfg = dc_replace(base, c0_kind=f"constant: value={value!r}")
-            problems = validate_config(cfg)
-            assert problems == ([] if accepted else
-                                [f"requires min c0 >= 2.95e-62, below which the record's c^5 "
-                                 f"underflows; got {value:.3g}"])
-            if accepted:
-                assert np.isfinite(record(cfg.initial_state(), cfg.spec, table).I_c6)
+
+        def with_c0(value):
+            return dc_replace(base, c0_kind=f"constant: value={value!r}")
+
+        at_floor = with_c0(C0_FLOOR)
+        assert validate_config(at_floor) == []
+        assert np.isfinite(record(at_floor.initial_state(), at_floor.spec, table).I_c6)
+        for value in (float(np.nextafter(C0_FLOOR, 0.0)), 1e-300):
+            assert validate_config(with_c0(value)) == [
+                f"requires min c0 >= 2.95e-62, below which the record's c^5 underflows; got {value:.3g}"]
+        far_below = with_c0(1e-300)
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite diagnostics entry I_c4"):
-            record(cfg.initial_state(), cfg.spec, table)
+            record(far_below.initial_state(), far_below.spec, table)
 
 
 def test_readme_ini_block_is_the_reference_config():

@@ -36,7 +36,7 @@ import ctypes
 import pathlib
 import sys
 
-from .config import ConfigError, parse_config
+from .config import DIV_U_TOL, ConfigError, parse_config
 from .diagnostics import functional_envelope, record, select_functional
 from .grid import integrate
 from .io import emit_snapshot, emit_timeseries, snapshot_name
@@ -76,8 +76,8 @@ def _monitors(records, initial_mass: float):
         if b.c_max > a.c_max + 1e-12:
             failures.append("signal maximum increased beyond 1e-12")
             break
-    if any(r.div_u_max > 1e-8 for r in records):
-        failures.append("incompressibility residual above 1e-8")
+    if any(r.div_u_max > DIV_U_TOL for r in records):
+        failures.append(f"incompressibility residual above {DIV_U_TOL:g}")
     if records and records[-1].clamp_mass > 1e-10 * max(initial_mass, 1e-300):
         failures.append("cumulative clamped mass above 1e-10 of initial mass")
     return failures
@@ -117,11 +117,7 @@ def _cmd_run(args) -> int:
     functional = select_functional(spec)
     report = functional_envelope(records, functional=functional)
     print(f"wrote {outdir / 'timeseries.csv'} ({len(records)} records)")
-    print(
-        f"envelope[{functional}]: feasible={report.feasible} "
-        f"mu={report.mu:.4g} Gamma={report.Gamma:.4g} "
-        f"nonpos={report.residual_nonpos_fraction:.3f} ok={report.envelope_ok}"
-    )
+    print(f"envelope[{functional}]: slope={report.slope:.4g} max/F0={report.ratio:.4g} ok={report.ok}")
     failures = _monitors(records, initial_mass)
     for f in failures:
         print(f"MONITOR FAIL: {f}", file=sys.stderr)

@@ -9,7 +9,8 @@ the ranges of gamma, epsilon and m by the model types that hold them
 L by model.threshold_s0, the time controls by solver.TimeControls, the
 built initial state by solver.check_initial, the function `run` calls,
 and here the bounds ||c0||_inf <= M, for gamma > 1/2 ||n0||_1 <= M,
-min c0 >= C0_FLOOR and the first step's CFL dt (as the solver has it) >= DT_MIN.
+min c0 >= C0_FLOOR, the first step's CFL dt (as the solver has it) >= DT_MIN
+and max|div u0| <= DIV_U_TOL.
 
 Initial data comes from a fixed catalogue instead of free-form
 expressions, so the provenance of every test state is auditable:
@@ -37,7 +38,7 @@ import numpy as np
 from .grid import Grid, ScalarField, State, VectorField, integrate, make_grid
 from .io import snapshot_name
 from .model import ModelSpec, PorousMedium, TabulatedDiffusion, threshold_s0
-from .operators import taxis_face_velocity
+from .operators import div, taxis_face_velocity
 from .solver import DT_MIN, TimeControls, _advective_dt, check_initial
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "validate_config", "reference_config_text"]
@@ -67,6 +68,10 @@ _SCHEMA = {
 # smallest admissible min c0: diagnostics.record divides by c**5, which
 # underflows below tiny**(1/5) = 2.9e-62 (to 0, making the record nan, by 2e-65)
 C0_FLOOR = float(np.finfo(float).tiny) ** 0.2
+
+# largest max|div u| a record may read: cli._monitors fails a run above it,
+# so validate_config refuses a u0 whose round-off already exceeds it
+DIV_U_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -311,6 +316,9 @@ def validate_config(cfg: RunConfig):
     if (dt := _advective_dt(state, *taxis_face_velocity(n0, c0, spec), cfg.controls)) < DT_MIN:
         violations.append(f"the first step's CFL dt = {dt:.3e} is below DT_MIN = {DT_MIN:g}; "
                           f"the initial velocity or taxis drift is too fast for the grid")
+    elif (d := float(np.abs(div(state.u).values).max())) > DIV_U_TOL:  # a u0 too fast is named once
+        violations.append(f"requires max|div u0| <= {DIV_U_TOL:g}, the incompressibility monitor's bound; "
+                          f"got {d:.3g}")
     if spec.gamma > 0.5:
         mass = integrate(n0)
         if mass > spec.M * (1.0 + 1e-12):

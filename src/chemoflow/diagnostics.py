@@ -9,9 +9,9 @@ composite functionals are assembled, every term with unit weight:
     G = int D2_eps(n) + int |grad c|^4/c^3 + int Psi2(n)
 
 F is the monitor for mild sensitivity singularities (gamma <= 1/2), G the
-one for gamma in (1/2, 5/6].  Their dissipation inequality
-dF/dt + mu*F <= Gamma is fitted a posteriori on the first half of the
-recorded intervals and held out on the second (functional_envelope).
+one for gamma in (1/2, 5/6].  The theorem bounds them; functional_envelope
+reads that a posteriori off the held-out second half of the record, where
+the least-squares slope of log F against t may not exceed SLOPE_TOL.
 """
 
 from __future__ import annotations
@@ -37,14 +37,8 @@ __all__ = [
 # exponent of the signal integral I_cq = int |grad c|^2 / c^(2 - Q)
 Q = 0.5
 
-# envelope fit: N_MU rates mu geometric on MU_RANGE, a FEASIBILITY share
-# of intervals within round-off (REL_TOL), the series within ENVELOPE_TOL
-# of the implied bound
-N_MU = 20
-MU_RANGE = (1e-3, 1e2)
-FEASIBILITY = 0.99
-ENVELOPE_TOL = 0.05
-REL_TOL = 1e-8
+# envelope gate: largest held-out growth rate of log F, per unit time
+SLOPE_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -145,30 +139,21 @@ def select_functional(spec: ModelSpec) -> str:
 @dataclass(frozen=True)
 class EnvelopeReport:
     functional: str
-    feasible: bool
-    mu: float
-    Gamma: float
-    residual_nonpos_fraction: float
-    envelope_bound: float
-    max_value: float
-    envelope_ok: bool
+    slope: float
+    ratio: float
+    ok: bool
 
 
 def functional_envelope(
     series: Sequence[DiagnosticsRecord],
     functional: str = "F",
 ) -> EnvelopeReport:
-    """Fit dF/dt + mu*F <= Gamma on the first h = m // 2 of the m recorded
-    intervals, dF/dt = (F_{k+1} - F_k)/dt, and hold it out on the rest.
-
-    Gamma(mu) is the ceil(FEASIBILITY * h)-th smallest dF/dt + mu*F_k of
-    the first h; the mu with the smallest envelope max(F(0), Gamma/mu)
-    is kept (ties toward larger mu), the forcing terms folded into Gamma.
-    `residual_nonpos_fraction` is the held-out share with residual <=
-    REL_TOL * (|dF/dt| + mu|F_k|), `feasible` that share >= FEASIBILITY,
-    and `envelope_ok` whether F stayed within ENVELOPE_TOL of the
-    envelope.  Fewer than two intervals give a trivial report; quotients
-    that overflow float64 are rejected.
+    """Check that F (or G) stops growing: `slope` is the least-squares
+    slope of log F against t on records m // 2 ... m of the m recorded
+    intervals, sum (t - t_mean)(y - y_mean) / sum (t - t_mean)^2, `ratio`
+    is max F / F(0) over the whole record and `ok` is slope <= SLOPE_TOL.
+    A single record gives slope 0.  F <= 0 (where log F is undefined) and
+    a slope that is not finite raise ValueError.
     """
     if len(series) == 0:
         raise ValueError("empty diagnostics series")
@@ -176,27 +161,17 @@ def functional_envelope(
         raise ValueError(f"functional must be 'F' or 'G', got {functional!r}")
     ts = np.array([r.t for r in series])
     vals = np.array([getattr(r, functional) for r in series])
-    dt = np.diff(ts)
-    if (dt <= 0).any():
+    if (np.diff(ts) <= 0).any():
         raise ValueError("series must be sorted by time")
-
-    mus = np.geomspace(MU_RANGE[0], MU_RANGE[1], N_MU)[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        dfdt = np.diff(vals) / dt
-        base = dfdt + mus * vals[:-1]
-        tol = REL_TOL * (np.abs(dfdt) + mus * np.abs(vals[:-1]))
-    if not np.isfinite(base).all():
-        raise ValueError(f"dF/dt + mu*F overflows float64 (time steps down to {dt.min():.3g})")
-    if len(dt) < 2:
-        mu, gamma, frac, bound = 1.0, 1.0, 1.0, float(vals[0])
-    else:
-        half = len(dt) // 2
-        rank = math.ceil(FEASIBILITY * half) - 1
-        gammas = np.partition(base[:, :half], rank, axis=1)[:, rank]
-        bounds = np.maximum(vals[0], gammas / mus[:, 0])
-        i = N_MU - 1 - int(np.argmin(bounds[::-1]))
-        mu, gamma, bound = float(mus[i, 0]), float(gammas[i]), float(bounds[i])
-        frac = float(np.mean(base[i, half:] - gamma <= tol[i, half:]))
-    ok = bool(vals.max() <= bound * (1.0 + ENVELOPE_TOL))
-    return EnvelopeReport(functional, frac >= FEASIBILITY, mu, gamma, frac,
-                          bound, float(vals.max()), ok)
+    if (vals <= 0).any():
+        k = int(np.argmax(vals <= 0))
+        raise ValueError(f"{functional} = {vals[k]:.3g} <= 0 at t = {ts[k]:.6g}: log {functional} is undefined")
+    slope = 0.0
+    if len(ts) > 1:
+        held = slice((len(ts) - 1) // 2, None)
+        t, y = ts[held] - ts[held].mean(), np.log(vals[held])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = float((t * (y - y.mean())).sum() / (t * t).sum())
+    if not math.isfinite(slope):
+        raise ValueError(f"the slope of log {functional} is not finite (time steps down to {np.diff(ts).min():.3g})")
+    return EnvelopeReport(functional, slope, float(vals.max() / vals[0]), slope <= SLOPE_TOL)

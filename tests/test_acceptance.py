@@ -19,7 +19,7 @@ from chemoflow.analysis import (
     run_lemma_checks,
 )
 from chemoflow.config import parse_config, reference_config_text
-from chemoflow.diagnostics import functional_envelope, record, select_functional
+from chemoflow.diagnostics import SLOPE_TOL, functional_envelope, record, select_functional
 from chemoflow.grid import ScalarField, State, VectorField, integrate, make_grid
 from chemoflow.io import emit_snapshot, emit_timeseries
 from chemoflow.model import ModelSpec, PorousMedium, build_truncations, threshold_s0
@@ -119,19 +119,18 @@ class TestReferenceRun:
         _report("density-bounded", growth < 0.01, f"growth {growth:.3e}")
 
     def test_energy_envelope(self, reference, reference_gamma07):
+        # F (gamma = 1/2) and G (gamma = 0.7) stop growing on the held-out half
         _, records, _, _ = reference
         rep = functional_envelope(records, functional="F")
-        ok_f = rep.feasible and rep.residual_nonpos_fraction >= 0.99
 
         cfg7, records7, _, _ = reference_gamma07
         fn = select_functional(cfg7.spec)
         rep7 = functional_envelope(records7, functional=fn)
-        ok_g = fn == "G" and rep7.feasible and rep7.residual_nonpos_fraction >= 0.99
         _report(
             "energy-envelope",
-            ok_f and ok_g,
-            f"F: mu={rep.mu:.3g} Gamma={rep.Gamma:.3g} frac={rep.residual_nonpos_fraction:.3f}; "
-            f"G: mu={rep7.mu:.3g} Gamma={rep7.Gamma:.3g} frac={rep7.residual_nonpos_fraction:.3f}",
+            rep.ok and fn == "G" and rep7.ok,
+            f"F: slope={rep.slope:.3g} max/F0={rep.ratio:.4g}; "
+            f"G: slope={rep7.slope:.3g} max/G0={rep7.ratio:.4g}; SLOPE_TOL={SLOPE_TOL:g}",
         )
 
     def test_energy_envelope_rejects_growth(self, reference):
@@ -141,8 +140,8 @@ class TestReferenceRun:
         rep = functional_envelope(probe, functional="F")
         _report(
             "energy-envelope-rejects-growth",
-            not rep.feasible,
-            f"F*(1+0.2t): mu={rep.mu:.3g} Gamma={rep.Gamma:.3g} frac={rep.residual_nonpos_fraction:.3f}",
+            not rep.ok,
+            f"F*(1+0.2t): slope={rep.slope:.3g} max/F0={rep.ratio:.4g}; SLOPE_TOL={SLOPE_TOL:g}",
         )
 
     def test_window_averaged_dissipation(self, reference):
@@ -253,10 +252,10 @@ class TestExactSolutions:
         )
 
 
-def _aggregation_peak(nn, L, amp):
-    """sup over record ticks of n_max for a uniform density n0 = 0.5 drawn up
-    the gradient of c0 = 1 + amp cos(pi x) cos(pi y) by strong taxis (S0 = 20),
-    with D = 0, 0.02, L at n = 0, 1, 3 (constant beyond) and threshold level L,
+def _aggregation_config(nn, L, amp):
+    """A uniform density n0 = 0.5 drawn up the gradient of
+    c0 = 1 + amp cos(pi x) cos(pi y) by strong taxis (S0 = 20), with
+    D = 0, 0.02, L at n = 0, 1, 3 (constant beyond) and threshold level L,
     to T = 0.2 at cadence 0.0025 on nn x nn."""
     text = reference_config_text(
         t_end=0.2, nx=nn, ny=nn, cadence=0.0025, n0="constant: value=0.5",
@@ -266,7 +265,12 @@ def _aggregation_peak(nn, L, amp):
             .replace("diffusion = porous_medium\nm = 2.0",
                      f"diffusion = tabulated\ntable_knots = 0, 1, 3\ntable_values = 0, 0.02, {L}")
             .replace("l = 2.0", f"l = {L}"))
-    cfg = parse_config(text)
+    return parse_config(text)
+
+
+def _aggregation_peak(nn, L, amp):
+    """sup over record ticks of n_max in the aggregation run of _aggregation_config."""
+    cfg = _aggregation_config(nn, L, amp)
     peaks = []
     run(cfg.initial_state(), cfg.spec, cfg.controls, PoissonSolver(cfg.grid),
         sinks=[lambda state, clamp: peaks.append(float(state.n.values.max()))], cadence=cfg.cadence)
@@ -291,6 +295,22 @@ class TestThresholdMechanism:
             "peak n_max " + " / ".join(f"{p:.4f}" for p in by_level)
             + f" at L = 0.05 / 0.5 / 5 (amp 0.45), {weak_signal:.4f} at L = 0.5, amp 0.2;"
             " strictly decreasing in L and in amp, each >= 3 max n0 = 1.5",
+        )
+
+    def test_energy_envelope_where_F_moves(self):
+        # the reference record is flat from t ~ 1; here F rises by 7 % while
+        # taxis gathers n (23.58 -> 25.30 at t = 0.06), then falls to 22.28
+        cfg = _aggregation_config(32, 0.5, 0.45)
+        table = build_truncations(cfg.spec, threshold_s0(cfg.spec))
+        records = []
+        run(cfg.initial_state(), cfg.spec, cfg.controls, PoissonSolver(cfg.grid),
+            sinks=[lambda state, clamp: records.append(record(state, cfg.spec, table, clamp_mass=clamp))],
+            cadence=cfg.cadence)
+        rep = functional_envelope(records, functional=select_functional(cfg.spec))
+        _report(
+            "energy-envelope-aggregation-32",
+            rep.ok and rep.ratio > 1.05,
+            f"F: slope={rep.slope:.3g} max/F0={rep.ratio:.4g}; SLOPE_TOL={SLOPE_TOL:g}, F must have risen by 5 %",
         )
 
 

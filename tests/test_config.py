@@ -1,12 +1,17 @@
+import math
 import pathlib
 import re
+import tempfile
 from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from chemoflow.cli import main
 from chemoflow.config import (
     C0_FLOOR,
+    DIV_U_TOL,
     ConfigError,
     _snapshot_clash,
     parse_config,
@@ -291,9 +296,10 @@ class TestValidateMatchesRun:
 
 
 class TestValidateMatchesFirstStepAndRecord:
-    """validate_config computes the first step's CFL dt as the solver does and
-    bounds c0 below where the record's c^5 underflows, so `run` can take the
-    first step and the first record of every configuration `validate` accepts."""
+    """validate_config computes the first step's CFL dt as the solver does,
+    bounds c0 below where the record's c^5 underflows and div u0 by the
+    incompressibility monitor's DIV_U_TOL, so `run` can take the first step
+    and pass the first record of every configuration `validate` accepts."""
 
     @pytest.mark.parametrize("amp", ["1e12", "1e200"])
     def test_too_fast_initial_velocity_rejected(self, amp):
@@ -322,6 +328,164 @@ class TestValidateMatchesFirstStepAndRecord:
         far_below = with_c0(1e-300)
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite diagnostics entry I_c4"):
             record(far_below.initial_state(), far_below.spec, table)
+
+    def test_initial_divergence_above_monitor_bound_rejected(self, tmp_path, capsys):
+        # an exactly solenoidal stream-function vortex: the round-off of its
+        # discrete divergence grows with the amplitude, 2.98e-8 at amp 1e7 on 8^2
+        path = tmp_path / "run.ini"
+        path.write_text(reference_config_text(t_end=0.01, nx=8, ny=8, u0="vortex: amp=1e7"))
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "VIOLATION: requires max|div u0| <= 1e-08, the incompressibility monitor's bound; got 2.98e-08"]
+        assert DIV_U_TOL == 1e-8
+
+    def test_initial_divergence_below_monitor_bound_passes_every_monitor(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text(reference_config_text(t_end=0.01, nx=8, ny=8, u0="vortex: amp=1e6"))
+        assert main(["validate", str(path)]) == 0
+        assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 0
+        out = capsys.readouterr()
+        assert out.out.splitlines()[-1] == "all invariant monitors passed" and out.err == ""
+
+    def test_shrunk_fast_vortex_at_t0_rejected(self, tmp_path, capsys):
+        # what TestValidatedConfigsRun shrinks to without the div u0 check:
+        # a 4 x 4 run to t_end = 0 whose one record fails the monitor
+        path = tmp_path / "run.ini"
+        path.write_text(SHRUNK_FAST_VORTEX)
+        assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "VIOLATION: requires max|div u0| <= 1e-08, the incompressibility monitor's bound; got 1.49e-08"]
+        path.write_text(SHRUNK_FAST_VORTEX.replace("amp=3e6", "amp=1e6"))
+        assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 0
+
+
+SHRUNK_FAST_VORTEX = """\
+[grid]
+nx = 4
+ny = 4
+lx = 0.5
+ly = 0.5
+
+[model]
+diffusion = tabulated
+table_knots = 0, 1, 3
+table_values = 0, 1.0, 1.0
+gamma = 0.0
+s0_sensitivity = 0.0
+sensitivity_kind = isotropic
+rotation_angle = 0.0
+phi_gradient = 0.0, 0.0
+epsilon = 0.5
+l = 1.0
+m_bound = 1.0
+
+[initial]
+n0 = gaussian: mass=1.0, sigma=0.5, x0=0.0, y0=0.0
+c0 = constant: value=1.0
+u0 = vortex: amp=3e6, kx=1, ky=1
+
+[time]
+t_end = 0.0
+cfl = 0.5
+dt_max = 0.0078125
+
+[output]
+cadence = 0.03125
+snapshots = on
+"""
+
+
+def _num(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+@st.composite
+def run_ini(draw):
+    """INI text over every kind of key at <= 16^2 and t_end <= 0.02.  A fast
+    vortex (amp >= 1e5) takes t_end = 0, so its one record is the t = 0 one."""
+    lx, ly = draw(st.sampled_from([0.5, 1.0, 2.0])), draw(st.sampled_from([0.5, 1.0, 2.0]))
+    if draw(st.booleans()):
+        law = f"diffusion = porous_medium\nm = {draw(_num(1.05, 2.0))}"
+        top = 2.0
+    else:
+        top = draw(st.floats(0.05, 2.0))
+        law = (f"diffusion = tabulated\ntable_knots = 0, 1, 3\ntable_values = "
+               f"{draw(st.sampled_from(['0', '0.01']))}, {draw(_num(0.01, 1.0))}, {top!r}")
+    if draw(st.booleans()):
+        value = draw(st.floats(0.01, 2.0))
+        n0, mass = f"constant: value={value!r}", value * lx * ly
+    else:
+        mass = draw(st.floats(0.1, 2.0))
+        n0 = (f"gaussian: mass={mass!r}, sigma={draw(_num(0.05, 0.5))}, "
+              f"x0={draw(_num(0.0, lx))}, y0={draw(_num(0.0, ly))}")
+    base = draw(st.floats(0.2, 2.0))
+    amp = draw(st.sampled_from([0.0]) | st.floats(-0.9 * base, 0.9 * base))
+    if amp == 0.0:
+        c0 = f"constant: value={base!r}"
+    else:
+        c0 = f"cosine: base={base!r}, amp={amp!r}, kx={draw(st.integers(0, 3))}, ky={draw(st.integers(0, 3))}"
+    # M from 5 % below to twice above sup c0 and ||n0||_1, so most draws are admissible
+    m_bound = max(base + abs(amp), mass) * draw(st.floats(0.95, 2.0))
+    t_end = draw(_num(0.001, 0.02))
+    kind = draw(st.sampled_from(["zero", "slow", "slow", "fast"]))
+    if kind == "zero":
+        u0 = "zero"
+    else:
+        speed = draw(_num(-10.0, 10.0) if kind == "slow" else st.sampled_from(["1e5", "1e6", "3e6", "1e7", "1e8"]))
+        u0 = f"vortex: amp={speed}, kx={draw(st.integers(1, 3))}, ky={draw(st.integers(1, 3))}"
+        t_end = t_end if kind == "slow" else "0.0"
+    return f"""\
+[grid]
+nx = {draw(st.integers(4, 16))}
+ny = {draw(st.integers(4, 16))}
+lx = {lx}
+ly = {ly}
+
+[model]
+{law}
+gamma = {draw(_num(0.0, 5.0 / 6.0))}
+s0_sensitivity = {draw(_num(0.0, 5.0))}
+sensitivity_kind = {draw(st.sampled_from(["isotropic", "rotation"]))}
+rotation_angle = {draw(_num(-math.pi, math.pi))}
+phi_gradient = {draw(_num(-2.0, 2.0))}, {draw(_num(-2.0, 2.0))}
+epsilon = {draw(_num(0.01, 0.5))}
+l = {draw(_num(0.01, top))}
+m_bound = {m_bound!r}
+
+[initial]
+n0 = {n0}
+c0 = {c0}
+u0 = {u0}
+
+[time]
+t_end = {t_end}
+cfl = {draw(_num(0.05, 0.5))}
+dt_max = {draw(_num(1e-3, 1e-2))}
+
+[output]
+cadence = {draw(_num(0.002, 0.05))}
+snapshots = {draw(st.sampled_from(["on", "off"]))}
+"""
+
+
+class TestValidatedConfigsRun:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(text=run_ini())
+    def test_accepted_config_passes_monitors_and_replays(self, text):
+        # every configuration `validate` accepts runs, passes every monitor
+        # of `run` and writes the same bytes twice
+        try:
+            parse_config(text)
+        except ConfigError:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp, "run.ini")
+            path.write_text(text)
+            outputs = []
+            for name in ("a", "b"):
+                assert main(["run", str(path), "--output", str(path.parent / name)]) == 0
+                outputs.append({f.name: f.read_bytes() for f in (path.parent / name).iterdir()})
+        assert outputs[0] == outputs[1] and "timeseries.csv" in outputs[0]
 
 
 def test_readme_ini_block_is_the_reference_config():

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chemoflow.diagnostics import (
-    FEASIBILITY,
-    MU_RANGE,
+    SLOPE_TOL,
     DiagnosticsRecord,
     functional_envelope,
     record,
@@ -133,16 +132,13 @@ class TestEnvelope:
     def test_constant_series(self):
         rows = synth_series(lambda t: 2.0, np.linspace(0, 5, 51))
         rep = functional_envelope(rows)
-        assert rep.feasible and rep.envelope_ok
-        assert rep.residual_nonpos_fraction == 1.0
-        assert rep.Gamma >= rep.mu * 2.0 * (1 - 1e-9) or rep.envelope_bound >= 2.0
+        assert rep.ok and abs(rep.slope) < 1e-15 and rep.ratio == 1.0
 
     def test_exponential_decay(self):
         rows = synth_series(lambda t: 3.0 * math.exp(-t), np.linspace(0, 6, 121))
         rep = functional_envelope(rows)
-        assert rep.feasible and rep.envelope_ok
-        # decay supports a feasible rate of at least 1
-        assert rep.mu >= 0.5
+        assert rep.ok and rep.slope == pytest.approx(-1.0, rel=1e-12)
+        assert rep.ratio == 1.0
 
     @given(
         f_values=st.lists(st.floats(1e-12, 1e6), min_size=1, max_size=200),
@@ -150,46 +146,58 @@ class TestEnvelope:
         gaps=st.lists(st.floats(1e-9, 1e3), min_size=199, max_size=199),
     )
     def test_report_well_formed(self, f_values, t0, gaps):
-        # gaps >= 1e-9 keep dF/dt finite; one below ~1e-300 overflows it
-        # (see test_overflowing_quotient_rejected)
+        # gaps >= 1e-9 keep sum (t - t_mean)^2 positive; gaps near 1e-310
+        # underflow it (see test_overflowing_quotient_rejected)
         ts = t0 + np.concatenate([[0.0], np.cumsum(gaps[: len(f_values) - 1])])
         values = iter(f_values)
         rep = functional_envelope(synth_series(lambda t: next(values), ts))
-        assert 0.0 <= rep.residual_nonpos_fraction <= 1.0
-        assert rep.feasible == (rep.residual_nonpos_fraction >= FEASIBILITY)
-        assert MU_RANGE[0] <= rep.mu <= MU_RANGE[1]
-        assert rep.envelope_bound >= f_values[0]
-        assert rep.max_value == max(f_values)
+        assert math.isfinite(rep.slope)
+        assert rep.ok == (rep.slope <= SLOPE_TOL)
+        assert rep.ratio == max(f_values) / f_values[0]
 
-    @pytest.mark.parametrize("growth", [
-        pytest.param(lambda t: 1.0 + 0.2 * t, id="linear"),
-        pytest.param(lambda t: math.exp(0.05 * t), id="exponential"),
-    ])
-    def test_growth_past_calibration_rejected(self, growth):
+    @pytest.mark.parametrize("series", [
         # a transient that settles like the reference F (8.0 to 1.55 in its
         # first interval of 0.05), then grows
-        rows = synth_series(lambda t: (1.3 + 6.7 * math.exp(-66.0 * t)) * growth(t),
-                            np.linspace(0, 10, 201))
-        rep = functional_envelope(rows)
-        assert not rep.feasible
-        assert rep.residual_nonpos_fraction == 0.0
+        pytest.param(lambda t: (1.3 + 6.7 * math.exp(-66.0 * t)) * (1.0 + 0.2 * t), id="linear"),
+        pytest.param(lambda t: (1.3 + 6.7 * math.exp(-66.0 * t)) * math.exp(0.05 * t), id="exponential"),
+        # a slower transient, falling steeply through the first quarter second
+        pytest.param(lambda t: (1.3 + 6.7 * math.exp(-20.0 * t)) * math.exp(0.05 * t),
+                     id="exponential-slow-transient"),
+        pytest.param(lambda t: math.exp(0.05 * t), id="exponential-no-transient"),
+    ])
+    def test_growth_past_calibration_rejected(self, series):
+        # each probe grows at a rate of at least 0.05 on the held-out half,
+        # and the slope reads it whatever the transient did before
+        rep = functional_envelope(synth_series(series, np.linspace(0, 10, 201)))
+        assert not rep.ok and rep.slope >= 0.05 * (1 - 1e-12)
 
     def test_round_off_noise_at_rest_feasible(self):
         # a state at rest: F constant up to +-9e-15 of round-off
         noise = iter(np.random.default_rng(0).uniform(-9e-15, 9e-15, 201))
         rows = synth_series(lambda t: 1.302172864557 + next(noise), np.linspace(0, 10, 201))
         rep = functional_envelope(rows)
-        assert rep.feasible and rep.residual_nonpos_fraction == 1.0
+        assert rep.ok and abs(rep.slope) < 1e-14
 
     def test_two_records_trivially_feasible(self):
+        # with m = 1 interval the held-out records m // 2 ... m are both
         rep = functional_envelope(synth_series(lambda t: 2.0 - t, [0.0, 0.5]))
-        assert rep.feasible and rep.residual_nonpos_fraction == 1.0
-        assert rep.envelope_bound == 2.0 and rep.max_value == 2.0
+        assert rep.ok and rep.slope == pytest.approx(2.0 * math.log(0.75)) and rep.ratio == 1.0
+        rep = functional_envelope(synth_series(lambda t: 2.0, [0.0]))
+        assert rep.ok and rep.slope == 0.0 and rep.ratio == 1.0
 
     def test_overflowing_quotient_rejected(self):
+        # (t - t_mean)^2 underflows to 0 on a gap of 1e-310
         rows = synth_series(lambda t: 1.0 if t == 0.0 else 1e6, [0.0, 1e-310])
-        with pytest.raises(ValueError, match="overflows"):
+        with pytest.raises(ValueError, match="slope of log F is not finite"):
             functional_envelope(rows)
+
+    @pytest.mark.parametrize("functional", ["F", "G"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_nonpositive_value_rejected(self, functional, bad):
+        rows = synth_series(lambda t: bad if t == 0.5 else 1.0, [0.0, 0.25, 0.5, 0.75])
+        with pytest.raises(ValueError, match=rf"^{functional} = {bad:.3g} <= 0 at t = 0.5: "
+                                             rf"log {functional} is undefined$"):
+            functional_envelope(rows, functional=functional)
 
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError, match="empty"):

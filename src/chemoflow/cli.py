@@ -11,9 +11,9 @@ Verbs:
     validate      parse + validate a configuration, print violations
 
 For every verb, a configuration that fails validation prints
-"VIOLATION: ..." lines, and any other rejected value (a ValueError) or
-file that cannot be read or written (an OSError) an "ERROR: ..." line on
-stderr, and the exit code is 1.
+"VIOLATION: ..." lines, and any other rejected value (a ValueError), file
+that cannot be read or written (an OSError) or failed step (a SolverError)
+an "ERROR: ..." line on stderr, and the exit code is 1.
 
 `main` first fixes glibc's malloc thresholds (mmap 32 MiB, trim 64 MiB,
 both, as setting one switches off the dynamic pair; a no-op without
@@ -217,7 +217,7 @@ def main(argv=None) -> int:
         for v in exc.violations:
             print(f"VIOLATION: {v}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, SolverError) as exc:
         print(f"ERROR: {exc}", file=sys.stderr)
         return 1
 

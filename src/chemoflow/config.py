@@ -1,10 +1,13 @@
 """INI run configuration: parsing, hypothesis validation, initial data.
 
-Sections: [grid], [model], [initial], [time], [output], optional [run]
-(seed: checked to be an integer, then ignored; no RunConfig field holds
-it).  Unknown sections or keys are rejected.  Validation names the
-violated admissibility condition, and each hypothesis is checked once:
-the ranges of gamma, epsilon and m by the model types that hold them
+Sections: [grid], [model], [initial], [time], [output], optional [run].
+_KEYS declares each key once, with its cast and default, and parse_config
+reads every key it declares.  An unknown section or key, an empty value
+and a key the configured kind would ignore (_READ_UNDER) are violations,
+so an accepted key is a read key; the one exception is [run] seed,
+checked to be an integer, then discarded.  Validation names the violated
+admissibility condition, and each hypothesis is checked once: the ranges
+of gamma, epsilon and m by the model types that hold them
 (model.ModelSpec, model.PorousMedium), the reach of the threshold level
 L by model.threshold_s0, the time controls by solver.TimeControls, the
 built initial state by solver.check_initial, the function `run` calls,
@@ -12,18 +15,19 @@ and here the bounds ||c0||_inf <= M, for gamma > 1/2 ||n0||_1 <= M,
 min c0 >= C0_FLOOR, the first step's CFL dt (as the solver has it) >= DT_MIN
 and max|div u0| <= DIV_U_TOL.
 
-Initial data comes from a fixed catalogue instead of free-form
-expressions, so the provenance of every test state is auditable:
+Initial data comes from a fixed catalogue (_CATALOGUE, which holds each
+parameter's default) instead of free-form expressions, so the provenance
+of every test state is auditable:
 
-    n0 = constant: value=1.0
-    n0 = gaussian: mass=1.0, sigma=0.15, x0=0.5, y0=0.5   (sigma > 0;
-         normalized to the requested discrete mass exactly, so the
-         Gaussian must not vanish on every cell)
-    c0 = constant: value=1.0
-    c0 = cosine: base=1.0, amp=0.5, kx=1, ky=1
-    u0 = zero
-    u0 = vortex: amp=0.1, kx=1, ky=1    (stream-function curl; exactly
-         solenoidal with no-penetration walls)
+    n0, c0 = constant: value=1.0
+             gaussian: mass=1.0, sigma=0.15, x0, y0  (sigma > 0; x0, y0
+                 default to the domain centre; n0 is normalized to the
+                 requested discrete mass exactly, so it must not vanish
+                 on every cell)
+             cosine: base=1.0, amp=0.5, kx=1, ky=1
+    u0     = zero
+             vortex: amp=0.1, kx=1, ky=1  (stream-function curl; exactly
+                 solenoidal with no-penetration walls)
 """
 
 from __future__ import annotations
@@ -52,17 +56,40 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
-_SCHEMA = {
-    "grid": {"nx", "ny", "lx", "ly"},
+# section -> key -> (cast, default); a tuple cast reads a list of numbers
+_KEYS = {
+    "grid": {"nx": (int, 64), "ny": (int, 64), "lx": (float, 1.0), "ly": (float, 1.0)},
     "model": {
-        "diffusion", "m", "table_knots", "table_values", "gamma",
-        "s0_sensitivity", "sensitivity_kind", "rotation_angle",
-        "phi_gradient", "epsilon", "l", "m_bound",
+        "diffusion": (str, "porous_medium"),
+        "m": (float, 2.0),
+        "table_knots": (tuple, (0.0, 1.0)),
+        "table_values": (tuple, (1.0, 1.0)),
+        "gamma": (float, ModelSpec.gamma),
+        "s0_sensitivity": (float, ModelSpec.s0_sensitivity),
+        "sensitivity_kind": (str, ModelSpec.sensitivity_kind),
+        "rotation_angle": (float, ModelSpec.rotation_angle),
+        "phi_gradient": (tuple, ModelSpec.phi_gradient),
+        "epsilon": (float, ModelSpec.epsilon),
+        "l": (float, ModelSpec.L),
+        "m_bound": (float, ModelSpec.M),
     },
-    "initial": {"n0", "c0", "u0"},
-    "time": {"t_end", "cfl", "dt_max"},
-    "output": {"cadence", "directory", "snapshots"},
-    "run": {"seed"},
+    "initial": {"n0": (str, "constant: value=1.0"), "c0": (str, "constant: value=1.0"), "u0": (str, "zero")},
+    "time": {"t_end": (float, 1.0), "cfl": (float, TimeControls.cfl), "dt_max": (float, TimeControls.dt_max)},
+    "output": {"cadence": (float, 0.05), "directory": (str, "out"), "snapshots": (bool, False)},
+    # read and discarded: no RunConfig field holds it, but the benchmark's INI still sets it
+    "run": {"seed": (int, 0)},
+}
+
+# [model] key -> (setting, the one kind of it that reads the key)
+_READ_UNDER = {"m": ("diffusion", "porous_medium"), "table_knots": ("diffusion", "tabulated"),
+               "table_values": ("diffusion", "tabulated"), "rotation_angle": ("sensitivity_kind", "rotation")}
+
+# family -> initial kind -> parameter -> default; a None centres the gaussian
+_CATALOGUE = {
+    "scalar": {"constant": {"value": 1.0},
+               "gaussian": {"mass": 1.0, "sigma": 0.15, "x0": None, "y0": None},
+               "cosine": {"base": 1.0, "amp": 0.5, "kx": 1.0, "ky": 1.0}},
+    "velocity": {"zero": {}, "vortex": {"amp": 0.1, "kx": 1.0, "ky": 1.0}},
 }
 
 # smallest admissible min c0: diagnostics.record divides by c**5, which
@@ -95,87 +122,87 @@ class RunConfig:
         return State(n0, c0, u0, 0.0)
 
 
-def _parse_catalogue(field: str, text: str):
+def _parse_catalogue(field: str, family: str, text: str):
+    """(kind, parameters) of `text`: every parameter of the kind, in the catalogue's order."""
     head, _, rest = text.partition(":")
     kind = head.strip().lower()
     params = {}
-    rest = rest.strip()
-    if rest:
-        for part in rest.split(","):
-            k, _, v = part.partition("=")
-            if not _:
-                raise ConfigError(f"malformed catalogue parameter {part.strip()!r}")
-            try:
-                params[k.strip()] = float(v)
-            except ValueError:
-                raise ConfigError(f"{field} {kind} parameter {k.strip()} must be numeric; "
-                                  f"got {v.strip()!r}") from None
-    return kind, params
-
-
-def _require_params(kind, params, allowed):
-    unknown = set(params) - set(allowed)
-    if unknown:
+    for part in rest.split(",") if rest.strip() else ():
+        k, _, v = part.partition("=")
+        if not _:
+            raise ConfigError(f"malformed catalogue parameter {part.strip()!r}")
+        try:
+            params[k.strip()] = float(v)
+        except ValueError:
+            raise ConfigError(f"{field} {kind} parameter {k.strip()} must be numeric; "
+                              f"got {v.strip()!r}") from None
+    if kind not in _CATALOGUE[family]:
+        raise ConfigError(f"unknown {family} initial kind {kind!r}")
+    defaults = _CATALOGUE[family][kind]
+    if unknown := set(params) - set(defaults):
         raise ConfigError(f"unknown parameters {sorted(unknown)} for initial kind {kind!r}")
+    return kind, {**defaults, **params}
 
 
 def _build_scalar(grid: Grid, field: str, text: str, normalize_mass: bool = False) -> ScalarField:
-    kind, p = _parse_catalogue(field, text)
+    kind, p = _parse_catalogue(field, "scalar", text)
     if kind == "constant":
-        _require_params(kind, p, {"value"})
-        return ScalarField.full(grid, p.get("value", 1.0))
-    if kind == "gaussian":
-        _require_params(kind, p, {"mass", "sigma", "x0", "y0"})
-        mass = p.get("mass", 1.0)
-        sigma = p.get("sigma", 0.15)
-        x0 = p.get("x0", 0.5 * grid.lx)
-        y0 = p.get("y0", 0.5 * grid.ly)
-        if not sigma > 0.0:
-            raise ConfigError(f"{field} gaussian parameter sigma must be > 0; got {sigma}")
-        f = ScalarField.from_function(
-            grid, lambda x, y: np.exp(-((x - x0) ** 2 + (y - y0) ** 2) / (2.0 * sigma**2))
-        )
-        if normalize_mass:
-            total = integrate(f)
-            if total == 0.0:
-                raise ConfigError(f"{field} gaussian with sigma={sigma} underflows to 0 on every "
-                                  f"cell, so its discrete mass cannot be normalized")
-            f.values *= mass / total
-        else:
-            f.values *= mass / (2.0 * math.pi * sigma**2)
-        return f
+        return ScalarField.full(grid, p["value"])
     if kind == "cosine":
-        _require_params(kind, p, {"base", "amp", "kx", "ky"})
-        base = p.get("base", 1.0)
-        amp = p.get("amp", 0.5)
-        kx = p.get("kx", 1.0)
-        ky = p.get("ky", 1.0)
+        base, amp, kx, ky = p.values()
         return ScalarField.from_function(
             grid,
             lambda x, y: base + amp * np.cos(kx * np.pi * x / grid.lx) * np.cos(ky * np.pi * y / grid.ly),
         )
-    raise ConfigError(f"unknown scalar initial kind {kind!r}")
+    mass, sigma, x0, y0 = p.values()
+    x0 = 0.5 * grid.lx if x0 is None else x0
+    y0 = 0.5 * grid.ly if y0 is None else y0
+    if not sigma > 0.0:
+        raise ConfigError(f"{field} gaussian parameter sigma must be > 0; got {sigma}")
+    f = ScalarField.from_function(
+        grid, lambda x, y: np.exp(-((x - x0) ** 2 + (y - y0) ** 2) / (2.0 * sigma**2))
+    )
+    if normalize_mass:
+        total = integrate(f)
+        if total == 0.0:
+            raise ConfigError(f"{field} gaussian with sigma={sigma} underflows to 0 on every "
+                              f"cell, so its discrete mass cannot be normalized")
+        f.values *= mass / total
+    else:
+        f.values *= mass / (2.0 * math.pi * sigma**2)
+    return f
 
 
 def _build_velocity(grid: Grid, text: str) -> VectorField:
-    kind, p = _parse_catalogue("u0", text)
+    kind, p = _parse_catalogue("u0", "velocity", text)
     if kind == "zero":
-        _require_params(kind, p, set())
         return VectorField.zeros(grid)
-    if kind == "vortex":
-        _require_params(kind, p, {"amp", "kx", "ky"})
-        amp = p.get("amp", 0.1)
-        kx = p.get("kx", 1.0)
-        ky = p.get("ky", 1.0)
-        return VectorField.from_stream(
-            grid,
-            lambda x, y: amp * np.sin(kx * np.pi * x / grid.lx) * np.sin(ky * np.pi * y / grid.ly),
-        )
-    raise ConfigError(f"unknown velocity initial kind {kind!r}")
+    amp, kx, ky = p.values()
+    return VectorField.from_stream(
+        grid,
+        lambda x, y: amp * np.sin(kx * np.pi * x / grid.lx) * np.sin(ky * np.pi * y / grid.ly),
+    )
 
 
-def _floats_list(text: str):
-    return tuple(float(v) for v in text.replace(";", ",").split(","))
+def _read(section: str, key: str, raw: str):
+    """`raw` cast as _KEYS declares it; ConfigError names a value it cannot take."""
+    cast = _KEYS[section][key][0]
+    if cast is str:
+        return raw
+    if cast is bool:
+        if raw.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+            raise ConfigError(f"[{section}] {key} must be one of 1/yes/true/on or 0/no/false/off; "
+                              f"got {raw!r}")
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    try:
+        value = tuple(float(v) for v in raw.replace(";", ",").split(",")) if cast is tuple else float(raw)
+    except ValueError:
+        raise ConfigError(f"[{section}] {key} must be numeric; got {raw!r}") from None
+    if cast is int:
+        if not value.is_integer():
+            raise ConfigError(f"[{section}] {key} must be an integer; got {raw!r}")
+        return int(value)
+    return value
 
 
 def parse_config(text: str) -> RunConfig:
@@ -188,85 +215,40 @@ def parse_config(text: str) -> RunConfig:
 
     violations = []
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _KEYS:
             violations.append(f"unknown section [{section}]")
             continue
-        for key in parser[section]:
-            if key not in _SCHEMA[section]:
+        for key, raw in parser[section].items():
+            if key not in _KEYS[section]:
                 violations.append(f"unknown key {key!r} in section [{section}]")
+            elif not raw:
+                violations.append(f"[{section}] {key} has no value")
     if violations:
         raise ConfigError(violations)
+    v = {section: {key: _read(section, key, parser[section][key]) if parser.has_option(section, key)
+                   else default for key, (_, default) in keys.items()}
+         for section, keys in _KEYS.items()}
 
-    def get(section, key, default=None, cast=float):
-        if cast is None or not parser.has_option(section, key):
-            return parser.get(section, key, fallback=default)
-        raw = parser.get(section, key)
-        try:
-            return cast(raw)
-        except ValueError:
-            raise ConfigError(f"[{section}] {key} must be numeric; got {raw!r}") from None
-
-    def get_int(section, key, default):
-        value = get(section, key, default)
-        if not float(value).is_integer():
-            raise ConfigError(f"[{section}] {key} must be an integer; got {parser.get(section, key)!r}")
-        return int(value)
-
+    g, m, i, o = (v[section] for section in ("grid", "model", "initial", "output"))
     try:
-        grid = make_grid(
-            get_int("grid", "nx", 64), get_int("grid", "ny", 64),
-            get("grid", "lx", 1.0), get("grid", "ly", 1.0),
-        )
+        grid = make_grid(g["nx"], g["ny"], g["lx"], g["ly"])
+        law = m["diffusion"].lower()
+        if law == "porous_medium":
+            diffusion = PorousMedium(m["m"])
+        elif law == "tabulated":
+            diffusion = TabulatedDiffusion(m["table_knots"], m["table_values"])
+        else:
+            raise ConfigError(f"unknown diffusion kind {m['diffusion']!r}")
+        spec = ModelSpec(diffusion, m["gamma"], m["s0_sensitivity"], m["sensitivity_kind"],
+                         m["rotation_angle"], m["phi_gradient"], m["epsilon"], m["l"], m["m_bound"])
+        controls = TimeControls(**v["time"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    diff_kind = get("model", "diffusion", "porous_medium", cast=None) or "porous_medium"
-    try:
-        if diff_kind.strip().lower() == "porous_medium":
-            diffusion = PorousMedium(get("model", "m", 2.0))
-        elif diff_kind.strip().lower() == "tabulated":
-            diffusion = TabulatedDiffusion(
-                get("model", "table_knots", (0.0, 1.0), cast=_floats_list),
-                get("model", "table_values", (1.0, 1.0), cast=_floats_list),
-            )
-        else:
-            raise ConfigError(f"unknown diffusion kind {diff_kind!r}")
-        spec = ModelSpec(
-            diffusion=diffusion,
-            gamma=get("model", "gamma", 0.5),
-            s0_sensitivity=get("model", "s0_sensitivity", 1.0),
-            sensitivity_kind=(get("model", "sensitivity_kind", "isotropic", cast=None) or "isotropic").strip(),
-            rotation_angle=get("model", "rotation_angle", 0.0),
-            phi_gradient=get("model", "phi_gradient", (0.0, 0.0), cast=_floats_list),
-            epsilon=get("model", "epsilon", 0.05),
-            L=get("model", "l", 1.0),
-            M=get("model", "m_bound", 1.0),
-        )
-        controls = TimeControls(
-            t_end=get("time", "t_end", 1.0),
-            dt_max=get("time", "dt_max", TimeControls.dt_max),
-            cfl=get("time", "cfl", TimeControls.cfl),
-        )
-        get_int("run", "seed", 0)  # integer-checked, never read
-        snapshots = get("output", "snapshots", "false", cast=None).lower()
-        if snapshots not in parser.BOOLEAN_STATES:
-            raise ConfigError(f"[output] snapshots must be one of 1/yes/true/on or 0/no/false/off; "
-                              f"got {snapshots!r}")
-    except (ValueError, ConfigError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-    cfg = RunConfig(
-        grid=grid,
-        spec=spec,
-        controls=controls,
-        n0_kind=get("initial", "n0", "constant: value=1.0", cast=None),
-        c0_kind=get("initial", "c0", "constant: value=1.0", cast=None),
-        u0_kind=get("initial", "u0", "zero", cast=None),
-        cadence=get("output", "cadence", 0.05),
-        directory=get("output", "directory", "out", cast=None) or "out",
-        snapshots=parser.BOOLEAN_STATES[snapshots],
-    )
-    problems = validate_config(cfg)
+    ignored = [f"[model] {key} is read only under {setting} = {kind}; got {setting} = {m[setting]}"
+               for key, (setting, kind) in _READ_UNDER.items()
+               if parser.has_option("model", key) and m[setting].lower() != kind]
+    cfg = RunConfig(grid, spec, controls, i["n0"], i["c0"], i["u0"], o["cadence"], o["directory"], o["snapshots"])
+    problems = ignored + validate_config(cfg)
     if problems:
         raise ConfigError(problems)
     return cfg

@@ -103,10 +103,6 @@ class ScalarField:
         self.values = _as_values(self.grid, self.values, (self.grid.nx, self.grid.ny))
 
     @classmethod
-    def zeros(cls, grid: Grid) -> "ScalarField":
-        return cls(grid, np.zeros((grid.nx, grid.ny)))
-
-    @classmethod
     def full(cls, grid: Grid, value: float) -> "ScalarField":
         return cls(grid, np.full((grid.nx, grid.ny), float(value)))
 

@@ -110,14 +110,6 @@ def _restrict(values: np.ndarray, factor: int) -> np.ndarray:
     return values.reshape(nx // factor, factor, ny // factor, factor).mean(axis=(1, 3))
 
 
-def _final_fields(cfg: RunConfig, nxy: tuple, T: float):
-    grid = make_grid(nxy[0], nxy[1], cfg.grid.lx, cfg.grid.ly)
-    cfg_g = dc_replace(cfg, grid=grid)
-    controls = dc_replace(cfg.controls, t_end=T)
-    final = run(cfg_g.initial_state(), cfg_g.spec, controls, PoissonSolver(grid), sinks=[])
-    return final
-
-
 def refinement_sweep(base: RunConfig, grids: Sequence[tuple], T: float) -> RefinementReport:
     """Run nested grids; report per-field observed orders.
 
@@ -126,6 +118,8 @@ def refinement_sweep(base: RunConfig, grids: Sequence[tuple], T: float) -> Refin
     repeated grid may appear anywhere).  Orders are log_r of ratios of
     consecutive-grid L2 differences; identical consecutive grids produce a
     zero difference and an undefined (nan) order, reported as such.
+    Raises ConfigError, before any run, if the configuration fails
+    validate_config on a grid of the sweep.
     """
     grids = tuple((int(a), int(b)) for a, b in grids)
     for (nxa, nya), (nxb, nyb) in zip(grids, grids[1:]):
@@ -139,7 +133,13 @@ def refinement_sweep(base: RunConfig, grids: Sequence[tuple], T: float) -> Refin
         raise ValueError(f"grids {' -> '.join(f'{nx}x{ny}' for nx, ny in grids)} mix refinement "
                          f"factors {sorted(factors)}: a sweep must use one")
     r = factors.pop() if factors else 1
-    finals = [_final_fields(base, g, T) for g in grids]
+    cfgs = {g: dc_replace(base, grid=make_grid(*g, base.grid.lx, base.grid.ly)) for g in grids}
+    problems = [f"grid {nx}x{ny}: {v}" for (nx, ny), cfg in cfgs.items() for v in validate_config(cfg)]
+    if problems:
+        raise ConfigError(problems)
+    controls = dc_replace(base.controls, t_end=T)
+    finals = [run(cfgs[g].initial_state(), base.spec, controls, PoissonSolver(cfgs[g].grid), sinks=[])
+              for g in grids]
 
     def l2(a, nx, ny):
         return float(np.sqrt((a**2).sum() * (base.grid.lx / nx) * (base.grid.ly / ny)))

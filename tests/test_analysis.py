@@ -71,7 +71,7 @@ class TestLogHessianIdentity:
     def test_positivity_required(self):
         g = make_grid(16, 16, 1.0, 1.0)
         with pytest.raises(ValueError):
-            log_hessian_identity_residual(ScalarField.zeros(g))
+            log_hessian_identity_residual(ScalarField.full(g, 0.0))
 
     def test_constants(self):
         assert EST1_CONST == pytest.approx((4 + math.sqrt(2)) ** 2)
@@ -82,7 +82,7 @@ class TestTrudinger:
     def test_zero_psi(self):
         g = make_grid(32, 32, 1.0, 1.0)
         one = ScalarField.full(g, 1.0)
-        gap = trudinger_gap(one, ScalarField.zeros(g), a=1.0, eta=1.0, K=2.0)
+        gap = trudinger_gap(one, ScalarField.full(g, 0.0), a=1.0, eta=1.0, K=2.0)
         assert gap == pytest.approx(2.0)  # K/a with all other terms zero
 
     def test_unit_fields(self):

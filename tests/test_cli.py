@@ -163,6 +163,29 @@ class TestBadArguments:
         assert runs == []  # rejected before the first run, eps = 0 included
 
 
+    def test_sweep_grid_validates_every_grid_before_the_first_run(self, tmp_path, capsys, monkeypatch):
+        # valid on 4x4, but on 64x64 the taxis drift's first CFL dt is below DT_MIN
+        path = tmp_path / "fast.ini"
+        path.write_text(reference_config_text(t_end=1e-10, nx=4, ny=4)
+                        .replace("s0_sensitivity = 1.0", "s0_sensitivity = 3e9"))
+        assert main(["validate", str(path)]) == 0
+        runs = []
+        monkeypatch.setattr(sweeps, "run", lambda *a, **k: runs.append(a))
+        assert main(["sweep-grid", str(path), "--grids", "4,4;16,16;64,64", "--T", "1e-10"]) == 1
+        assert capsys.readouterr().err == (
+            "VIOLATION: grid 64x64: the first step's CFL dt = 6.961e-13 is below DT_MIN = 1e-12; "
+            "the initial velocity or taxis drift is too fast for the grid\n")
+        assert runs == []
+
+    @pytest.mark.parametrize("argv", [["sweep-eps", "--eps", "0.1,0.05"], ["sweep-grid", "--grids", "8,8;16,16"]])
+    def test_failed_step_is_an_error_line(self, tiny_config, capsys, monkeypatch, argv):
+        def fail(*args, **kwargs):
+            raise SolverError("step 3: injected failure")
+
+        monkeypatch.setattr(sweeps, "run", fail)
+        assert main([argv[0], str(tiny_config), *argv[1:], "--T", "0.02"]) == 1
+        assert capsys.readouterr().err == "ERROR: step 3: injected failure\n"
+
     def test_missing_config_is_an_error_line(self, tmp_path, capsys):
         code = main(["run", str(tmp_path / "nothere.ini")])
         err = capsys.readouterr().err

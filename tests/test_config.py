@@ -1,3 +1,4 @@
+import importlib
 import math
 import pathlib
 import re
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from chemoflow.cli import main
 from chemoflow.config import (
+    _KEYS,
     C0_FLOOR,
     DIV_U_TOL,
     ConfigError,
@@ -25,7 +27,8 @@ from chemoflow.model import PorousMedium, TabulatedDiffusion, build_truncations,
 from chemoflow.operators import PoissonSolver, div
 from chemoflow.solver import SolverError, run
 
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 MINIMAL = """\
 [grid]
@@ -217,6 +220,87 @@ class TestParse:
             parse_config(text)
 
 
+# (section, key) -> (the lines that make a kind read the key, an admissible
+# value other than the default); every other key is at its default
+READ_UNDER_KIND = {
+    ("grid", "nx"): ("", "32"),
+    ("grid", "ny"): ("", "32"),
+    ("grid", "lx"): ("", "2.0"),
+    ("grid", "ly"): ("", "2.0"),
+    ("model", "diffusion"): ("", "tabulated"),
+    ("model", "m"): ("", "1.5"),
+    ("model", "table_knots"): ("diffusion = tabulated", "0, 2"),
+    ("model", "table_values"): ("diffusion = tabulated", "2, 2"),
+    ("model", "gamma"): ("", "0.25"),
+    ("model", "s0_sensitivity"): ("", "2.0"),
+    ("model", "sensitivity_kind"): ("", "rotation"),
+    ("model", "rotation_angle"): ("sensitivity_kind = rotation", "0.7"),
+    ("model", "phi_gradient"): ("", "0.0, -1.0"),
+    ("model", "epsilon"): ("", "0.1"),
+    ("model", "l"): ("", "2.0"),
+    ("model", "m_bound"): ("", "2.0"),
+    ("initial", "n0"): ("", "constant: value=0.5"),
+    ("initial", "c0"): ("", "constant: value=0.5"),
+    ("initial", "u0"): ("", "vortex: amp=0.1"),
+    ("time", "t_end"): ("", "0.5"),
+    ("time", "cfl"): ("", "0.25"),
+    ("time", "dt_max"): ("", "0.005"),
+    ("output", "cadence"): ("", "0.1"),
+    ("output", "directory"): ("", "elsewhere"),
+    ("output", "snapshots"): ("", "on"),
+    ("run", "seed"): ("", "5"),
+}
+
+
+class TestKeyTable:
+    """Every key _KEYS declares is read: accepted means read."""
+
+    def test_cases_cover_the_table(self):
+        assert set(READ_UNDER_KIND) == {(s, k) for s, keys in _KEYS.items() for k in keys}
+
+    @pytest.mark.parametrize("section, key", sorted(READ_UNDER_KIND))
+    def test_non_default_value_reaches_the_config(self, section, key):
+        kind, value = READ_UNDER_KIND[section, key]
+        base = f"[{section}]\n{kind}\n"
+        cfg = parse_config(f"{base}{key} = {value}\n")
+        if (section, key) == ("run", "seed"):
+            assert cfg == parse_config(base)  # the one key read and discarded
+        else:
+            assert cfg != parse_config(base)
+
+    @pytest.mark.parametrize("section, key", sorted(READ_UNDER_KIND))
+    def test_empty_value_is_a_violation(self, section, key):
+        text = re.sub(rf"(?m)^{key} = .*\n", "", reference_config_text(t_end=0.2))
+        text = text.replace(f"[{section}]\n", f"[{section}]\n{key} =\n")
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert info.value.violations == [f"[{section}] {key} has no value"]
+
+    @pytest.mark.parametrize("old, new, setting", [
+        ("sensitivity_kind = isotropic", "sensitivity_kind = isotropic\nrotation_angle = 0.7",
+         "rotation_angle is read only under sensitivity_kind = rotation; got sensitivity_kind = isotropic"),
+        ("diffusion = porous_medium", "diffusion = tabulated\ntable_knots = 0, 10\ntable_values = 2, 2",
+         "m is read only under diffusion = porous_medium; got diffusion = tabulated"),
+        ("m = 2.0", "m = 2.0\ntable_knots = 0, 10",
+         "table_knots is read only under diffusion = tabulated; got diffusion = porous_medium"),
+        ("m = 2.0", "m = 2.0\ntable_values = 2, 2",
+         "table_values is read only under diffusion = tabulated; got diffusion = porous_medium"),
+    ], ids=["rotation_angle-isotropic", "m-tabulated", "table_knots-porous", "table_values-porous"])
+    def test_key_the_kind_ignores_is_a_violation(self, old, new, setting):
+        text = reference_config_text(t_end=0.2).replace(old, new)
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert info.value.violations == [f"[model] {setting}"]
+
+    @pytest.mark.parametrize("workload", ["reference", "dilute_flow"])
+    def test_benchmark_ini_parses(self, workload, monkeypatch):
+        # it sets [run] seed, and m under porous_medium, and no angle under isotropic
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        text = importlib.import_module("workloads").make_inputs(workload, 0).config_text
+        assert "seed = 0" in text and "m = 2.0" in text and "rotation_angle" not in text
+        assert parse_config(text).snapshots
+
+
 class TestInitialData:
     def test_gaussian_mass_exact(self):
         cfg = parse_config(reference_config_text(t_end=0.1))
@@ -373,7 +457,6 @@ table_values = 0, 1.0, 1.0
 gamma = 0.0
 s0_sensitivity = 0.0
 sensitivity_kind = isotropic
-rotation_angle = 0.0
 phi_gradient = 0.0, 0.0
 epsilon = 0.5
 l = 1.0
@@ -397,6 +480,11 @@ snapshots = on
 
 def _num(lo, hi):
     return st.floats(lo, hi).map(repr)
+
+
+# rotation_angle is read only under sensitivity_kind = rotation
+_SENSITIVITY = st.just("sensitivity_kind = isotropic") | _num(-math.pi, math.pi).map(
+    lambda angle: f"sensitivity_kind = rotation\nrotation_angle = {angle}")
 
 
 @st.composite
@@ -445,8 +533,7 @@ ly = {ly}
 {law}
 gamma = {draw(_num(0.0, 5.0 / 6.0))}
 s0_sensitivity = {draw(_num(0.0, 5.0))}
-sensitivity_kind = {draw(st.sampled_from(["isotropic", "rotation"]))}
-rotation_angle = {draw(_num(-math.pi, math.pi))}
+{draw(_SENSITIVITY)}
 phi_gradient = {draw(_num(-2.0, 2.0))}, {draw(_num(-2.0, 2.0))}
 epsilon = {draw(_num(0.01, 0.5))}
 l = {draw(_num(0.01, top))}

@@ -51,7 +51,7 @@ class TestRecord:
         for nn in (32, 64):
             g = make_grid(nn, nn, 1.0, 1.0)
             st = State(
-                ScalarField.zeros(g),
+                ScalarField.full(g, 0.0),
                 ScalarField.from_function(g, lambda x, y: np.exp(x)),
                 VectorField.zeros(g),
                 0.0,
@@ -66,7 +66,7 @@ class TestRecord:
         spec, table = setup_model()
         g = make_grid(16, 16, 1.0, 1.0)
         st = State(
-            ScalarField.zeros(g),
+            ScalarField.full(g, 0.0),
             ScalarField.from_function(g, lambda x, y: 1.0 + 0.2 * np.cos(np.pi * x)),
             VectorField.zeros(g),
             0.0,

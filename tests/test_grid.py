@@ -44,7 +44,7 @@ class TestIntegrate:
 
     def test_zero(self):
         g = make_grid(8, 8, 3.0, 2.0)
-        assert integrate(ScalarField.zeros(g)) == 0.0
+        assert integrate(ScalarField.full(g, 0.0)) == 0.0
 
     def test_linear_exact(self):
         # midpoint rule integrates linear functions exactly

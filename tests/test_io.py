@@ -66,7 +66,7 @@ class TestCsv:
 class TestSnapshot:
     def test_zero_state_length(self):
         g = make_grid(4, 4, 1.0, 1.0)
-        state = State(ScalarField.zeros(g), ScalarField.full(g, 1.0), VectorField.zeros(g), 0.0)
+        state = State(ScalarField.full(g, 0.0), ScalarField.full(g, 1.0), VectorField.zeros(g), 0.0)
         blob = emit_snapshot(state)
         # 40-byte header + 8 * (16 + 16 + 20 + 20) payload
         assert len(blob) == 616
@@ -75,7 +75,7 @@ class TestSnapshot:
 
     def test_magic_and_version(self):
         g = make_grid(4, 4, 1.0, 1.0)
-        blob = emit_snapshot(State(ScalarField.zeros(g), ScalarField.full(g, 1.0),
+        blob = emit_snapshot(State(ScalarField.full(g, 0.0), ScalarField.full(g, 1.0),
                                    VectorField.zeros(g), 0.5))
         with pytest.raises(SnapshotError, match="magic"):
             read_snapshot(b"XXXX" + blob[4:])
@@ -84,7 +84,7 @@ class TestSnapshot:
 
     def test_truncation_detected(self):
         g = make_grid(4, 4, 1.0, 1.0)
-        blob = emit_snapshot(State(ScalarField.zeros(g), ScalarField.full(g, 1.0),
+        blob = emit_snapshot(State(ScalarField.full(g, 0.0), ScalarField.full(g, 1.0),
                                    VectorField.zeros(g), 0.0))
         with pytest.raises(SnapshotError, match="length"):
             read_snapshot(blob[:-8])

@@ -153,7 +153,7 @@ class TestAdvect:
     def test_upwind_direction(self):
         # uniform rightward wind moves mass right: tendency negative upstream
         g = make_grid(8, 8, 1.0, 1.0)
-        f = ScalarField.zeros(g)
+        f = ScalarField.full(g, 0.0)
         f.values[3, :] = 1.0
         v = VectorField.zeros(g)
         v.ux[1:-1, :] = 1.0
@@ -200,7 +200,7 @@ class TestTaxis:
     def test_zero_for_zero_density(self):
         g = make_grid(16, 16, 1.0, 1.0)
         c = ScalarField.from_function(g, lambda x, y: 1.0 + 0.3 * np.cos(np.pi * x))
-        n = ScalarField.zeros(g)
+        n = ScalarField.full(g, 0.0)
         out = taxis_flux_div(n, taxis_face_velocity(n, c, self._spec()))
         assert not out.values.any()
 

@@ -24,8 +24,7 @@ diffusion = porous_medium
 m = 1.8
 gamma = 0.4
 s0_sensitivity = 1.0
-sensitivity_kind = {kind}
-rotation_angle = {angle}
+sensitivity_kind = {kind}{angle}
 phi_gradient = 0.0, -1.0
 epsilon = 0.08
 l = 1.0
@@ -63,7 +62,7 @@ def _run_and_monitor(text):
 class TestRectangularGrid:
     def test_invariants_hold(self):
         final, masses, cmaxes, divs = _run_and_monitor(
-            RECT.format(kind="isotropic", angle=0.0)
+            RECT.format(kind="isotropic", angle="")
         )
         assert final.t == pytest.approx(0.3, abs=1e-12)
         assert max(abs(m - masses[0]) for m in masses) <= 1e-12 * masses[0]
@@ -72,9 +71,9 @@ class TestRectangularGrid:
 
     def test_rotated_sensitivity(self):
         final_r, masses, cmaxes, divs = _run_and_monitor(
-            RECT.format(kind="rotation", angle=0.5)
+            RECT.format(kind="rotation", angle="\nrotation_angle = 0.5")
         )
-        final_i, _, _, _ = _run_and_monitor(RECT.format(kind="isotropic", angle=0.0))
+        final_i, _, _, _ = _run_and_monitor(RECT.format(kind="isotropic", angle=""))
         assert max(abs(m - masses[0]) for m in masses) <= 1e-12 * masses[0]
         assert all(b <= a + 1e-12 for a, b in zip(cmaxes, cmaxes[1:]))
         # the rotated flux moves mass differently from the isotropic one

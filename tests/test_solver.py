@@ -49,7 +49,7 @@ def random_state(grid, seed):
 
 class TestStep:
     def test_zero_density_fixed_point(self):
-        st_ = State(ScalarField.zeros(GRID), ScalarField.full(GRID, 1.0), VectorField.zeros(GRID), 0.0)
+        st_ = State(ScalarField.full(GRID, 0.0), ScalarField.full(GRID, 1.0), VectorField.zeros(GRID), 0.0)
         out = step(st_, SPEC, TimeControls(t_end=1.0), POISSON)
         assert out.t > 0
         assert not out.n.values.any()

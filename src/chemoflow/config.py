@@ -2,7 +2,8 @@
 
 Sections: [grid], [model], [initial], [time], [output], optional [run].
 _KEYS declares each key once, with its cast and default, and parse_config
-reads every key it declares.  An unknown section or key, an empty value
+reads every key it declares.  An unknown section or key ([DEFAULT]
+included: it is a section like any other), an empty value
 and a key the configured kind would ignore (_READ_UNDER) are violations,
 so an accepted key is a read key; the one exception is [run] seed,
 checked to be an integer, then discarded.  Validation names the violated
@@ -56,17 +57,18 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
-# section -> key -> (cast, default); a tuple cast reads a list of numbers
+# section -> key -> (cast, default); a tuple cast reads a list of numbers,
+# and str.casefold reads a kind word in any case
 _KEYS = {
     "grid": {"nx": (int, 64), "ny": (int, 64), "lx": (float, 1.0), "ly": (float, 1.0)},
     "model": {
-        "diffusion": (str, "porous_medium"),
+        "diffusion": (str.casefold, "porous_medium"),
         "m": (float, 2.0),
         "table_knots": (tuple, (0.0, 1.0)),
         "table_values": (tuple, (1.0, 1.0)),
         "gamma": (float, ModelSpec.gamma),
         "s0_sensitivity": (float, ModelSpec.s0_sensitivity),
-        "sensitivity_kind": (str, ModelSpec.sensitivity_kind),
+        "sensitivity_kind": (str.casefold, ModelSpec.sensitivity_kind),
         "rotation_angle": (float, ModelSpec.rotation_angle),
         "phi_gradient": (tuple, ModelSpec.phi_gradient),
         "epsilon": (float, ModelSpec.epsilon),
@@ -187,8 +189,8 @@ def _build_velocity(grid: Grid, text: str) -> VectorField:
 def _read(section: str, key: str, raw: str):
     """`raw` cast as _KEYS declares it; ConfigError names a value it cannot take."""
     cast = _KEYS[section][key][0]
-    if cast is str:
-        return raw
+    if cast in (str, str.casefold):
+        return cast(raw)
     if cast is bool:
         if raw.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
             raise ConfigError(f"[{section}] {key} must be one of 1/yes/true/on or 0/no/false/off; "
@@ -207,7 +209,8 @@ def _read(section: str, key: str, raw: str):
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate; raises ConfigError naming every violated condition."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    # no INI line can name the section "\n", so [DEFAULT] is an unknown section like any other
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), default_section="\n")
     try:
         parser.read_file(_io.StringIO(text))
     except configparser.Error as exc:
@@ -232,10 +235,9 @@ def parse_config(text: str) -> RunConfig:
     g, m, i, o = (v[section] for section in ("grid", "model", "initial", "output"))
     try:
         grid = make_grid(g["nx"], g["ny"], g["lx"], g["ly"])
-        law = m["diffusion"].lower()
-        if law == "porous_medium":
+        if m["diffusion"] == "porous_medium":
             diffusion = PorousMedium(m["m"])
-        elif law == "tabulated":
+        elif m["diffusion"] == "tabulated":
             diffusion = TabulatedDiffusion(m["table_knots"], m["table_values"])
         else:
             raise ConfigError(f"unknown diffusion kind {m['diffusion']!r}")
@@ -246,7 +248,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(str(exc)) from exc
     ignored = [f"[model] {key} is read only under {setting} = {kind}; got {setting} = {m[setting]}"
                for key, (setting, kind) in _READ_UNDER.items()
-               if parser.has_option("model", key) and m[setting].lower() != kind]
+               if parser.has_option("model", key) and m[setting] != kind]
     cfg = RunConfig(grid, spec, controls, i["n0"], i["c0"], i["u0"], o["cadence"], o["directory"], o["snapshots"])
     problems = ignored + validate_config(cfg)
     if problems:

@@ -37,14 +37,29 @@ Performance rules
   Helmholtz solve forms 1 + alpha * lam anew, two operations per entry
   that cost little beside the solve.  The denominator is divided by,
   never replaced by a reciprocal, which would change the last bit.
-* Each spectral solve is four dense products with the 1-D bases that
+* Each spectral solve is four products with the 1-D bases that
   PoissonSolver builds once (Ax B Ay^T, divide, Ax^T Bh Ay), so it costs
-  O(nx ny (nx + ny)) and needs numpy only: no verb imports scipy.  On one
-  BLAS thread of an x86-64 Xeon, a Helmholtz solve at 64^2 takes
-  45-65 us against 120-135 us for scipy's fast transforms; the two break
-  even near 128 cells per axis, and at 256^2 the products are 2-2.3x
-  slower.  OpenBLAS splits a product by blocks of its output, so the
-  bits do not depend on OPENBLAS_NUM_THREADS or OMP_NUM_THREADS.
+  O(nx ny (nx + ny)) and needs numpy only: no verb imports scipy.  An axis
+  of FOLD_MIN unknowns or more is folded about its mirror symmetry
+  (_axis): each of its products becomes two half-size ones, on the sum and
+  the difference of mirrored rows (first axis, left products) or columns
+  (second axis, right products into column slices), which halves the
+  multiply-adds for two elementwise passes.  The fold takes no transpose
+  and no concatenation, and the coefficients stay in the bases' row order,
+  symmetric modes first, as lam does.  Below FOLD_MIN the passes cost more
+  than they save, so the products stay dense and the 64^2 runs keep their
+  bits.  One Helmholtz solve on n^2 cells, one BLAS thread of an x86-64
+  Xeon, medians of alternating timings:
+
+      n        64     96    104    128    192     256
+      dense    53    160    227    391   1254    2844  us
+      folded   90    172    198    295    968    2041  us
+
+  Four 128^2 solves (c, ux, uy, pressure) take 1.25 ms folded against
+  1.64 ms dense.  scipy's fast transforms take 81 / 257 / 1124 us at
+  64^2 / 128^2 / 256^2.  OpenBLAS splits a product by blocks of its
+  output, so the bits do not depend on OPENBLAS_NUM_THREADS or
+  OMP_NUM_THREADS.
 """
 
 from __future__ import annotations
@@ -310,15 +325,99 @@ def _basis(n: int, k0: int, k1: int) -> np.ndarray:
     return a
 
 
+# the measured crossover (module docstring): an axis of at least this many unknowns is folded
+FOLD_MIN = 104
+
+
+def _axis(n: int, h: float, k0: int, k1: int):
+    """The basis A = _basis(n, k0, k1) as blocks (e, o), and its eigenvalues
+    _eigen(n, h, k0, k1) in the order of the blocks' rows.
+
+    Row k of A is symmetric about the middle of the axis when k - k0 is even
+    (the parity comes from the mode index) and antisymmetric when it is odd.
+    With N unknowns, q = N // 2 and flip = x[N-1], ..., x[N-q], A x is thus
+    e s stacked on o (x[:q] - flip): e holds the symmetric rows on the first
+    N - q positions, applied to s = x[:q] + flip followed by the middle
+    point x[q] of an odd N, and o the antisymmetric rows on the first q
+    positions.  Only an axis of FOLD_MIN unknowns or more is folded; below
+    that e is A itself and o is None.
+    """
+    a, lam = _basis(n, k0, k1), _eigen(n, h, k0, k1)
+    size = len(a)
+    if size < FOLD_MIN:
+        return (a, None), lam
+    q = size // 2
+    e, o = a[0::2, : size - q].copy(), a[1::2, :q].copy()
+    e.flags.writeable = o.flags.writeable = False
+    return (e, o), np.concatenate((lam[0::2], lam[1::2]))
+
+
+def _left(e, o, b):
+    """A b for the basis A of the blocks (e, o); folded rows come symmetric first."""
+    if o is None:
+        return e @ b
+    q, ne = len(o), len(e)
+    top, flip = b[:q], b[: -q - 1 : -1]
+    s = np.empty((ne, b.shape[1]))
+    np.add(top, flip, out=s[:q])
+    s[q:] = b[q:-q]
+    out = np.empty((ne + q, b.shape[1]))
+    np.matmul(e, s, out=out[:ne])
+    np.matmul(o, top - flip, out=out[ne:])
+    return out
+
+
+def _right(b, e, o):
+    """b A^T for the basis A of the blocks (e, o); folded columns come symmetric first."""
+    if o is None:
+        return b @ e.T
+    q, ne = len(o), len(e)
+    top, flip = b[:, :q], b[:, : -q - 1 : -1]
+    s = np.empty((b.shape[0], ne))
+    np.add(top, flip, out=s[:, :q])
+    s[:, q:] = b[:, q:-q]
+    out = np.empty((b.shape[0], ne + q))
+    np.matmul(s, e.T, out=out[:, :ne])
+    np.matmul(top - flip, o.T, out=out[:, ne:])
+    return out
+
+
+def _left_inverse(e, o, c):
+    """A^T c: the inverse of _left, back to positions."""
+    if o is None:
+        return e.T @ c
+    q, ne = len(o), len(e)
+    sym, anti = e.T @ c[:ne], o.T @ c[ne:]
+    out = np.empty((ne + q, c.shape[1]))
+    np.add(sym[:q], anti, out=out[:q])
+    np.subtract(sym[:q], anti, out=out[: -q - 1 : -1])
+    out[q:-q] = sym[q:]
+    return out
+
+
+def _right_inverse(c, e, o):
+    """c A: the inverse of _right, back to positions."""
+    if o is None:
+        return c @ e
+    q, ne = len(o), len(e)
+    sym, anti = c[:, :ne] @ e, c[:, ne:] @ o
+    out = np.empty((c.shape[0], ne + q))
+    np.add(sym[:, :q], anti, out=out[:, :q])
+    np.subtract(sym[:, :q], anti, out=out[:, : -q - 1 : -1])
+    out[:, q:-q] = sym[:, q:]
+    return out
+
+
 class PoissonSolver:
     """Direct solver for the cell-centered Neumann Poisson problem.
 
     Diagonalization on the uniform grid by the 1-D eigenbases of each
-    layout (Lynch, Rice & Thomas 1964), built once here together with the
-    eigenvalue sums lam[i, j] = lam_x[i] + lam_y[j].  The same object
-    carries the semi-implicit Helmholtz solves for the signal and the
-    velocity components; it is immutable after construction and safe to
-    share.
+    layout (Lynch, Rice & Thomas 1964), built once here, folded about
+    their mirror symmetry on axes of FOLD_MIN unknowns or more (_axis),
+    together with the eigenvalue sums lam[i, j] = lam_x[i] + lam_y[j] in
+    the order of the bases' rows.  The same object carries the
+    semi-implicit Helmholtz solves for the signal and the velocity
+    components; it is immutable after construction and safe to share.
     """
 
     def __init__(self, grid: Grid):
@@ -330,25 +429,27 @@ class PoissonSolver:
             ("ux", (1, nx), (1, ny + 1)),
             ("uy", (1, nx + 1), (1, ny)),
         ):
-            self._bases[layout] = (_basis(nx, *kx), _basis(ny, *ky))
-            lam = _eigen(nx, grid.hx, *kx)[:, None] + _eigen(ny, grid.hy, *ky)[None, :]
+            bx, lam_x = _axis(nx, grid.hx, *kx)
+            by, lam_y = _axis(ny, grid.hy, *ky)
+            self._bases[layout] = bx, by
+            lam = lam_x[:, None] + lam_y[None, :]
             lam.flags.writeable = False
             self._lam[layout] = lam
         gauged = self._lam["cell"].copy()
-        gauged[0, 0] = np.inf  # gauge mode: its coefficient divides to zero in solve
+        gauged[0, 0] = np.inf  # gauge mode k = 0, first in either order: divides to zero
         gauged.flags.writeable = False
         self._gauged = gauged
 
     def _diagonal_solve(self, layout: str, b: np.ndarray, alpha) -> np.ndarray:
         """Ax^T ((Ax b Ay^T) / d) Ay with the bases of `layout`, where
         d = 1 + alpha * lam, or the gauge-fixed lam if alpha is None."""
-        ax, ay = self._bases[layout]
-        bh = ax @ b @ ay.T
+        (ex, ox), (ey, oy) = self._bases[layout]
+        bh = _right(_left(ex, ox, b), ey, oy)
         if alpha is None:
             bh /= self._gauged
         else:
             bh /= 1.0 + alpha * self._lam[layout]
-        return ax.T @ bh @ ay
+        return _right_inverse(_left_inverse(ex, ox, bh), ey, oy)
 
     # -- pressure Poisson -------------------------------------------------
     def solve(self, rhs: ScalarField) -> ScalarField:

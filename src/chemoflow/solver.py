@@ -253,17 +253,12 @@ def _diffusion_substeps(nv: np.ndarray, spec: ModelSpec, dt_sub: float, substeps
 
 
 def _check_finite(state: State):
-    if not (
-        np.isfinite(state.n.values).all()
-        and np.isfinite(state.c.values).all()
-        and np.isfinite(state.u.ux).all()
-        and np.isfinite(state.u.uy).all()
-    ):
-        raise SolverError(
-            f"non-finite state at t={state.t:.6g}: "
-            f"n_max={np.nanmax(state.n.values):.3g}, c_max={np.nanmax(state.c.values):.3g}, "
-            f"u_max={np.nanmax(np.abs(state.u.ux)):.3g}"
-        )
+    """Raise SolverError naming the field and the entry (i, j) of the first
+    non-finite value, in the order n, c, ux, uy."""
+    for name, a in (("n", state.n.values), ("c", state.c.values), ("ux", state.u.ux), ("uy", state.u.uy)):
+        if not np.isfinite(a).all():
+            i, j = np.argwhere(~np.isfinite(a))[0]
+            raise SolverError(f"non-finite state at t={state.t:.6g}: {name}[{i}, {j}] = {a[i, j]}")
 
 
 def check_initial(state: State):

@@ -124,6 +124,22 @@ class TestParse:
         with pytest.raises(ConfigError, match="unknown section"):
             parse_config(MINIMAL + "\n[physics]\nx = 1\n")
 
+    def test_default_section_is_one_unknown_section(self):
+        with pytest.raises(ConfigError) as info:
+            parse_config(reference_config_text(t_end=0.2) + "\n[DEFAULT]\ngamma = 0.3\n")
+        assert info.value.violations == ["unknown section [DEFAULT]"]
+
+    @pytest.mark.parametrize("old, new", [
+        ("diffusion = porous_medium", "diffusion = Porous_Medium"),
+        ("sensitivity_kind = isotropic", "sensitivity_kind = Isotropic"),
+        ("diffusion = porous_medium\nm = 2.0",
+         "diffusion = TABULATED\ntable_knots = 0, 10\ntable_values = 2, 2"),
+        ("sensitivity_kind = isotropic", "sensitivity_kind = ROTATION\nrotation_angle = 0.7"),
+    ], ids=["porous_medium", "isotropic", "tabulated", "rotation"])
+    def test_kind_words_in_any_case(self, old, new):
+        text = reference_config_text(t_end=0.2).replace(old, new)
+        assert parse_config(text) == parse_config(text.replace(new, new.lower()))
+
     def test_parse_error_carries_line(self):
         with pytest.raises(ConfigError, match="line"):
             parse_config("[grid\nnx = 4\n")

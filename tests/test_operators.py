@@ -325,6 +325,69 @@ class TestSpectralBases:
         assert np.abs(a @ second_difference(n, layout) @ a.T - np.diag(lam)).max() <= 1e-12
 
 
+FOLD = ops.FOLD_MIN
+# (nx, ny, lx, ly): axes of FOLD_MIN - 1 unknowns (dense) and of FOLD_MIN on (folded), with
+# odd and even folded lengths on each axis; the face layouts have one unknown fewer than nx or ny
+FOLD_GRIDS = [(FOLD, FOLD + 1, 1.0, 1.3), (FOLD + 1, FOLD, 1.0, 1.0), (FOLD - 1, FOLD + 2, 1.0, 1.0)]
+
+
+class TestFoldedBases:
+    @pytest.mark.parametrize("shape", FOLD_GRIDS)
+    def test_folds_exactly_the_axes_at_the_crossover(self, shape):
+        nx, ny = shape[:2]
+        solver = PoissonSolver(make_grid(*shape))
+        lengths = {"cell": (nx, ny), "ux": (nx - 1, ny), "uy": (nx, ny - 1)}
+        for layout, (bx, by) in solver._bases.items():
+            for (e, o), size in zip((bx, by), lengths[layout]):
+                assert (o is not None) == (size >= FOLD)
+                assert len(e) + (0 if o is None else len(o)) == size
+
+    @pytest.mark.parametrize("shape", FOLD_GRIDS)
+    def test_solves_match_the_transforms(self, shape):
+        g = make_grid(*shape)
+        rng = np.random.default_rng(11)
+        solver = PoissonSolver(g)
+        for alpha in (1e-3, 0.25):
+            b = rng.standard_normal((g.nx, g.ny))
+            assert max_diff(solver.helmholtz_cells(b, alpha), naive.helmholtz_cells(g, b, alpha)) <= SPECTRAL_TOL
+            b = rng.standard_normal((g.nx - 1, g.ny))
+            assert max_diff(solver.helmholtz_ux(b, alpha), naive.helmholtz_ux(g, b, alpha)) <= SPECTRAL_TOL
+            b = rng.standard_normal((g.nx, g.ny - 1))
+            assert max_diff(solver.helmholtz_uy(b, alpha), naive.helmholtz_uy(g, b, alpha)) <= SPECTRAL_TOL
+        rhs = ScalarField(g, rng.standard_normal((g.nx, g.ny)))
+        p = solver.solve(rhs)
+        assert max_diff(p.values, naive.solve(g, rhs).values) <= SPECTRAL_TOL
+        assert naive.poisson_residual(p, rhs) <= 1e-10
+
+    def test_projection_at_128_is_solenoidal(self):
+        # a step's v*: a vortex plus a perturbation whose divergence is about 1
+        g = make_grid(128, 128, 1.0, 1.0)
+        v = VectorField.from_stream(g, lambda x, y: 0.1 * np.sin(np.pi * x) * np.sin(np.pi * y))
+        r = random_facefield(g, np.random.default_rng(0), scale=1e-3)
+        v_star = VectorField(g, v.ux + r.ux, v.uy + r.uy)
+        assert np.abs(div(v_star).values).max() > 0.5
+        w, _ = project(v_star, PoissonSolver(g))
+        assert np.abs(div(w).values).max() <= 1e-12
+
+    def test_below_the_crossover_the_products_are_dense(self):
+        # the same four products as before the fold, so the 64^2 runs keep their bits
+        g = make_grid(FOLD - 1, 64, 1.0, 1.5)
+        rng = np.random.default_rng(3)
+        solver = PoissonSolver(g)
+        for solve, kx, ky in ((solver.helmholtz_cells, (0, g.nx), (0, g.ny)),
+                              (solver.helmholtz_ux, (1, g.nx), (1, g.ny + 1)),
+                              (solver.helmholtz_uy, (1, g.nx + 1), (1, g.ny))):
+            ax, ay = ops._basis(g.nx, *kx), ops._basis(g.ny, *ky)
+            lam = ops._eigen(g.nx, g.hx, *kx)[:, None] + ops._eigen(g.ny, g.hy, *ky)[None, :]
+            b = rng.standard_normal((len(ax), len(ay)))
+            dense = ax.T @ ((ax @ b @ ay.T) / (1.0 + 0.037 * lam)) @ ay
+            assert same_bits(solve(b, 0.037), dense)
+            if solve == solver.helmholtz_cells:
+                lam[0, 0] = np.inf
+                rhs = ScalarField(g, b)
+                assert same_bits(solver.solve(rhs).values, -(ax.T @ ((ax @ b @ ay.T) / lam) @ ay))
+
+
 class TestProjection:
     def test_identity_on_solenoidal(self):
         g = make_grid(32, 32, 1.0, 1.0)

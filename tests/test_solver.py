@@ -378,6 +378,18 @@ class TestRun:
         with pytest.raises(SolverError, match=r"^step 2: density undershoot -1\.000e-06 at cell \(5, 7\)"):
             run(bump_state(), SPEC, TimeControls(t_end=0.2), POISSON)
 
+    def test_non_finite_state_names_field_and_entry(self, monkeypatch):
+        step_impl = solver._step_impl
+
+        def nan_in_uy(*args, **kwargs):
+            state, info = step_impl(*args, **kwargs)
+            state.u.uy[3, 5] = np.nan
+            return state, info
+
+        monkeypatch.setattr(solver, "_step_impl", nan_in_uy)
+        with pytest.raises(SolverError, match=r"^step 0: non-finite state at t=[0-9.e-]+: uy\[3, 5\] = nan$"):
+            run(bump_state(), SPEC, TimeControls(t_end=0.2), POISSON)
+
     def test_records_land_on_ticks(self):
         times = []
         run(bump_state(), SPEC, TimeControls(t_end=0.2), POISSON,

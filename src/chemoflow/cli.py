@@ -130,7 +130,10 @@ def _cmd_sweep_eps(args) -> int:
     from .sweeps import eps_sweep
 
     cfg = _load_config(args.config)
-    eps_list = [float(e) for e in args.eps.split(",")]
+    try:
+        eps_list = [float(e) for e in args.eps.split(",")]
+    except ValueError:
+        raise ValueError(f"--eps takes eps,eps,..., got {args.eps!r}") from None
     d = eps_sweep(cfg, eps_list, args.T)
     print("eps pairs:", [f"{a:g}->{b:g}" for a, b in zip(d.eps_list, d.eps_list[1:])])
     for key in ("n", "c", "u"):

@@ -131,13 +131,15 @@ def _parse_catalogue(field: str, family: str, text: str):
     params = {}
     for part in rest.split(",") if rest.strip() else ():
         k, _, v = part.partition("=")
+        k = k.strip()
         if not _:
             raise ConfigError(f"malformed catalogue parameter {part.strip()!r}")
+        if k in params:
+            raise ConfigError(f"{field} {kind} parameter {k} is given twice")
         try:
-            params[k.strip()] = float(v)
+            params[k] = float(v)
         except ValueError:
-            raise ConfigError(f"{field} {kind} parameter {k.strip()} must be numeric; "
-                              f"got {v.strip()!r}") from None
+            raise ConfigError(f"{field} {kind} parameter {k} must be numeric; got {v.strip()!r}") from None
     if kind not in _CATALOGUE[family]:
         raise ConfigError(f"unknown {family} initial kind {kind!r}")
     defaults = _CATALOGUE[family][kind]

@@ -38,28 +38,36 @@ Performance rules
   that cost little beside the solve.  The denominator is divided by,
   never replaced by a reciprocal, which would change the last bit.
 * Each spectral solve is four products with the 1-D bases that
-  PoissonSolver builds once (Ax B Ay^T, divide, Ax^T Bh Ay), so it costs
-  O(nx ny (nx + ny)) and needs numpy only: no verb imports scipy.  An axis
-  of FOLD_MIN unknowns or more is folded about its mirror symmetry
-  (_axis): each of its products becomes two half-size ones, on the sum and
-  the difference of mirrored rows (first axis, left products) or columns
-  (second axis, right products into column slices), which halves the
-  multiply-adds for two elementwise passes.  The fold takes no transpose
-  and no concatenation, and the coefficients stay in the bases' row order,
-  symmetric modes first, as lam does.  Below FOLD_MIN the passes cost more
-  than they save, so the products stay dense and the 64^2 runs keep their
-  bits.  One Helmholtz solve on n^2 cells, one BLAS thread of an x86-64
-  Xeon, medians of alternating timings:
+  PoissonSolver builds once, so it costs O(nx ny (nx + ny)) and needs
+  numpy only: no verb imports scipy.  All four act on the leading axis
+  (_left, _left_inverse): the second axis is reached through the
+  transpose of the first product, so the coefficients are held as
+  (Ax B Ay^T)^T, of shape (ny', nx'), and so are lam and its gauged copy.
+  The inverse transposes back and returns a fresh C-contiguous (nx, ny)
+  array.  An axis of FOLD_MIN unknowns or more is folded about its mirror
+  symmetry (_axis): each of its products becomes two half-size ones, on
+  the sum and the difference of mirrored rows, which halves the
+  multiply-adds for two elementwise passes.  The coefficients stay in the
+  bases' row order, symmetric modes first.  Below FOLD_MIN the passes cost
+  more than they save, so the products stay dense; a dense forward product
+  takes its operand contiguous, since OpenBLAS gave a transposed one
+  different bits on one and on two threads (96 x 80 cells).  One Helmholtz
+  solve on n^2 cells, one BLAS thread of an x86-64 Xeon, medians of
+  alternating timings:
 
       n        64     96    104    128    192     256
-      dense    53    160    227    391   1254    2844  us
-      folded   90    172    198    295    968    2041  us
+      dense    53    148    237    415   1258    2940  us
+      folded   83    158    185    328    934    1962  us
 
-  Four 128^2 solves (c, ux, uy, pressure) take 1.25 ms folded against
-  1.64 ms dense.  scipy's fast transforms take 81 / 257 / 1124 us at
-  64^2 / 128^2 / 256^2.  OpenBLAS splits a product by blocks of its
-  output, so the bits do not depend on OPENBLAS_NUM_THREADS or
-  OMP_NUM_THREADS.
+  Four 128^2 solves (c, ux, uy, pressure) take 1.32 ms folded against
+  1.76 ms dense.  scipy's fast transforms take 81 / 257 / 1124 us at
+  64^2 / 128^2 / 256^2.
+* The thread count of OpenBLAS (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS)
+  keeps the bits of a run on some grids only.  Measured with OpenBLAS
+  0.3.31 on one and on two threads: runs on 64^2, 80 x 96, 96 x 80, 128^2,
+  128 x 112 and 112 x 128 cells write identical outputs, runs on 103 x 105
+  and 200 x 150 do not, and a plain 100 x 100 by 100 x 150 product already
+  differs.
 """
 
 from __future__ import annotations
@@ -355,7 +363,7 @@ def _axis(n: int, h: float, k0: int, k1: int):
 def _left(e, o, b):
     """A b for the basis A of the blocks (e, o); folded rows come symmetric first."""
     if o is None:
-        return e @ b
+        return e @ np.ascontiguousarray(b)
     q, ne = len(o), len(e)
     top, flip = b[:q], b[: -q - 1 : -1]
     s = np.empty((ne, b.shape[1]))
@@ -364,21 +372,6 @@ def _left(e, o, b):
     out = np.empty((ne + q, b.shape[1]))
     np.matmul(e, s, out=out[:ne])
     np.matmul(o, top - flip, out=out[ne:])
-    return out
-
-
-def _right(b, e, o):
-    """b A^T for the basis A of the blocks (e, o); folded columns come symmetric first."""
-    if o is None:
-        return b @ e.T
-    q, ne = len(o), len(e)
-    top, flip = b[:, :q], b[:, : -q - 1 : -1]
-    s = np.empty((b.shape[0], ne))
-    np.add(top, flip, out=s[:, :q])
-    s[:, q:] = b[:, q:-q]
-    out = np.empty((b.shape[0], ne + q))
-    np.matmul(s, e.T, out=out[:, :ne])
-    np.matmul(top - flip, o.T, out=out[:, ne:])
     return out
 
 
@@ -395,29 +388,17 @@ def _left_inverse(e, o, c):
     return out
 
 
-def _right_inverse(c, e, o):
-    """c A: the inverse of _right, back to positions."""
-    if o is None:
-        return c @ e
-    q, ne = len(o), len(e)
-    sym, anti = c[:, :ne] @ e, c[:, ne:] @ o
-    out = np.empty((c.shape[0], ne + q))
-    np.add(sym[:, :q], anti, out=out[:, :q])
-    np.subtract(sym[:, :q], anti, out=out[:, : -q - 1 : -1])
-    out[:, q:-q] = sym[:, q:]
-    return out
-
-
 class PoissonSolver:
     """Direct solver for the cell-centered Neumann Poisson problem.
 
     Diagonalization on the uniform grid by the 1-D eigenbases of each
     layout (Lynch, Rice & Thomas 1964), built once here, folded about
     their mirror symmetry on axes of FOLD_MIN unknowns or more (_axis),
-    together with the eigenvalue sums lam[i, j] = lam_x[i] + lam_y[j] in
-    the order of the bases' rows.  The same object carries the
-    semi-implicit Helmholtz solves for the signal and the velocity
-    components; it is immutable after construction and safe to share.
+    together with the eigenvalue sums lam[j, i] = lam_y[j] + lam_x[i] in
+    the order of the bases' rows, transposed as the coefficients are.  The
+    same object carries the semi-implicit Helmholtz solves for the signal
+    and the velocity components; it is immutable after construction and
+    safe to share.
     """
 
     def __init__(self, grid: Grid):
@@ -432,7 +413,7 @@ class PoissonSolver:
             bx, lam_x = _axis(nx, grid.hx, *kx)
             by, lam_y = _axis(ny, grid.hy, *ky)
             self._bases[layout] = bx, by
-            lam = lam_x[:, None] + lam_y[None, :]
+            lam = lam_y[:, None] + lam_x[None, :]
             lam.flags.writeable = False
             self._lam[layout] = lam
         gauged = self._lam["cell"].copy()
@@ -442,14 +423,15 @@ class PoissonSolver:
 
     def _diagonal_solve(self, layout: str, b: np.ndarray, alpha) -> np.ndarray:
         """Ax^T ((Ax b Ay^T) / d) Ay with the bases of `layout`, where
-        d = 1 + alpha * lam, or the gauge-fixed lam if alpha is None."""
+        d = 1 + alpha * lam, or the gauge-fixed lam if alpha is None; the
+        coefficients bh are (Ax b Ay^T)^T."""
         (ex, ox), (ey, oy) = self._bases[layout]
-        bh = _right(_left(ex, ox, b), ey, oy)
+        bh = _left(ey, oy, _left(ex, ox, b).T)
         if alpha is None:
             bh /= self._gauged
         else:
             bh /= 1.0 + alpha * self._lam[layout]
-        return _right_inverse(_left_inverse(ex, ox, bh), ey, oy)
+        return _left_inverse(ex, ox, _left_inverse(ey, oy, bh).T)
 
     # -- pressure Poisson -------------------------------------------------
     def solve(self, rhs: ScalarField) -> ScalarField:

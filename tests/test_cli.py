@@ -142,23 +142,24 @@ class TestSweeps:
 
 
 class TestBadArguments:
-    @pytest.mark.parametrize("argv", [
-        ["sweep-eps", "--eps", "0.1,-0.05"],
-        ["sweep-eps", "--eps", "0.05,0.1"],
-        ["sweep-eps", "--eps", "0.1,abc"],
-        ["sweep-eps", "--eps", "0.1,0"],
-        ["sweep-grid", "--grids", "8,8;12,12"],
-        ["sweep-grid", "--grids", "2,2;4,4"],
-        ["sweep-grid", "--grids", "8,8;16,16;48,48"],
+    @pytest.mark.parametrize("argv, names", [
+        (["sweep-eps", "--eps", "0.1,-0.05"], "epsilon must lie in (0, 1)"),
+        (["sweep-eps", "--eps", "0.05,0.1"], "non-increasing"),
+        (["sweep-eps", "--eps", "0.1,abc"], "--eps takes eps,eps,..., got '0.1,abc'"),
+        (["sweep-eps", "--eps", "0.1,0"], "epsilon must lie in (0, 1)"),
+        (["sweep-grid", "--grids", "8,8;12,12"], "not nested"),
+        (["sweep-grid", "--grids", "2,2;4,4"], "grid too small"),
+        (["sweep-grid", "--grids", "8,8;16,16;48,48"], "mix refinement factors"),
     ], ids=["eps-negative", "eps-increasing", "eps-not-a-number", "eps-zero",
             "grids-not-nested", "grids-too-small", "grids-mixed-factors"])
-    def test_error_line_and_exit_1(self, tiny_config, capsys, monkeypatch, argv):
+    def test_error_line_and_exit_1(self, tiny_config, capsys, monkeypatch, argv, names):
         runs = []
         monkeypatch.setattr(sweeps, "run", lambda *a, **k: runs.append(a))
         code = main([argv[0], str(tiny_config), *argv[1:], "--T", "0.02"])
         err = capsys.readouterr().err
         assert code == 1
         assert re.search(r"^(ERROR|VIOLATION): ", err, re.M), err
+        assert names in err
         assert "Traceback" not in err
         assert runs == []  # rejected before the first run, eps = 0 included
 

@@ -350,6 +350,12 @@ class TestInitialData:
             parse_config(reference_config_text(t_end=0.2, **{field: text}))
         assert info.value.violations == [f"initial data rejected: {message}"]
 
+    def test_repeated_parameter_named(self):
+        # configparser rejects a repeated key; a repeated parameter would keep only its last value
+        with pytest.raises(ConfigError) as info:
+            parse_config(reference_config_text(t_end=0.2, n0="gaussian: mass=1.0, mass=0.5"))
+        assert info.value.violations == ["initial data rejected: n0 gaussian parameter mass is given twice"]
+
     def test_unknown_catalogue_parameter(self):
         with pytest.raises(ConfigError, match="unknown parameters"):
             parse_config(MINIMAL.replace("n0 = constant: value=1.0", "n0 = constant: mass=1"))

@@ -370,22 +370,44 @@ class TestFoldedBases:
         assert np.abs(div(w).values).max() <= 1e-12
 
     def test_below_the_crossover_the_products_are_dense(self):
-        # the same four products as before the fold, so the 64^2 runs keep their bits
+        # four dense products, the second axis reached through the transpose of the
+        # first product, which the forward product takes as a contiguous copy
         g = make_grid(FOLD - 1, 64, 1.0, 1.5)
         rng = np.random.default_rng(3)
         solver = PoissonSolver(g)
+
+        def dense(ax, ay, b, d):
+            bh = ay @ np.ascontiguousarray((ax @ b).T)
+            return ax.T @ (ay.T @ (bh / d)).T
+
         for solve, kx, ky in ((solver.helmholtz_cells, (0, g.nx), (0, g.ny)),
                               (solver.helmholtz_ux, (1, g.nx), (1, g.ny + 1)),
                               (solver.helmholtz_uy, (1, g.nx + 1), (1, g.ny))):
             ax, ay = ops._basis(g.nx, *kx), ops._basis(g.ny, *ky)
-            lam = ops._eigen(g.nx, g.hx, *kx)[:, None] + ops._eigen(g.ny, g.hy, *ky)[None, :]
+            lam = ops._eigen(g.ny, g.hy, *ky)[:, None] + ops._eigen(g.nx, g.hx, *kx)[None, :]
             b = rng.standard_normal((len(ax), len(ay)))
-            dense = ax.T @ ((ax @ b @ ay.T) / (1.0 + 0.037 * lam)) @ ay
-            assert same_bits(solve(b, 0.037), dense)
+            assert same_bits(solve(b, 0.037), dense(ax, ay, b, 1.0 + 0.037 * lam))
             if solve == solver.helmholtz_cells:
                 lam[0, 0] = np.inf
                 rhs = ScalarField(g, b)
-                assert same_bits(solver.solve(rhs).values, -(ax.T @ ((ax @ b @ ay.T) / lam) @ ay))
+                assert same_bits(solver.solve(rhs).values, -dense(ax, ay, b, lam))
+
+    @pytest.mark.parametrize("shape", [(64, 48, 1.0, 1.0), *FOLD_GRIDS])
+    def test_solves_return_fresh_c_contiguous_arrays(self, shape):
+        # a field built from a solve is C-contiguous like every other field
+        # (the n-diffusion substeps, for one, refuse a density that is not)
+        g = make_grid(*shape)
+        rng = np.random.default_rng(7)
+        solver = PoissonSolver(g)
+        ux, uy = rng.standard_normal((g.nx + 1, g.ny)), rng.standard_normal((g.nx, g.ny + 1))
+        b = rng.standard_normal((g.nx, g.ny))
+        assert not uy[:, 1:-1].flags.c_contiguous
+        for x, given in ((solver.helmholtz_cells(b, 0.01), b),
+                         (solver.helmholtz_ux(ux[1:-1, :], 0.01), ux),
+                         (solver.helmholtz_uy(uy[:, 1:-1], 0.01), uy),
+                         (solver.solve(ScalarField(g, b)).values, b)):
+            assert x.flags.c_contiguous and x.flags.owndata
+            assert not np.shares_memory(x, given)
 
 
 class TestProjection:
@@ -456,11 +478,13 @@ class TestProjection:
 
 
 class TestBlasThreads:
-    def test_run_bits_do_not_depend_on_blas_threads(self, tmp_path):
-        # 96 x 80 cells: the solves' products exceed 64^3 multiply-adds,
-        # above which OpenBLAS splits a product across its threads
+    # On both grids the solves' products exceed 64^3 multiply-adds, above which
+    # OpenBLAS splits a product across its threads; 96 x 80 is dense on both axes,
+    # 128 x 112 folded on both.  Not every grid keeps its bits (module docstring).
+    @pytest.mark.parametrize("nx, ny", [(96, 80), (128, 112)], ids=["96x80", "128x112"])
+    def test_run_bits_do_not_depend_on_blas_threads(self, tmp_path, nx, ny):
         config = tmp_path / "run.ini"
-        text = reference_config_text(t_end=0.02, nx=96, ny=80, cadence=0.01, dt_max=1e-3,
+        text = reference_config_text(t_end=0.02, nx=nx, ny=ny, cadence=0.01, dt_max=1e-3,
                                      u0="vortex: amp=0.5")
         config.write_text(text.replace("snapshots = false", "snapshots = true"))
         src = pathlib.Path(__file__).resolve().parents[1] / "src"

@@ -23,12 +23,12 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.random import default_rng  # loaded with the module, not by the first corpus member
 
-from .grid import Grid, ScalarField, cell_derivative, cell_gradients, integrate, make_grid
+from .grid import ScalarField, cell_derivative, cell_gradients, integrate, make_grid
 
 __all__ = [
     "FieldCorpus",
@@ -48,10 +48,20 @@ __all__ = [
 EST1_CONST = (4.0 + math.sqrt(2.0)) ** 2
 EST2_CONST = (5.0 + math.sqrt(2.0)) ** 2
 
-# run_lemma_checks: exponents a of the product bound, the entropy weight
-# eta, the calibration safety factor and the held-out relative tolerance
-A_VALUES = (0.5, 1.0, 2.0, 4.0)
+# the one parameter set the checks run at: exponents a of the product
+# bound, the entropy weight eta, the threshold level L and superlevel
+# shift s0t of the superlevel bound (whose dissipation weight is D(s) = s,
+# linear growth clearing L above s0t), the Poincare exponent p and the
+# last index of the doubling recursion
+A_VALUES = np.array((0.5, 1.0, 2.0, 4.0))
+A_VALUES.flags.writeable = False
 ETA = 1.0
+LEVEL = 1.0
+S0_TILDE = 1.5
+P = 2.0
+K_MAX = 30
+
+# run_lemma_checks: the calibration safety factor and the held-out relative tolerance
 SAFETY = 2.0
 REL_TOL = 1e-8
 BATCH = 16  # members alive at once; checking a batch check by check is ~7 % faster than by member
@@ -59,7 +69,12 @@ BATCH = 16  # members alive at once; checking a batch check by check is ~7 % fas
 # log_hessian_identity_residual: width of the excluded boundary rim, in cells
 MARGIN = 2
 
-# FieldCorpus: lower bound of every positive field, range of its random span
+# FieldCorpus: the grid of every member, highest cosine mode and spectral
+# decay exponent of its series, lower bound of every positive field and
+# range of its random span
+GRID = make_grid(64, 64, 1.0, 1.0)
+MAX_MODE = 4
+DECAY = 2.0
 FLOOR = 0.1
 SPAN_LO, SPAN_HI = 0.5, 3.0
 
@@ -70,41 +85,32 @@ SPAN_LO, SPAN_HI = 0.5, 3.0
 
 @dataclass(frozen=True)
 class FieldCorpus:
-    """Seeded collection of smooth strictly positive fields.
+    """Seeded collection of smooth strictly positive fields on GRID.
 
     Fields are random cosine series (zero normal derivative on the walls)
-    with an algebraically decaying spectrum, shifted to sit above FLOOR
-    and rescaled to a per-member random span in [SPAN_LO, SPAN_HI].
+    with a spectrum decaying as (1 + k^2 + m^2)^(-DECAY/2), shifted to sit
+    above FLOOR and rescaled to a per-member random span in [SPAN_LO, SPAN_HI].
     Paired signed fields are available for the product-bound checks.
 
-    The series sum_{k,m} a_km cos(k pi x/lx) cos(m pi y/ly) is separable,
-    so each field is built as Cx A Cy^T from two cosine tables of shape
-    (nx, max_mode+1) and (ny, max_mode+1), made once per corpus, and the
-    amplitude matrix A (A[0, 0] = 0), not as a sum of full-grid mode
-    products.  The amplitudes are drawn in one call, in (k, m) row-major order.
+    The series sum_{k,m} a_km cos(k pi x/lx) cos(m pi y/ly), k, m <= MAX_MODE,
+    is separable, so each field is built as Cx A Cy^T from two cosine
+    tables of shape (nx, MAX_MODE+1) and (ny, MAX_MODE+1), made once per
+    corpus, and the amplitude matrix A (A[0, 0] = 0), not as a sum of
+    full-grid mode products.  The amplitudes are drawn in one call, in
+    (k, m) row-major order.
     """
 
-    nx: int = 64
-    ny: int = 64
-    lx: float = 1.0
-    ly: float = 1.0
-    n_members: int = 100
-    seed: int = 7
-    max_mode: int = 4
-    decay: float = 2.0
-
-    @property
-    def grid(self) -> Grid:
-        return make_grid(self.nx, self.ny, self.lx, self.ly)
+    n_members: int
+    seed: int
 
     @cached_property
     def _tables(self):
         """(spectral weights of A, cx, cy), shared by every member."""
-        g = self.grid
-        modes = np.arange(self.max_mode + 1)
-        weights = (1.0 + np.add.outer(modes**2, modes**2)) ** (self.decay / 2.0)
-        cx = np.cos(modes * np.pi * g.xc()[:, None] / self.lx)
-        cy = np.cos(modes * np.pi * g.yc()[:, None] / self.ly)
+        g = GRID
+        modes = np.arange(MAX_MODE + 1)
+        weights = (1.0 + np.add.outer(modes**2, modes**2)) ** (DECAY / 2.0)
+        cx = np.cos(modes * np.pi * g.xc()[:, None] / g.lx)
+        cy = np.cos(modes * np.pi * g.yc()[:, None] / g.ly)
         weights.flags.writeable = cx.flags.writeable = cy.flags.writeable = False
         return weights, cx, cy
 
@@ -119,7 +125,6 @@ class FieldCorpus:
 
     def member(self, index: int):
         """(phi, psi) pair for one member: phi > 0, psi signed."""
-        g = self.grid
         rng = default_rng([self.seed, index])
         raw = self._raw(rng)
         span = rng.uniform(SPAN_LO, SPAN_HI)
@@ -128,7 +133,7 @@ class FieldCorpus:
         raw2 = self._raw(rng)
         amp = rng.uniform(0.3, 2.0)
         psi = raw2 * (amp / max(np.abs(raw2).max(), 1e-300))
-        return ScalarField(g, phi), ScalarField(g, psi)
+        return ScalarField(GRID, phi), ScalarField(GRID, psi)
 
     def pairs(self):
         """The members in index order, each built when it is reached."""
@@ -220,74 +225,65 @@ def _trudinger_terms(phi: ScalarField, psi: ScalarField):
     return mass, entropy, dirichlet, l1_psi, lhs
 
 
-def trudinger_gap(phi: ScalarField, psi: ScalarField, a, eta: float, K: float):
+def trudinger_gap(phi: ScalarField, psi: ScalarField, K: float) -> np.ndarray:
     """RHS - LHS of
 
         int phi |psi| <= (1/a) int phi ln(phi/mean phi)
                          + (1+eta) a / (8 pi) (int phi) int |grad psi|^2
                          + K a (int phi) (int |psi|)^2 + (K/a) int phi
 
-    A float for a scalar `a`; for a 1-D array of exponents, the array of
-    gaps, each bitwise equal to its scalar call.
+    with eta = ETA, one gap per exponent a of A_VALUES.
     """
-    a = np.asarray(a, dtype=float)
-    if (a <= 0).any() or eta <= 0:
-        raise ValueError("need a > 0 and eta > 0")
+    a = A_VALUES
     mass, entropy, dirichlet, l1_psi, lhs = _trudinger_terms(phi, psi)
     rhs = (
         entropy / a
-        + (1.0 + eta) * a / (8.0 * math.pi) * mass * dirichlet
+        + (1.0 + ETA) * a / (8.0 * math.pi) * mass * dirichlet
         + K * a * mass * l1_psi**2
         + K / a * mass
     )
-    return float(rhs - lhs) if a.ndim == 0 else rhs - lhs
+    return rhs - lhs
 
 
-def _sublevel_terms(phi: ScalarField, s0_tilde: float, D_tilde: Callable):
+def _sublevel_terms(phi: ScalarField):
     """(int phi, mean phi, dissipation integral, superlevel entropy)."""
     g = phi.grid
     pv = phi.values
     mass = _checked_mass(phi)
     mean = mass / g.area
-    mask = pv > s0_tilde + 1.0
+    mask = pv > S0_TILDE + 1.0
     lhs = _integral(np.where(mask, pv * np.log1p(pv), 0.0), g)
     gx, gy = cell_gradients(pv, g)
-    dissip = _integral(np.asarray(D_tilde(pv)) * (gx**2 + gy**2) / (pv + 1.0) ** 2, g)
+    dissip = _integral(pv * (gx**2 + gy**2) / (pv + 1.0) ** 2, g)
     return mass, mean, dissip, lhs
 
 
-def trudinger_sublevel_gap(
-    phi: ScalarField,
-    L: float,
-    s0_tilde: float,
-    D_tilde: Callable,
-    eta: float,
-    K: float,
-) -> float:
+def trudinger_sublevel_gap(phi: ScalarField, K: float) -> float:
     """RHS - LHS of the superlevel-entropy bound
 
         int_{phi > s0t+1} phi ln(phi+1)
             <= (1+eta) K / L (int phi) int D(phi)|grad phi|^2/(phi+1)^2
                + K (int phi)^3 + (K - ln(mean phi)) int phi + K
+
+    with s0t = S0_TILDE, L = LEVEL, eta = ETA and D(s) = s.
     """
-    mass, mean, dissip, lhs = _sublevel_terms(phi, s0_tilde, D_tilde)
-    rhs = (1.0 + eta) * K / L * mass * dissip + K * mass**3 + (K - math.log(mean)) * mass + K
+    mass, mean, dissip, lhs = _sublevel_terms(phi)
+    rhs = (1.0 + ETA) * K / LEVEL * mass * dissip + K * mass**3 + (K - math.log(mean)) * mass + K
     return float(rhs - lhs)
 
 
-def _min_constant_trudinger(phi, psi, a, eta) -> float:
-    """Smallest K making the product bound an equality or better for every
-    exponent in `a`, a scalar or a 1-D array."""
-    a = np.asarray(a, dtype=float)
+def _min_constant_trudinger(phi, psi) -> float:
+    """Smallest K making the product bound an equality or better for every exponent."""
+    a = A_VALUES
     mass, entropy, dirichlet, l1_psi, lhs = _trudinger_terms(phi, psi)
-    slack = lhs - entropy / a - (1.0 + eta) * a / (8.0 * math.pi) * mass * dirichlet
+    slack = lhs - entropy / a - (1.0 + ETA) * a / (8.0 * math.pi) * mass * dirichlet
     denom = a * mass * l1_psi**2 + mass / a
     return float(np.fmax(slack / denom, 0.0).max())
 
 
-def _min_constant_sublevel(phi, L, s0_tilde, D_tilde, eta) -> float:
-    mass, mean, dissip, lhs = _sublevel_terms(phi, s0_tilde, D_tilde)
-    denom = (1.0 + eta) / L * mass * dissip + mass**3 + mass + 1.0
+def _min_constant_sublevel(phi) -> float:
+    mass, mean, dissip, lhs = _sublevel_terms(phi)
+    denom = (1.0 + ETA) / LEVEL * mass * dissip + mass**3 + mass + 1.0
     return max(0.0, (lhs + math.log(mean) * mass) / denom)
 
 
@@ -303,46 +299,47 @@ def ode_envelope(y0: float, a: float, b: float, tau: float, t: float) -> float:
     return y0 * math.exp(-a * t) + b * tau / (1.0 - math.exp(-a * tau))
 
 
-def equality_mk_sequence(a: float, b: float, logM0: float, k_max: int) -> np.ndarray:
-    """log M_k for the recursion run at equality: M_k = a^k M_{k-1}^2 + b^(2^k)."""
+def equality_mk_sequence(a: float, b: float, logM0: float) -> np.ndarray:
+    """log M_k, k <= K_MAX, for the recursion run at equality: M_k = a^k M_{k-1}^2 + b^(2^k)."""
     logs = [logM0]
-    for k in range(1, k_max + 1):
+    for k in range(1, K_MAX + 1):
         logs.append(np.logaddexp(k * math.log(a) + 2.0 * logs[-1], 2.0**k * math.log(b)))
     return np.array(logs)
 
 
-def slack_mk_sequence(a: float, b: float, logM0: float, k_max: int, seed: int) -> np.ndarray:
-    """Admissible sequence with random slack, clipped to stay in [1, inf)."""
+def slack_mk_sequence(a: float, b: float, logM0: float, seed: int) -> np.ndarray:
+    """Admissible sequence to K_MAX with random slack, clipped to stay in [1, inf)."""
     rng = default_rng(seed)
     logs = [logM0]
-    for k in range(1, k_max + 1):
+    for k in range(1, K_MAX + 1):
         cap = np.logaddexp(k * math.log(a) + 2.0 * logs[-1], 2.0**k * math.log(b))
         logs.append(max(0.0, cap + math.log(rng.uniform(0.2, 1.0))))
     return np.array(logs)
 
 
-def mk_limit_check(M0: float, a: float, b: float, k_max: int, generator) -> tuple:
+def mk_limit_check(M0: float, a: float, b: float, generator) -> tuple:
     """Check liminf_k M_k^(1/2^k) <= 2 sqrt(2) a^3 b M0 on a generated sequence.
 
-    `generator(a, b, logM0, k_max)` must return log M_k values satisfying
-    M_k <= a^k M_{k-1}^2 + b^(2^k); admissibility is verified here (in log
-    space, so large k never overflows).  Returns (liminf_est, bound, ok)
-    where liminf_est is the minimum of M_k^(1/2^k) over the tail quarter.
+    `generator(a, b, logM0)` must return log M_k values, k = 0..K_MAX,
+    satisfying M_k <= a^k M_{k-1}^2 + b^(2^k); admissibility is verified
+    here (in log space, so large k never overflows).  Returns (liminf_est,
+    bound, ok) where liminf_est is the minimum of M_k^(1/2^k) over the
+    tail quarter.
     """
     if a < 1.0 or b < 1.0 or M0 < 1.0:
         raise ValueError("need a >= 1, b >= 1, M0 >= 1")
-    logs = np.asarray(generator(a, b, math.log(M0), k_max), dtype=float)
-    if logs.shape != (k_max + 1,):
-        raise ValueError("generator must produce k_max + 1 log-values")
+    logs = np.asarray(generator(a, b, math.log(M0)), dtype=float)
+    if logs.shape != (K_MAX + 1,):
+        raise ValueError("generator must produce K_MAX + 1 log-values")
     if (logs < -1e-12).any():
         raise ValueError("sequence must stay in [1, inf)")
-    for k in range(1, k_max + 1):
+    for k in range(1, K_MAX + 1):
         cap = np.logaddexp(k * math.log(a) + 2.0 * logs[k - 1], 2.0**k * math.log(b))
         if logs[k] > cap + 1e-9:
             raise ValueError(f"generated sequence violates the recursion at k={k}")
-    ks = np.arange(k_max + 1)
+    ks = np.arange(K_MAX + 1)
     roots = np.exp(logs / 2.0**ks)
-    tail = roots[max(1, k_max * 3 // 4):]
+    tail = roots[max(1, K_MAX * 3 // 4):]
     liminf_est = float(tail.min())
     bound = 2.0 * math.sqrt(2.0) * a**3 * b * M0
     return liminf_est, bound, bool(liminf_est <= bound * (1.0 + 1e-9))
@@ -352,10 +349,8 @@ def mk_limit_check(M0: float, a: float, b: float, k_max: int, generator) -> tupl
 # subset-mean Poincare inequality
 # ----------------------------------------------------------------------
 
-def _poincare_terms(phi: ScalarField, B_mask: np.ndarray, p: float):
-    """((int |phi - mean_B phi|^p)^(1/p), (int |grad phi|^p)^(1/p))."""
-    if p < 1:
-        raise ValueError("need p >= 1")
+def _poincare_terms(phi: ScalarField, B_mask: np.ndarray):
+    """((int |phi - mean_B phi|^p)^(1/p), (int |grad phi|^p)^(1/p)) with p = P."""
     g = phi.grid
     mask = np.asarray(B_mask, dtype=bool)
     if mask.shape != phi.values.shape:
@@ -364,20 +359,20 @@ def _poincare_terms(phi: ScalarField, B_mask: np.ndarray, p: float):
     if nb == 0:
         raise ValueError("empty subset B")
     avg = float(phi.values[mask].sum() / nb)
-    lhs = _integral(np.abs(phi.values - avg) ** p, g) ** (1.0 / p)
+    lhs = _integral(np.abs(phi.values - avg) ** P, g) ** (1.0 / P)
     gx, gy = cell_gradients(phi.values, g)
-    rhs = _integral((gx**2 + gy**2) ** (p / 2.0), g) ** (1.0 / p)
+    rhs = _integral((gx**2 + gy**2) ** (P / 2.0), g) ** (1.0 / P)
     return lhs, rhs
 
 
-def poincare_subset_gap(phi: ScalarField, B_mask: np.ndarray, p: float, C: float) -> float:
-    """C * (int |grad phi|^p)^(1/p) - (int |phi - mean_B phi|^p)^(1/p)."""
-    lhs, rhs = _poincare_terms(phi, B_mask, p)
+def poincare_subset_gap(phi: ScalarField, B_mask: np.ndarray, C: float) -> float:
+    """C * (int |grad phi|^p)^(1/p) - (int |phi - mean_B phi|^p)^(1/p) with p = P."""
+    lhs, rhs = _poincare_terms(phi, B_mask)
     return float(C * rhs - lhs)
 
 
-def _min_constant_poincare(phi, B_mask, p) -> float:
-    lhs, rhs = _poincare_terms(phi, B_mask, p)
+def _min_constant_poincare(phi, B_mask) -> float:
+    lhs, rhs = _poincare_terms(phi, B_mask)
     return lhs / rhs if rhs != 0.0 else 0.0
 
 
@@ -394,8 +389,9 @@ class LemmaCheckRow:
 
 
 class _HeldOutCheck:
-    """One check of the module docstring's protocol, fed items in order: `min_constant(item)`
-    raises kmin on the calibration half, then each gap(item, K) must be >= -REL_TOL * scale."""
+    """One check of the module docstring's protocol, fed argument tuples in order:
+    `min_constant(*item)` raises kmin on the calibration half, then each gap of
+    `gap(*item, K)` must be >= -REL_TOL * scale(*item, K, gap)."""
 
     def __init__(self, name: str, min_constant, gap, scale):
         self.name, self.min_constant, self.gap, self.scale = name, min_constant, gap, scale
@@ -403,27 +399,28 @@ class _HeldOutCheck:
 
     def feed(self, item, calibrating: bool):
         if calibrating:
-            self.kmin = max(self.kmin, self.min_constant(item))
+            self.kmin = max(self.kmin, self.min_constant(*item))
             return
         self.K = K = SAFETY * self.kmin if self.kmin > 0 else 1.0  # kmin is final here
-        for g in np.atleast_1d(self.gap(item, K)).tolist():
+        for g in np.atleast_1d(self.gap(*item, K)).tolist():
             self.worst = min(self.worst, g)
-            self.ok = self.ok and g >= -REL_TOL * self.scale(item, K, g)
+            self.ok = self.ok and g >= -REL_TOL * self.scale(*item, K, g)
 
 
-def run_lemma_checks(corpus: FieldCorpus | None = None) -> list:
+def run_lemma_checks(corpus: FieldCorpus) -> list:
     """Full verification pass over the corpus streamed in batches; one row per inequality check."""
-    corpus = corpus or FieldCorpus()
     if corpus.n_members < 2:
         raise ValueError(
             f"need at least 2 corpus members to calibrate and hold out, got {corpus.n_members}"
         )
+    if corpus.seed < 0:
+        raise ValueError(f"the corpus seed must be non-negative, got {corpus.seed}")
     rows = []
 
     # --- log-Hessian identity convergence on an analytic field ---
     res = []
     for nn in (32, 64, 128):
-        gg = make_grid(nn, nn, corpus.lx, corpus.ly)
+        gg = make_grid(nn, nn, 1.0, 1.0)
         phi = ScalarField.from_function(gg, lambda x, y: np.exp(x))
         res.append(log_hessian_identity_residual(phi)[0])
     order = min(math.log2(res[i] / res[i + 1]) for i in range(len(res) - 1))
@@ -431,35 +428,24 @@ def run_lemma_checks(corpus: FieldCorpus | None = None) -> list:
 
     # --- subset-mean Poincare: one random mask per member, in member order ---
     rng = default_rng(corpus.seed + 99)
-    grid = corpus.grid
-    varpi = 0.25 * grid.area
-    x, y = grid.cell_mesh()
+    varpi = 0.25 * GRID.area
+    x, y = GRID.cell_mesh()
 
     def random_mask():
         while True:
             cx, cy = rng.uniform(0.2, 0.8, size=2)
             r = rng.uniform(0.3, 0.45)
-            m = (x - cx * grid.lx) ** 2 + (y - cy * grid.ly) ** 2 < (r * grid.lx) ** 2
-            if m.sum() * grid.cell_area >= varpi:
+            m = (x - cx * GRID.lx) ** 2 + (y - cy * GRID.ly) ** 2 < (r * GRID.lx) ** 2
+            if m.sum() * GRID.cell_area >= varpi:
                 return m
 
-    a_values = np.asarray(A_VALUES)  # every product-bound exponent from one set of terms
-    L, s0t = 1.0, 1.5
-    d_tilde = lambda s: np.asarray(s, dtype=float)  # linear growth clears L above s0t
-    p = 2.0
-    checks = [  # fed (phi, psi), (phi, psi) and (phi, mask)
-        _HeldOutCheck("entropy-weighted product bound",
-                      lambda pair: _min_constant_trudinger(*pair, a_values, ETA),
-                      lambda pair, K: trudinger_gap(*pair, a_values, ETA, K),
-                      lambda pair, K, gap: abs(gap) + abs(integrate(pair[0])) * K),
-        _HeldOutCheck("superlevel entropy bound",
-                      lambda pair: _min_constant_sublevel(pair[0], L, s0t, d_tilde, ETA),
-                      lambda pair, K: trudinger_sublevel_gap(pair[0], L, s0t, d_tilde, ETA, K),
-                      lambda pair, K, gap: abs(gap) + K * max(integrate(pair[0]) ** 3, 1.0)),
-        _HeldOutCheck("subset-mean poincare bound",
-                      lambda item: _min_constant_poincare(*item, p),
-                      lambda item, C: poincare_subset_gap(*item, p, C),
-                      lambda item, C, gap: C * _poincare_terms(*item, p)[1] + 1e-30),
+    checks = [  # fed (phi, psi), (phi,) and (phi, mask)
+        _HeldOutCheck("entropy-weighted product bound", _min_constant_trudinger, trudinger_gap,
+                      lambda phi, psi, K, gap: abs(gap) + abs(integrate(phi)) * K),
+        _HeldOutCheck("superlevel entropy bound", _min_constant_sublevel, trudinger_sublevel_gap,
+                      lambda phi, K, gap: abs(gap) + K * max(integrate(phi) ** 3, 1.0)),
+        _HeldOutCheck("subset-mean poincare bound", _min_constant_poincare, poincare_subset_gap,
+                      lambda phi, mask, C, gap: C * _poincare_terms(phi, mask)[1] + 1e-30),
     ]
 
     # --- log-Hessian integral estimates over the whole corpus, in the same pass ---
@@ -469,8 +455,9 @@ def run_lemma_checks(corpus: FieldCorpus | None = None) -> list:
         gaps = [log_hessian_identity_residual(phi)[1:] for _, (phi, psi) in batch]
         worst1 = min(worst1, *(g1 for g1, _ in gaps))
         worst2 = min(worst2, *(g2 for _, g2 in gaps))
+        alone = [(i, (phi,)) for i, (phi, psi) in batch]
         masked = [(i, (phi, random_mask())) for i, (phi, psi) in batch]
-        for check, items in zip(checks, (batch, batch, masked)):
+        for check, items in zip(checks, (batch, alone, masked)):
             for i, item in items:
                 check.feed(item, calibrating=i < corpus.n_members // 2)
     rows.append(LemmaCheckRow("log-hessian gradient-power estimate", EST1_CONST, worst1, worst1 >= -REL_TOL))
@@ -496,8 +483,8 @@ def run_lemma_checks(corpus: FieldCorpus | None = None) -> list:
         b = float(rng.uniform(1.0, 2.0))
         m0 = float(rng.uniform(1.0, 4.0))
         gen = (equality_mk_sequence if i % 2 == 0
-               else lambda aa, bb, l0, km: slack_mk_sequence(aa, bb, l0, km, seed=i))
-        liminf_est, bound, passed = mk_limit_check(m0, a, b, 30, gen)
+               else lambda aa, bb, l0: slack_mk_sequence(aa, bb, l0, seed=i))
+        liminf_est, bound, passed = mk_limit_check(m0, a, b, gen)
         worst = min(worst, bound - liminf_est)
         ok = ok and passed
     rows.append(LemmaCheckRow("doubling-exponent recursion limit", 2.0 * math.sqrt(2.0), worst, ok))

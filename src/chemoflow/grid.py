@@ -204,13 +204,13 @@ class State:
         if not self.u.normal_boundary_is_zero():
             raise ValueError("velocity u has nonzero boundary-normal entries")
 
-    def copy(self, frozen: bool = False) -> "State":
+    def copy(self) -> "State":
+        """A read-only copy: every array of it refuses writes."""
         st = State(self.n.copy(), self.c.copy(), self.u.copy(), self.t)
-        if frozen:
-            st.n.values.flags.writeable = False
-            st.c.values.flags.writeable = False
-            st.u.ux.flags.writeable = False
-            st.u.uy.flags.writeable = False
+        st.n.values.flags.writeable = False
+        st.c.values.flags.writeable = False
+        st.u.ux.flags.writeable = False
+        st.u.uy.flags.writeable = False
         return st
 
 

@@ -300,7 +300,7 @@ def run(
 
     def emit():
         if sinks:
-            frozen = state.copy(frozen=True)
+            frozen = state.copy()
             for sink in sinks:
                 sink(frozen, clamp_total)
         return state.t

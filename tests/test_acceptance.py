@@ -18,7 +18,7 @@ from chemoflow.analysis import (
     log_hessian_identity_residual,
     run_lemma_checks,
 )
-from chemoflow.config import parse_config, reference_config_text
+from chemoflow.config import parse_config
 from chemoflow.diagnostics import SLOPE_TOL, functional_envelope, record, select_functional
 from chemoflow.grid import ScalarField, State, VectorField, integrate, make_grid
 from chemoflow.io import emit_snapshot, emit_timeseries
@@ -27,6 +27,8 @@ from chemoflow.operators import PoissonSolver
 from chemoflow.solver import TimeControls, run
 from chemoflow.sweeps import eps_sweep
 
+from config_variants import reference_config
+
 
 def _report(name: str, ok: bool, detail: str):
     print(f"ACCEPTANCE {name}: {'PASS' if ok else 'FAIL'} ({detail})")
@@ -34,7 +36,7 @@ def _report(name: str, ok: bool, detail: str):
 
 
 def _execute_reference(gamma=0.5, t_end=10.0, **overrides):
-    cfg = parse_config(reference_config_text(gamma=gamma, t_end=t_end, **overrides))
+    cfg = parse_config(reference_config(gamma=gamma, t_end=t_end, **overrides))
     spec = cfg.spec
     table = build_truncations(spec, threshold_s0(spec))
     poisson = PoissonSolver(cfg.grid)
@@ -206,7 +208,7 @@ def _barenblatt_l1_error(m, epsilon, nn):
 class TestExactSolutions:
     def test_uniform_state(self):
         cfg = parse_config(
-            reference_config_text(
+            reference_config(
                 t_end=1.0,
                 n0="constant: value=1.0",
                 c0="constant: value=1.0",
@@ -257,7 +259,7 @@ def _aggregation_config(nn, L, amp):
     c0 = 1 + amp cos(pi x) cos(pi y) by strong taxis (S0 = 20), with
     D = 0, 0.02, L at n = 0, 1, 3 (constant beyond) and threshold level L,
     to T = 0.2 at cadence 0.0025 on nn x nn."""
-    text = reference_config_text(
+    text = reference_config(
         t_end=0.2, nx=nn, ny=nn, cadence=0.0025, n0="constant: value=0.5",
         c0=f"cosine: base=1.0, amp={amp}, kx=1, ky=1",
     )
@@ -323,7 +325,7 @@ class TestStandaloneInequalities:
             residuals.append(log_hessian_identity_residual(phi)[0])
         orders = [math.log2(a / b) for a, b in zip(residuals, residuals[1:])]
         worst1 = worst2 = float("inf")
-        corpus = FieldCorpus(n_members=100)
+        corpus = FieldCorpus(n_members=100, seed=7)
         for phi in [corpus.member(i)[0] for i in range(corpus.n_members)]:
             _, g1, g2 = log_hessian_identity_residual(phi)
             worst1 = min(worst1, g1)
@@ -360,10 +362,10 @@ class TestStandaloneInequalities:
         _report("ode-envelope-domination", violations == 0, f"{violations} violations / 100 trajectories")
 
     def test_recursion_limit(self):
-        from chemoflow.analysis import equality_mk_sequence, mk_limit_check, slack_mk_sequence
+        from chemoflow.analysis import K_MAX, equality_mk_sequence, mk_limit_check, slack_mk_sequence
 
-        closed = lambda a, b, l0, km: np.array([2.0**k * math.log(2.0) for k in range(km + 1)])
-        liminf_est, bound, ok_closed = mk_limit_check(2.0, 1.0, 1.0, 40, closed)
+        closed = lambda a, b, l0: np.array([2.0**k * math.log(2.0) for k in range(K_MAX + 1)])
+        liminf_est, bound, ok_closed = mk_limit_check(2.0, 1.0, 1.0, closed)
         failures = 0 if ok_closed else 1
         rng = np.random.default_rng(88)
         for i in range(100):
@@ -373,9 +375,9 @@ class TestStandaloneInequalities:
             gen = (
                 equality_mk_sequence
                 if i % 2
-                else (lambda aa, bb, l0, km: slack_mk_sequence(aa, bb, l0, km, seed=2000 + i))
+                else (lambda aa, bb, l0: slack_mk_sequence(aa, bb, l0, seed=2000 + i))
             )
-            if not mk_limit_check(m0, a, b, 30, gen)[2]:
+            if not mk_limit_check(m0, a, b, gen)[2]:
                 failures += 1
         _report(
             "recursion-limit",
@@ -384,7 +386,7 @@ class TestStandaloneInequalities:
         )
 
     def test_calibrated_inequality_gaps(self):
-        rows = run_lemma_checks(FieldCorpus(n_members=100))
+        rows = run_lemma_checks(FieldCorpus(n_members=100, seed=7))
         wanted = ("entropy-weighted product bound", "superlevel entropy bound",
                   "subset-mean poincare bound")
         picked = [r for r in rows if r.name in wanted]
@@ -396,7 +398,7 @@ class TestStandaloneInequalities:
 
 class TestHarness:
     def test_eps_cauchy(self):
-        base = parse_config(reference_config_text(t_end=10.0))
+        base = parse_config(reference_config(t_end=10.0))
         d = eps_sweep(base, [0.1, 0.05, 0.025, 0.0125], T=10.0)
         ok = all(
             all(b < a for a, b in zip(seq, seq[1:])) and all(v > 0 for v in seq)

@@ -10,13 +10,15 @@ import numpy as np
 import pytest
 
 from chemoflow import analysis
-from chemoflow.config import reference_config_text
 from chemoflow.analysis import (
     A_VALUES,
-    ETA,
+    DECAY,
     EST1_CONST,
     EST2_CONST,
     FLOOR,
+    GRID,
+    K_MAX,
+    MAX_MODE,
     FieldCorpus,
     equality_mk_sequence,
     format_report,
@@ -31,6 +33,7 @@ from chemoflow.analysis import (
 )
 from chemoflow.grid import ScalarField, make_grid
 
+from config_variants import reference_config
 import naive_operators as naive
 
 
@@ -51,7 +54,7 @@ class TestLogHessianIdentity:
         assert min(orders) >= 1.8
 
     def test_corpus_integral_estimates(self):
-        corpus = FieldCorpus(n_members=100)
+        corpus = FieldCorpus(n_members=100, seed=7)
         for phi in [corpus.member(i)[0] for i in range(corpus.n_members)]:
             _, g1, g2 = log_hessian_identity_residual(phi)
             assert g1 >= -1e-8
@@ -82,21 +85,20 @@ class TestTrudinger:
     def test_zero_psi(self):
         g = make_grid(32, 32, 1.0, 1.0)
         one = ScalarField.full(g, 1.0)
-        gap = trudinger_gap(one, ScalarField.full(g, 0.0), a=1.0, eta=1.0, K=2.0)
-        assert gap == pytest.approx(2.0)  # K/a with all other terms zero
+        gap = trudinger_gap(one, ScalarField.full(g, 0.0), K=2.0)
+        assert gap == pytest.approx(2.0 / A_VALUES)  # K/a with all other terms zero
 
     def test_unit_fields(self):
         g = make_grid(32, 32, 1.0, 1.0)
         one = ScalarField.full(g, 1.0)
         for K in (0.5, 1.0, 3.0):
-            gap = trudinger_gap(one, one, a=1.0, eta=1.0, K=K)
-            assert gap == pytest.approx(2 * K - 1.0, abs=1e-10)
+            gap = trudinger_gap(one, one, K=K)
+            assert gap == pytest.approx(K * A_VALUES + K / A_VALUES - 1.0, abs=1e-10)
 
     def test_sublevel_all_below_threshold(self):
         g = make_grid(32, 32, 1.0, 1.0)
         one = ScalarField.full(g, 1.0)
-        gap = trudinger_sublevel_gap(one, L=1.0, s0_tilde=1.5, D_tilde=lambda s: s,
-                                     eta=1.0, K=1.0)
+        gap = trudinger_sublevel_gap(one, K=1.0)
         # empty superlevel set: gap = K*mass^3 + (K - ln 1)*mass + K = 3K
         assert gap == pytest.approx(3.0)
 
@@ -104,27 +106,10 @@ class TestTrudinger:
         g = make_grid(32, 32, 1.0, 1.0)
         phi = ScalarField.full(g, 3.5)
         K = 1.0
-        gap = trudinger_sublevel_gap(phi, L=1.0, s0_tilde=1.5, D_tilde=lambda s: s,
-                                     eta=1.0, K=K)
+        gap = trudinger_sublevel_gap(phi, K=K)
         mass = 3.5
         expected = K * mass**3 + (K - math.log(mass)) * mass + K - mass * math.log(4.5)
         assert gap == pytest.approx(expected, abs=1e-10)
-
-    def test_exponent_array_matches_scalar_calls_bitwise(self):
-        a_values = np.asarray(A_VALUES)
-        for phi, psi in FieldCorpus(n_members=2).pairs():
-            gaps = trudinger_gap(phi, psi, a_values, ETA, 0.3)
-            scalar = np.array([trudinger_gap(phi, psi, a, ETA, 0.3) for a in A_VALUES])
-            assert gaps.shape == a_values.shape
-            assert gaps.tobytes() == scalar.tobytes()
-            kmin = analysis._min_constant_trudinger(phi, psi, a_values, ETA)
-            assert kmin == max(analysis._min_constant_trudinger(phi, psi, a, ETA) for a in A_VALUES)
-
-    def test_requires_positive_a(self):
-        g = make_grid(16, 16, 1.0, 1.0)
-        one = ScalarField.full(g, 1.0)
-        with pytest.raises(ValueError):
-            trudinger_gap(one, one, a=0.0, eta=1.0, K=1.0)
 
 
 class TestOdeEnvelope:
@@ -176,14 +161,14 @@ class TestOdeEnvelope:
 class TestMkLimit:
     def test_closed_form_doubling(self):
         # M_k = 2^(2^k) satisfies M_k <= M_{k-1}^2 + 1 with a = b = 1, M0 = 2
-        gen = lambda a, b, l0, km: np.array([2.0**k * math.log(2.0) for k in range(km + 1)])
-        liminf_est, bound, ok = mk_limit_check(2.0, 1.0, 1.0, 40, gen)
+        gen = lambda a, b, l0: np.array([2.0**k * math.log(2.0) for k in range(K_MAX + 1)])
+        liminf_est, bound, ok = mk_limit_check(2.0, 1.0, 1.0, gen)
         assert ok
         assert liminf_est == pytest.approx(2.0)
         assert bound == pytest.approx(2 * math.sqrt(2) * 2.0)
 
     def test_equality_recursion_log_space(self):
-        liminf_est, bound, ok = mk_limit_check(1.0, 2.0, 1.0, 30, equality_mk_sequence)
+        liminf_est, bound, ok = mk_limit_check(1.0, 2.0, 1.0, equality_mk_sequence)
         assert ok and math.isfinite(liminf_est)
 
     def test_randomized_slack_sequences(self):
@@ -192,18 +177,18 @@ class TestMkLimit:
             a = float(rng.uniform(1.0, 4.0))
             b = float(rng.uniform(1.0, 3.0))
             m0 = float(rng.uniform(1.0, 5.0))
-            gen = lambda aa, bb, l0, km: slack_mk_sequence(aa, bb, l0, km, seed=100 + i)
-            _, _, ok = mk_limit_check(m0, a, b, 30, gen)
+            gen = lambda aa, bb, l0: slack_mk_sequence(aa, bb, l0, seed=100 + i)
+            _, _, ok = mk_limit_check(m0, a, b, gen)
             assert ok
 
     def test_inadmissible_sequence_rejected(self):
-        bad = lambda a, b, l0, km: np.array([l0] + [1e3 * (k + 1) for k in range(km)])
+        bad = lambda a, b, l0: np.array([l0] + [1e3 * (k + 1) for k in range(K_MAX)])
         with pytest.raises(ValueError, match="violates the recursion"):
-            mk_limit_check(1.0, 1.0, 1.0, 10, bad)
+            mk_limit_check(1.0, 1.0, 1.0, bad)
 
     def test_hypothesis_bounds(self):
         with pytest.raises(ValueError):
-            mk_limit_check(0.5, 1.0, 1.0, 10, equality_mk_sequence)
+            mk_limit_check(0.5, 1.0, 1.0, equality_mk_sequence)
 
 
 class TestPoincare:
@@ -211,7 +196,7 @@ class TestPoincare:
         g = make_grid(32, 32, 1.0, 1.0)
         mask = np.zeros((32, 32), dtype=bool)
         mask[:16] = True
-        gap = poincare_subset_gap(ScalarField.full(g, 2.0), mask, 2.0, 1.0)
+        gap = poincare_subset_gap(ScalarField.full(g, 2.0), mask, 1.0)
         assert gap == pytest.approx(0.0, abs=1e-12)
 
     def test_linear_field_left_half(self):
@@ -219,14 +204,14 @@ class TestPoincare:
         phi = ScalarField.from_function(g, lambda x, y: x.copy())
         mask = np.zeros((128, 128), dtype=bool)
         mask[:64, :] = True  # left half: mean of x is 1/4
-        gap = poincare_subset_gap(phi, mask, 2.0, 1.0)
+        gap = poincare_subset_gap(phi, mask, 1.0)
         lhs = math.sqrt(7.0 / 48.0)  # int (x - 1/4)^2 = 7/48
         assert gap == pytest.approx(1.0 - lhs, abs=1e-4)
 
     def test_empty_subset(self):
         g = make_grid(16, 16, 1.0, 1.0)
         with pytest.raises(ValueError, match="empty"):
-            poincare_subset_gap(ScalarField.full(g, 1.0), np.zeros((16, 16), bool), 2.0, 1.0)
+            poincare_subset_gap(ScalarField.full(g, 1.0), np.zeros((16, 16), bool), 1.0)
 
 
 class TestCorpus:
@@ -243,7 +228,7 @@ class TestCorpus:
         assert not (a.values == b.values).all()
 
     def test_strictly_positive(self):
-        corpus = FieldCorpus(n_members=10)
+        corpus = FieldCorpus(n_members=10, seed=7)
         for phi in [corpus.member(i)[0] for i in range(corpus.n_members)]:
             assert phi.values.min() >= FLOOR
 
@@ -252,34 +237,30 @@ class _PerModeCorpus(FieldCorpus):
     """Reference: the series summed one full-grid mode product at a time."""
 
     def _raw(self, rng):
-        grid = self.grid
-        x, y = grid.cell_mesh()
-        out = np.zeros((grid.nx, grid.ny))
-        for k in range(self.max_mode + 1):
-            for m in range(self.max_mode + 1):
+        x, y = GRID.cell_mesh()
+        out = np.zeros((GRID.nx, GRID.ny))
+        for k in range(MAX_MODE + 1):
+            for m in range(MAX_MODE + 1):
                 if k == 0 and m == 0:
                     continue
-                amp = rng.standard_normal() / (1.0 + k**2 + m**2) ** (self.decay / 2.0)
-                out += amp * np.cos(k * np.pi * x / self.lx) * np.cos(m * np.pi * y / self.ly)
+                amp = rng.standard_normal() / (1.0 + k**2 + m**2) ** (DECAY / 2.0)
+                out += amp * np.cos(k * np.pi * x / GRID.lx) * np.cos(m * np.pi * y / GRID.ly)
         return out
 
 
 class TestSeparableCorpus:
-    @pytest.mark.parametrize("shape", [
-        {},
-        {"nx": 40, "ny": 24, "lx": 2.0, "ly": 0.7, "max_mode": 2, "decay": 3.0, "n_members": 20},
-    ])
-    def test_matches_per_mode_series(self, shape):
-        corpus = FieldCorpus(**shape)
-        reference = _PerModeCorpus(**shape)
+    def test_matches_per_mode_series(self):
+        corpus = FieldCorpus(n_members=100, seed=7)
+        reference = _PerModeCorpus(n_members=100, seed=7)
         for i in range(corpus.n_members):
             for got, want in zip(corpus.member(i), reference.member(i)):
-                assert got.values.shape == (corpus.nx, corpus.ny)
+                assert got.values.shape == (GRID.nx, GRID.ny)
                 assert np.abs(got.values - want.values).max() <= 1e-14 * np.abs(want.values).max()
 
 
-# format_report(run_lemma_checks(FieldCorpus(n_members=...))) at the default
-# seed, recorded before the corpus was streamed; any change to calibration
+# format_report(run_lemma_checks(FieldCorpus(members, seed))) for seed 7, the
+# CLI's default, recorded before the corpus was streamed, and for 200 members
+# at seed 0, the benchmark's `lemmas` workload; any change to calibration
 # order, hold-out order or the RNG streams shows here.  7 members has an odd
 # split and a superlevel calibration half with kmin = 0 (K = 1).
 _GOLDEN_HEAD = (
@@ -292,39 +273,54 @@ _GOLDEN_TAIL = (
     "doubling-exponent recursion limit               2.82843         2.74473     PASS\n"
 )
 GOLDEN_REPORTS = {
-    40: _GOLDEN_HEAD + (
+    (40, 7): _GOLDEN_HEAD + (
         "log-hessian gradient-power estimate             29.3137         19090.9     PASS\n"
         "log-hessian mixed-curvature estimate            41.1421         26292.3     PASS\n"
         "entropy-weighted product bound                 0.212555         0.10013     PASS\n"
         "superlevel entropy bound                       0.156482        0.619033     PASS\n"
         "subset-mean poincare bound                     0.542882        0.356305     PASS\n"
     ) + _GOLDEN_TAIL,
-    7: _GOLDEN_HEAD + (
+    (7, 7): _GOLDEN_HEAD + (
         "log-hessian gradient-power estimate             29.3137         45301.8     PASS\n"
         "log-hessian mixed-curvature estimate            41.1421         62715.4     PASS\n"
         "entropy-weighted product bound                 0.212555        0.256606     PASS\n"
         "superlevel entropy bound                              1         5.94001     PASS\n"
         "subset-mean poincare bound                     0.530413        0.728722     PASS\n"
     ) + _GOLDEN_TAIL,
+    (200, 0): _GOLDEN_HEAD + (
+        "log-hessian gradient-power estimate             29.3137         6105.09     PASS\n"
+        "log-hessian mixed-curvature estimate            41.1421         8414.83     PASS\n"
+        "entropy-weighted product bound                 0.242979       0.0558648     PASS\n"
+        "superlevel entropy bound                       0.210272        0.647046     PASS\n"
+        "subset-mean poincare bound                     0.772371         0.25544     PASS\n"
+        "windowed-forcing ode envelope                         0       0.0277561     PASS\n"
+        "doubling-exponent recursion limit               2.82843         2.93202     PASS\n"
+    ),
 }
 
 
 class TestReport:
-    @pytest.mark.parametrize("members", sorted(GOLDEN_REPORTS))
-    def test_report_matches_golden_text(self, members):
-        assert format_report(run_lemma_checks(FieldCorpus(n_members=members))) == GOLDEN_REPORTS[members]
+    @pytest.mark.parametrize("members, seed", [  # ids name a seed other than the CLI's 7
+        pytest.param(m, s, id=f"{m}" if s == 7 else f"{m}-seed{s}") for m, s in GOLDEN_REPORTS])
+    def test_report_matches_golden_text(self, members, seed):
+        text = format_report(run_lemma_checks(FieldCorpus(n_members=members, seed=seed)))
+        assert text == GOLDEN_REPORTS[members, seed]
 
     @pytest.mark.parametrize("members", [-3, 0, 1])
     def test_corpus_too_small_to_hold_out(self, members):
         with pytest.raises(ValueError, match="at least 2 corpus members"):
-            run_lemma_checks(FieldCorpus(n_members=members))
+            run_lemma_checks(FieldCorpus(n_members=members, seed=7))
 
-    def test_corpus_grid_without_interior_rejected(self):
-        with pytest.raises(ValueError, match="at least 5 cells per axis.* 4x4 grid"):
-            run_lemma_checks(FieldCorpus(nx=4, ny=4, n_members=4))
+    def test_negative_seed_rejected_before_any_check(self, monkeypatch):
+        def no_check(*args):
+            raise AssertionError("a check ran before the seed was checked")
+
+        monkeypatch.setattr(analysis, "log_hessian_identity_residual", no_check)
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            run_lemma_checks(FieldCorpus(n_members=4, seed=-1))
 
     def test_all_checks_pass(self):
-        rows = run_lemma_checks(FieldCorpus(n_members=40))
+        rows = run_lemma_checks(FieldCorpus(n_members=40, seed=7))
         assert all(r.passed for r in rows)
         text = format_report(rows)
         assert "PASS" in text and "FAIL" not in text
@@ -333,12 +329,12 @@ class TestReport:
     def test_peak_memory_does_not_grow_with_members(self):
         # the corpus is streamed, at most analysis.BATCH members alive at a time,
         # so 160 more members (about 11 MB of fields and masks if held) add nothing
-        run_lemma_checks(FieldCorpus(n_members=2))  # caches and lazy imports
+        run_lemma_checks(FieldCorpus(n_members=2, seed=7))  # caches and lazy imports
         peaks = {}
         for members in (40, 200):
             tracemalloc.start()
             try:
-                run_lemma_checks(FieldCorpus(n_members=members))
+                run_lemma_checks(FieldCorpus(n_members=members, seed=7))
                 peaks[members] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -353,7 +349,7 @@ class TestReport:
             return terms(*args)
 
         monkeypatch.setattr(analysis, "_trudinger_terms", counted)
-        run_lemma_checks(FieldCorpus(n_members=40))
+        run_lemma_checks(FieldCorpus(n_members=40, seed=7))
         assert len(calls) == 40  # 20 calibration + 20 held-out pairs, all exponents at once
 
 
@@ -419,7 +415,7 @@ class TestBenchmarkHooks:
         # _diffusion_substeps
         root = pathlib.Path(__file__).resolve().parents[1]
         config = tmp_path / "run.ini"
-        config.write_text(reference_config_text(t_end=0.05, nx=16, ny=16, cadence=0.05)
+        config.write_text(reference_config(t_end=0.05, nx=16, ny=16, cadence=0.05)
                           .replace("snapshots = false", "snapshots = true"))
         code = (
             "import sys, tracing\n"

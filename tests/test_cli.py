@@ -11,15 +11,16 @@ import pytest
 
 from chemoflow import cli, solver, sweeps
 from chemoflow.cli import main
-from chemoflow.config import reference_config_text
 from chemoflow.io import CSV_HEADER, parse_timeseries, read_snapshot
 from chemoflow.solver import SolverError
+
+from config_variants import reference_config
 
 
 @pytest.fixture
 def tiny_config(tmp_path):
     path = tmp_path / "run.ini"
-    path.write_text(reference_config_text(t_end=0.1, nx=16, ny=16, cadence=0.05))
+    path.write_text(reference_config(t_end=0.1, nx=16, ny=16, cadence=0.05))
     return path
 
 
@@ -30,7 +31,7 @@ class TestValidate:
 
     def test_bad_config(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
-        path.write_text(reference_config_text(gamma=0.9, t_end=0.1))
+        path.write_text(reference_config(gamma=0.9, t_end=0.1))
         assert main(["validate", str(path)]) == 1
         assert "VIOLATION" in capsys.readouterr().err
 
@@ -40,7 +41,7 @@ class TestValidate:
     ])
     def test_non_numeric_value_is_a_named_violation(self, tmp_path, capsys, old, new, line):
         path = tmp_path / "bad.ini"
-        path.write_text(reference_config_text(t_end=0.1, nx=16, ny=16).replace(old, new))
+        path.write_text(reference_config(t_end=0.1, nx=16, ny=16).replace(old, new))
         assert main(["validate", str(path)]) == 1
         assert capsys.readouterr().err.splitlines() == [line]
 
@@ -59,7 +60,7 @@ class TestValidate:
     def test_what_run_rejects_is_a_named_violation(self, tmp_path, capsys, kw, line):
         # `run` refuses each of these, so `validate` names the refusal up front
         path = tmp_path / "bad.ini"
-        path.write_text(reference_config_text(**{"t_end": 0.1, "nx": 16, "ny": 16, **kw}))
+        path.write_text(reference_config(**{"t_end": 0.1, "nx": 16, "ny": 16, **kw}))
         assert main(["validate", str(path)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"VIOLATION: {line}"]
 
@@ -76,7 +77,7 @@ class TestRun:
 
     def test_final_time_before_first_tick_recorded(self, tmp_path, capsys):
         path = tmp_path / "run.ini"
-        path.write_text(reference_config_text(t_end=0.02, nx=16, ny=16, cadence=0.05))
+        path.write_text(reference_config(t_end=0.02, nx=16, ny=16, cadence=0.05))
         out = tmp_path / "out"
         assert main(["run", str(path), "--output", str(out)]) == 0
         rows = (out / "timeseries.csv").read_text().splitlines()
@@ -85,7 +86,7 @@ class TestRun:
 
     def test_snapshots_toggle(self, tmp_path):
         path = tmp_path / "run.ini"
-        text = reference_config_text(t_end=0.05, nx=16, ny=16, cadence=0.05)
+        text = reference_config(t_end=0.05, nx=16, ny=16, cadence=0.05)
         path.write_text(text.replace("snapshots = false", "snapshots = true"))
         out = tmp_path / "snaps"
         assert main(["run", str(path), "--output", str(out)]) == 0
@@ -98,7 +99,7 @@ class TestRun:
         # t = 0.1 and t = 0.1000004 both map to snapshot_t00000.100000.cns2;
         # before, the second silently overwrote the first and the run exited 0
         path = tmp_path / "run.ini"
-        text = reference_config_text(t_end=0.1000004, nx=16, ny=16, cadence=0.05)
+        text = reference_config(t_end=0.1000004, nx=16, ny=16, cadence=0.05)
         path.write_text(text.replace("snapshots = false", "snapshots = true"))
         out = tmp_path / "out"
         assert main(["run", str(path), "--output", str(out)]) == 1
@@ -109,7 +110,7 @@ class TestRun:
 
     def test_snapshots_on_disk_when_a_later_step_fails(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "run.ini"
-        text = reference_config_text(t_end=0.15, nx=16, ny=16, cadence=0.05)
+        text = reference_config(t_end=0.15, nx=16, ny=16, cadence=0.05)
         path.write_text(text.replace("snapshots = false", "snapshots = true"))
         step_impl = solver._step_impl
 
@@ -150,12 +151,15 @@ class TestBadArguments:
         (["sweep-grid", "--grids", "8,8;12,12"], "not nested"),
         (["sweep-grid", "--grids", "2,2;4,4"], "grid too small"),
         (["sweep-grid", "--grids", "8,8;16,16;48,48"], "mix refinement factors"),
+        (["verify-lemmas", "--members", "4", "--seed", "-1"], "seed must be non-negative, got -1"),
     ], ids=["eps-negative", "eps-increasing", "eps-not-a-number", "eps-zero",
-            "grids-not-nested", "grids-too-small", "grids-mixed-factors"])
+            "grids-not-nested", "grids-too-small", "grids-mixed-factors", "lemmas-negative-seed"])
     def test_error_line_and_exit_1(self, tiny_config, capsys, monkeypatch, argv, names):
         runs = []
         monkeypatch.setattr(sweeps, "run", lambda *a, **k: runs.append(a))
-        code = main([argv[0], str(tiny_config), *argv[1:], "--T", "0.02"])
+        if argv[0] != "verify-lemmas":  # the sweeps take a configuration and a horizon
+            argv = [argv[0], str(tiny_config), *argv[1:], "--T", "0.02"]
+        code = main(argv)
         err = capsys.readouterr().err
         assert code == 1
         assert re.search(r"^(ERROR|VIOLATION): ", err, re.M), err
@@ -167,7 +171,7 @@ class TestBadArguments:
     def test_sweep_grid_validates_every_grid_before_the_first_run(self, tmp_path, capsys, monkeypatch):
         # valid on 4x4, but on 64x64 the taxis drift's first CFL dt is below DT_MIN
         path = tmp_path / "fast.ini"
-        path.write_text(reference_config_text(t_end=1e-10, nx=4, ny=4)
+        path.write_text(reference_config(t_end=1e-10, nx=4, ny=4)
                         .replace("s0_sensitivity = 1.0", "s0_sensitivity = 3e9"))
         assert main(["validate", str(path)]) == 0
         runs = []
@@ -237,7 +241,7 @@ def _scipy_loaded_after(code: str) -> list:
 def _verb_code(verb: str, tmp_path) -> str:
     """Code that runs one verb through `main` on an 8x8 config, asserting exit 0."""
     config = tmp_path / "run.ini"
-    config.write_text(reference_config_text(t_end=0.02, nx=8, ny=8, cadence=0.01))
+    config.write_text(reference_config(t_end=0.02, nx=8, ny=8, cadence=0.01))
     argv = {
         "validate": ["validate", str(config)],
         "verify-lemmas": ["verify-lemmas", "--members", "12", "--output", str(tmp_path / "r.txt")],

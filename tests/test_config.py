@@ -17,7 +17,6 @@ from chemoflow.config import (
     ConfigError,
     _snapshot_clash,
     parse_config,
-    reference_config_text,
     validate_config,
 )
 from chemoflow.diagnostics import record
@@ -26,6 +25,8 @@ from chemoflow.io import snapshot_name
 from chemoflow.model import PorousMedium, TabulatedDiffusion, build_truncations, threshold_s0
 from chemoflow.operators import PoissonSolver, div
 from chemoflow.solver import SolverError, run
+
+from config_variants import reference_config
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -54,6 +55,9 @@ u0 = zero
 t_end = 0.1
 """
 
+# the reference configuration with the [run] seed the benchmark's INI still sets
+WITH_SEED = reference_config(t_end=0.2) + "\n[run]\nseed = 0\n"
+
 
 class TestParse:
     def test_minimal_valid(self):
@@ -65,7 +69,7 @@ class TestParse:
         assert cfg.cadence == 0.05  # default
 
     def test_reference_text_valid(self):
-        cfg = parse_config(reference_config_text(t_end=0.2))
+        cfg = parse_config(reference_config(t_end=0.2))
         assert cfg.grid.nx == 64
         assert cfg.spec.M == 1.5
 
@@ -75,7 +79,7 @@ class TestParse:
     ])
     def test_fractional_integer_key_rejected(self, old, new, key):
         with pytest.raises(ConfigError, match=rf"{key} must be an integer; got '{new.split()[-1]}'"):
-            parse_config(reference_config_text(t_end=0.2).replace(old, new))
+            parse_config(WITH_SEED.replace(old, new))
 
     @pytest.mark.parametrize("old, new", [
         ("gamma = 0.5", "gamma = abc"),
@@ -89,30 +93,30 @@ class TestParse:
         section = {"gamma": "model", "cadence": "output", "lx": "grid", "nx": "grid",
                    "phi_gradient": "model"}[key]
         with pytest.raises(ConfigError) as info:
-            parse_config(reference_config_text(t_end=0.2).replace(old, new))
+            parse_config(reference_config(t_end=0.2).replace(old, new))
         assert info.value.violations == [f"[{section}] {key} must be numeric; got {value!r}"]
 
     def test_integral_float_accepted_as_integer(self):
-        cfg = parse_config(reference_config_text(t_end=0.2).replace("nx = 64", "nx = 32.0"))
+        cfg = parse_config(reference_config(t_end=0.2).replace("nx = 64", "nx = 32.0"))
         assert cfg.grid.nx == 32
 
     @pytest.mark.parametrize("word, value", [("on", True), ("Yes", True), ("1", True),
                                              ("off", False), ("no", False), ("0", False)])
     def test_snapshots_boolean_words(self, word, value):
-        text = reference_config_text(t_end=0.2).replace("snapshots = false", f"snapshots = {word}")
+        text = reference_config(t_end=0.2).replace("snapshots = false", f"snapshots = {word}")
         assert parse_config(text).snapshots is value
 
     def test_snapshots_unknown_word_rejected(self):
-        text = reference_config_text(t_end=0.2).replace("snapshots = false", "snapshots = maybe")
+        text = reference_config(t_end=0.2).replace("snapshots = false", "snapshots = maybe")
         with pytest.raises(ConfigError, match="snapshots must be one of .*; got 'maybe'"):
             parse_config(text)
 
     def test_gamma_too_large(self):
         with pytest.raises(ConfigError, match=r"\[0, 5/6\]"):
-            parse_config(reference_config_text(gamma=0.9))
+            parse_config(reference_config(gamma=0.9))
 
     def test_large_gamma_needs_mass_bound(self):
-        text = reference_config_text(gamma=0.7, n0="gaussian: mass=2.0, sigma=0.15")
+        text = reference_config(gamma=0.7, n0="gaussian: mass=2.0, sigma=0.15")
         with pytest.raises(ConfigError, match="n0"):
             parse_config(text)
 
@@ -126,7 +130,7 @@ class TestParse:
 
     def test_default_section_is_one_unknown_section(self):
         with pytest.raises(ConfigError) as info:
-            parse_config(reference_config_text(t_end=0.2) + "\n[DEFAULT]\ngamma = 0.3\n")
+            parse_config(reference_config(t_end=0.2) + "\n[DEFAULT]\ngamma = 0.3\n")
         assert info.value.violations == ["unknown section [DEFAULT]"]
 
     @pytest.mark.parametrize("old, new", [
@@ -137,7 +141,7 @@ class TestParse:
         ("sensitivity_kind = isotropic", "sensitivity_kind = ROTATION\nrotation_angle = 0.7"),
     ], ids=["porous_medium", "isotropic", "tabulated", "rotation"])
     def test_kind_words_in_any_case(self, old, new):
-        text = reference_config_text(t_end=0.2).replace(old, new)
+        text = reference_config(t_end=0.2).replace(old, new)
         assert parse_config(text) == parse_config(text.replace(new, new.lower()))
 
     def test_parse_error_carries_line(self):
@@ -187,14 +191,14 @@ class TestParse:
         (3e-6, 8e-7, 2 * 8e-7, 3 * 8e-7),  # the first clash two ticks in
     ])
     def test_snapshot_name_clash_rejected(self, t_end, cadence, first, second):
-        text = reference_config_text(t_end=t_end, nx=16, ny=16, cadence=cadence)
+        text = reference_config(t_end=t_end, nx=16, ny=16, cadence=cadence)
         parse_config(text)  # no snapshots, no names
         with pytest.raises(ConfigError, match=re.escape(f"snapshots at t={first!r} and t={second!r}")):
             parse_config(text.replace("snapshots = false", "snapshots = true"))
 
     @pytest.mark.parametrize("t_end, cadence", [(0.1000006, 0.05), (1e-3, 1e-6), (2.5e-5, 1.7e-6)])
     def test_distinct_snapshot_names_accepted(self, t_end, cadence):
-        text = reference_config_text(t_end=t_end, nx=16, ny=16, cadence=cadence)
+        text = reference_config(t_end=t_end, nx=16, ny=16, cadence=cadence)
         assert parse_config(text.replace("snapshots = false", "snapshots = true")).snapshots
 
     def test_snapshot_clash_matches_every_record_name(self):
@@ -286,7 +290,7 @@ class TestKeyTable:
 
     @pytest.mark.parametrize("section, key", sorted(READ_UNDER_KIND))
     def test_empty_value_is_a_violation(self, section, key):
-        text = re.sub(rf"(?m)^{key} = .*\n", "", reference_config_text(t_end=0.2))
+        text = re.sub(rf"(?m)^{key} = .*\n", "", WITH_SEED)
         text = text.replace(f"[{section}]\n", f"[{section}]\n{key} =\n")
         with pytest.raises(ConfigError) as info:
             parse_config(text)
@@ -303,7 +307,7 @@ class TestKeyTable:
          "table_values is read only under diffusion = tabulated; got diffusion = porous_medium"),
     ], ids=["rotation_angle-isotropic", "m-tabulated", "table_knots-porous", "table_values-porous"])
     def test_key_the_kind_ignores_is_a_violation(self, old, new, setting):
-        text = reference_config_text(t_end=0.2).replace(old, new)
+        text = reference_config(t_end=0.2).replace(old, new)
         with pytest.raises(ConfigError) as info:
             parse_config(text)
         assert info.value.violations == [f"[model] {setting}"]
@@ -319,19 +323,19 @@ class TestKeyTable:
 
 class TestInitialData:
     def test_gaussian_mass_exact(self):
-        cfg = parse_config(reference_config_text(t_end=0.1))
+        cfg = parse_config(reference_config(t_end=0.1))
         state = cfg.initial_state()
         assert integrate(state.n) == pytest.approx(1.0, abs=1e-14)
         assert state.n.values.min() >= 0.0
 
     def test_cosine_signal(self):
-        cfg = parse_config(reference_config_text(t_end=0.1))
+        cfg = parse_config(reference_config(t_end=0.1))
         state = cfg.initial_state()
         assert state.c.values.max() <= 1.5
         assert state.c.values.min() > 0.4
 
     def test_vortex_solenoidal(self):
-        cfg = parse_config(reference_config_text(t_end=0.1, u0="vortex: amp=0.2, kx=1, ky=1"))
+        cfg = parse_config(reference_config(t_end=0.1, u0="vortex: amp=0.2, kx=1, ky=1"))
         state = cfg.initial_state()
         assert np.abs(div(state.u).values).max() < 1e-12
         assert state.u.normal_boundary_is_zero()
@@ -347,13 +351,13 @@ class TestInitialData:
     ])
     def test_non_numeric_parameter_named(self, field, text, message):
         with pytest.raises(ConfigError) as info:
-            parse_config(reference_config_text(t_end=0.2, **{field: text}))
+            parse_config(reference_config(t_end=0.2, **{field: text}))
         assert info.value.violations == [f"initial data rejected: {message}"]
 
     def test_repeated_parameter_named(self):
         # configparser rejects a repeated key; a repeated parameter would keep only its last value
         with pytest.raises(ConfigError) as info:
-            parse_config(reference_config_text(t_end=0.2, n0="gaussian: mass=1.0, mass=0.5"))
+            parse_config(reference_config(t_end=0.2, n0="gaussian: mass=1.0, mass=0.5"))
         assert info.value.violations == ["initial data rejected: n0 gaussian parameter mass is given twice"]
 
     def test_unknown_catalogue_parameter(self):
@@ -364,7 +368,7 @@ class TestInitialData:
     @pytest.mark.parametrize("sigma", ["0", "-0.15", "nan"])
     def test_gaussian_sigma_must_be_positive(self, field, sigma):
         # the Gaussian exp(-r^2 / (2 sigma^2)) needs sigma > 0 for n0 and c0 alike
-        text = reference_config_text(t_end=0.1, nx=8, ny=8, **{field: f"gaussian: sigma={sigma}"})
+        text = reference_config(t_end=0.1, nx=8, ny=8, **{field: f"gaussian: sigma={sigma}"})
         with pytest.raises(ConfigError) as info:
             parse_config(text)
         assert info.value.violations == [
@@ -373,7 +377,7 @@ class TestInitialData:
     def test_gaussian_vanishing_on_the_grid_rejected(self):
         # on 8^2 the nearest cell centre is 1/16 from each axis of the bump,
         # so exp(-(2/256)/(2 sigma^2)) underflows to 0 on every cell
-        text = reference_config_text(t_end=0.1, nx=8, ny=8, n0="gaussian: mass=1.0, sigma=0.001")
+        text = reference_config(t_end=0.1, nx=8, ny=8, n0="gaussian: mass=1.0, sigma=0.001")
         with pytest.raises(ConfigError, match="underflows to 0 on every cell"):
             parse_config(text)
         assert parse_config(text.replace("sigma=0.001", "sigma=0.01")).initial_state().n.values.any()
@@ -393,7 +397,7 @@ class TestValidateMatchesRun:
         ("n0", "constant: value=0", "initial density n must not vanish identically"),
     ])
     def test_same_refusal_as_run(self, field, kind, message):
-        base = parse_config(reference_config_text(t_end=0.01, nx=8, ny=8))
+        base = parse_config(reference_config(t_end=0.01, nx=8, ny=8))
         cfg = dc_replace(base, **{f"{field}_kind": kind})
         assert validate_config(cfg) == [f"initial data rejected: {message}"]
         with pytest.raises(ValueError) as info:
@@ -409,7 +413,7 @@ class TestValidateMatchesFirstStepAndRecord:
 
     @pytest.mark.parametrize("amp", ["1e12", "1e200"])
     def test_too_fast_initial_velocity_rejected(self, amp):
-        base = parse_config(reference_config_text(t_end=0.01, nx=8, ny=8))
+        base = parse_config(reference_config(t_end=0.01, nx=8, ny=8))
         cfg = dc_replace(base, u0_kind=f"vortex: amp={amp}")
         (problem,) = validate_config(cfg)
         assert re.fullmatch(r"the first step's CFL dt = \S+ is below DT_MIN = 1e-12; "
@@ -419,7 +423,7 @@ class TestValidateMatchesFirstStepAndRecord:
         assert validate_config(dc_replace(base, u0_kind="vortex: amp=1e6")) == []
 
     def test_signal_below_record_floor_rejected(self):
-        base = parse_config(reference_config_text(t_end=0.01, nx=8, ny=8))
+        base = parse_config(reference_config(t_end=0.01, nx=8, ny=8))
         table = build_truncations(base.spec, threshold_s0(base.spec))
 
         def with_c0(value):
@@ -439,7 +443,7 @@ class TestValidateMatchesFirstStepAndRecord:
         # an exactly solenoidal stream-function vortex: the round-off of its
         # discrete divergence grows with the amplitude, 2.98e-8 at amp 1e7 on 8^2
         path = tmp_path / "run.ini"
-        path.write_text(reference_config_text(t_end=0.01, nx=8, ny=8, u0="vortex: amp=1e7"))
+        path.write_text(reference_config(t_end=0.01, nx=8, ny=8, u0="vortex: amp=1e7"))
         assert main(["validate", str(path)]) == 1
         assert capsys.readouterr().err.splitlines() == [
             "VIOLATION: requires max|div u0| <= 1e-08, the incompressibility monitor's bound; got 2.98e-08"]
@@ -447,7 +451,7 @@ class TestValidateMatchesFirstStepAndRecord:
 
     def test_initial_divergence_below_monitor_bound_passes_every_monitor(self, tmp_path, capsys):
         path = tmp_path / "run.ini"
-        path.write_text(reference_config_text(t_end=0.01, nx=8, ny=8, u0="vortex: amp=1e6"))
+        path.write_text(reference_config(t_end=0.01, nx=8, ny=8, u0="vortex: amp=1e6"))
         assert main(["validate", str(path)]) == 0
         assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 0
         out = capsys.readouterr()
@@ -600,7 +604,7 @@ class TestValidatedConfigsRun:
 def test_readme_ini_block_is_the_reference_config():
     blocks = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
     assert len(blocks) == 1
-    assert parse_config(blocks[0]) == parse_config(reference_config_text(t_end=10.0))
+    assert parse_config(blocks[0]) == parse_config(reference_config(t_end=10.0))
 
 
 class TestValidateList:

@@ -136,6 +136,6 @@ class TestState:
 
     def test_frozen_copy(self):
         g = make_grid(4, 4, 1.0, 1.0)
-        snap = self._state(g).copy(frozen=True)
+        snap = self._state(g).copy()
         with pytest.raises(ValueError):
             snap.n.values[0, 0] = 2.0

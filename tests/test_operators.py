@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import chemoflow.operators as ops
+from config_variants import reference_config
 import naive_operators as naive
-from chemoflow.config import reference_config_text
 from chemoflow.grid import MIN_CELLS, ScalarField, VectorField, integrate, make_grid
 from chemoflow.model import ModelSpec, PorousMedium, TabulatedDiffusion, boundary_cutoff, density_cutoff
 from chemoflow.operators import (
@@ -484,7 +484,7 @@ class TestBlasThreads:
     @pytest.mark.parametrize("nx, ny", [(96, 80), (128, 112)], ids=["96x80", "128x112"])
     def test_run_bits_do_not_depend_on_blas_threads(self, tmp_path, nx, ny):
         config = tmp_path / "run.ini"
-        text = reference_config_text(t_end=0.02, nx=nx, ny=ny, cadence=0.01, dt_max=1e-3,
+        text = reference_config(t_end=0.02, nx=nx, ny=ny, cadence=0.01, dt_max=1e-3,
                                      u0="vortex: amp=0.5")
         config.write_text(text.replace("snapshots = false", "snapshots = true"))
         src = pathlib.Path(__file__).resolve().parents[1] / "src"

@@ -129,10 +129,10 @@ class TestCadence:
 class TestCliDeterminism:
     def test_two_invocations_byte_identical(self, tmp_path):
         from chemoflow.cli import main
-        from chemoflow.config import reference_config_text
+        from config_variants import reference_config
 
         cfg = tmp_path / "run.ini"
-        cfg.write_text(reference_config_text(t_end=0.15, nx=16, ny=16, cadence=0.05))
+        cfg.write_text(reference_config(t_end=0.15, nx=16, ny=16, cadence=0.05))
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["run", str(cfg), "--output", str(out1)]) == 0
         assert main(["run", str(cfg), "--output", str(out2)]) == 0

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from config_variants import reference_config
 import naive_operators as naive
 from chemoflow import solver
-from chemoflow.config import parse_config, reference_config_text
+from chemoflow.config import parse_config
 from chemoflow.grid import ScalarField, State, VectorField, integrate, make_grid
 from chemoflow.model import ModelSpec, PorousMedium, TabulatedDiffusion, eval_D_eps, kirchhoff_units
 from chemoflow.operators import PoissonSolver, div
@@ -406,7 +407,7 @@ class TestTimeConvergence:
 
     @staticmethod
     def _final(dt_max):
-        cfg = parse_config(reference_config_text(t_end=0.5, nx=16, ny=16, dt_max=dt_max))
+        cfg = parse_config(reference_config(t_end=0.5, nx=16, ny=16, dt_max=dt_max))
         return run(cfg.initial_state(), cfg.spec, cfg.controls, PoissonSolver(cfg.grid),
                    cadence=cfg.cadence)
 

@@ -4,10 +4,12 @@ from dataclasses import replace as dc_replace
 import numpy as np
 import pytest
 
-from chemoflow.config import parse_config, reference_config_text
+from chemoflow.config import parse_config
 from chemoflow.sweeps import _collect_run, eps_sweep, refinement_sweep
 
-SMALL_REF = reference_config_text(t_end=0.2, nx=16, ny=16, cadence=0.05)
+from config_variants import reference_config
+
+SMALL_REF = reference_config(t_end=0.2, nx=16, ny=16, cadence=0.05)
 
 PURE_DIFFUSION = """\
 [grid]

@@ -365,10 +365,12 @@ def _poincare_terms(phi: ScalarField, B_mask: np.ndarray):
     return lhs, rhs
 
 
-def poincare_subset_gap(phi: ScalarField, B_mask: np.ndarray, C: float) -> float:
-    """C * (int |grad phi|^p)^(1/p) - (int |phi - mean_B phi|^p)^(1/p) with p = P."""
+def poincare_subset_gap(phi: ScalarField, B_mask: np.ndarray, C: float) -> tuple:
+    """(C * G - (int |phi - mean_B phi|^p)^(1/p), C * G) with G = (int |grad phi|^p)^(1/p)
+    and p = P: the gap and the scale of its right-hand side."""
     lhs, rhs = _poincare_terms(phi, B_mask)
-    return float(C * rhs - lhs)
+    scale = C * rhs
+    return float(scale - lhs), float(scale)
 
 
 def _min_constant_poincare(phi, B_mask) -> float:
@@ -390,11 +392,11 @@ class LemmaCheckRow:
 
 class _HeldOutCheck:
     """One check of the module docstring's protocol, fed argument tuples in order:
-    `min_constant(*item)` raises kmin on the calibration half, then each gap of
-    `gap(*item, K)` must be >= -REL_TOL * scale(*item, K, gap)."""
+    `min_constant(*item)` raises kmin on the calibration half, then `gap(*item, K)`
+    hands out the gaps with their scales, and each gap must be >= -REL_TOL * its scale."""
 
-    def __init__(self, name: str, min_constant, gap, scale):
-        self.name, self.min_constant, self.gap, self.scale = name, min_constant, gap, scale
+    def __init__(self, name: str, min_constant, gap):
+        self.name, self.min_constant, self.gap = name, min_constant, gap
         self.kmin, self.worst, self.ok = 0.0, float("inf"), True
 
     def feed(self, item, calibrating: bool):
@@ -402,9 +404,16 @@ class _HeldOutCheck:
             self.kmin = max(self.kmin, self.min_constant(*item))
             return
         self.K = K = SAFETY * self.kmin if self.kmin > 0 else 1.0  # kmin is final here
-        for g in np.atleast_1d(self.gap(*item, K)).tolist():
+        gaps, scales = self.gap(*item, K)
+        for g, s in zip(np.atleast_1d(gaps).tolist(), np.atleast_1d(scales).tolist()):
             self.worst = min(self.worst, g)
-            self.ok = self.ok and g >= -REL_TOL * self.scale(*item, K, g)
+            self.ok = self.ok and g >= -REL_TOL * s
+
+
+def _abs_plus(gaps, base: float):
+    """The gaps, paired with the scales |gap| + base."""
+    gaps = np.atleast_1d(gaps)
+    return gaps, np.abs(gaps) + base
 
 
 def run_lemma_checks(corpus: FieldCorpus) -> list:
@@ -439,13 +448,16 @@ def run_lemma_checks(corpus: FieldCorpus) -> list:
             if m.sum() * GRID.cell_area >= varpi:
                 return m
 
+    def poincare(phi, mask, C):
+        gap, scale = poincare_subset_gap(phi, mask, C)
+        return gap, scale + 1e-30
+
     checks = [  # fed (phi, psi), (phi,) and (phi, mask)
-        _HeldOutCheck("entropy-weighted product bound", _min_constant_trudinger, trudinger_gap,
-                      lambda phi, psi, K, gap: abs(gap) + abs(integrate(phi)) * K),
-        _HeldOutCheck("superlevel entropy bound", _min_constant_sublevel, trudinger_sublevel_gap,
-                      lambda phi, K, gap: abs(gap) + K * max(integrate(phi) ** 3, 1.0)),
-        _HeldOutCheck("subset-mean poincare bound", _min_constant_poincare, poincare_subset_gap,
-                      lambda phi, mask, C, gap: C * _poincare_terms(phi, mask)[1] + 1e-30),
+        _HeldOutCheck("entropy-weighted product bound", _min_constant_trudinger,
+                      lambda phi, psi, K: _abs_plus(trudinger_gap(phi, psi, K), abs(integrate(phi)) * K)),
+        _HeldOutCheck("superlevel entropy bound", _min_constant_sublevel,
+                      lambda phi, K: _abs_plus(trudinger_sublevel_gap(phi, K), K * max(integrate(phi) ** 3, 1.0))),
+        _HeldOutCheck("subset-mean poincare bound", _min_constant_poincare, poincare),
     ]
 
     # --- log-Hessian integral estimates over the whole corpus, in the same pass ---

@@ -37,6 +37,7 @@ __all__ = [
     "eval_D2_eps",
     "kirchhoff_units",
     "sup_D_eps",
+    "inf_D_eps",
     "sensitivity_scale",
     "boundary_cutoff",
     "density_cutoff",
@@ -181,6 +182,21 @@ def sup_D_eps(lo: float, hi: float, spec: ModelSpec) -> float:
     return float(np.max(eval_D_eps(np.concatenate([[lo, hi], inside]), spec)))
 
 
+def inf_D_eps(lo: float, hi: float, spec: ModelSpec) -> float:
+    """Infimum of the slope of D1_eps over [lo, hi]: D_eps(lo) for the
+    porous medium, the minimum over the ends and the knots inside for the
+    piecewise-linear tabulated D_eps.  The porous-medium value is the
+    unfloored (lo + delta)^(m-1), the slope of D1_eps, which is D_eps(lo)
+    unless the eps floor of eval_D_eps binds (delta underflows for m
+    close to 1), and then lies below it."""
+    d = spec.diffusion
+    if isinstance(d, PorousMedium):
+        return float((lo + _eps_shift(spec)) ** (d.m - 1.0))
+    knots = np.asarray(d.knots)
+    inside = knots[(knots > lo) & (knots < hi)]
+    return float(np.min(eval_D_eps(np.concatenate([[lo, hi], inside]), spec)))
+
+
 @lru_cache(maxsize=16)
 def _tabulated_table(d: TabulatedDiffusion, epsilon: float):
     """Read-only knots k, D_eps values v, slopes, and the exact D1 = I1 and
@@ -237,31 +253,42 @@ def eval_D1_eps(n, spec: ModelSpec, out=None):
     return out if out.ndim else float(out)
 
 
-def kirchhoff_units(spec: ModelSpec, cx: float):
+def kirchhoff_units(spec: ModelSpec, cx: float, lam: float = 0.0):
     """(scale, shift, potential) for the shifted variable w = scale * n + shift.
 
     potential(w, out) writes P(w), with P(w_b) - P(w_a) = scale * cx *
-    (D1_eps(b) - D1_eps(a)), so the substep n_a += cx (D1_eps(b) - D1_eps(a))
-    is w_a += P(w_b) - P(w_a).  Porous medium: w = k (n + delta), where
-    k = cx/2 for m = 2 makes P(w) = w^2; other m keep k = 1, since
-    (cx/m)^(1/(m-1)) underflows as m -> 1, and P(w) = cx/m w^m.
-    Tabulated: w = n and P = cx D1_eps.
+    (D1_eps(b) - D1_eps(a) - lam (b - a)), so the substep
+    n_a += cx (D1_eps(b) - D1_eps(a) - lam (b - a)) is w_a += P(w_b) - P(w_a):
+    the full potential at lam = 0, and the remainder of the diffusivity
+    above lam otherwise.  Porous medium: w = k (n + delta - lam), where
+    k = cx/2 for m = 2 makes P(w) = w^2 (the lam term completes the
+    square); other m keep k = 1, since (cx/m)^(1/(m-1)) underflows as
+    m -> 1, w = n + delta and P(w) = cx/m w^m - cx lam w.  Tabulated: w = n
+    and P = cx (D1_eps - lam n).
     """
     d = spec.diffusion
+    if isinstance(d, PorousMedium) and d.m == 2.0:
+        scale = 0.5 * cx
+        return scale, scale * (_eps_shift(spec) - lam), np.square
     if isinstance(d, TabulatedDiffusion):
-        def potential(w, out):
+        shift = 0.0
+
+        def full(w, out):
             eval_D1_eps(w, spec, out=out)
             out *= cx
-        return 1.0, 0.0, potential
-    delta = _eps_shift(spec)
-    if d.m == 2.0:
-        scale = 0.5 * cx
-        return scale, scale * delta, np.square
+    else:
+        shift = _eps_shift(spec)
+
+        def full(w, out):
+            np.power(w, d.m, out=out)
+            out *= cx / d.m
+    if lam == 0.0:
+        return 1.0, shift, full
 
     def potential(w, out):
-        np.power(w, d.m, out=out)
-        out *= cx / d.m
-    return 1.0, delta, potential
+        full(w, out)
+        out -= (cx * lam) * w
+    return 1.0, shift, potential
 
 
 def eval_D2_eps(n, spec: ModelSpec):

@@ -3,15 +3,26 @@
 One step advances, in order:
 
 1. density n: explicit conservative advection + taxis fluxes at the outer
-   step, then explicit diffusion of the transported density in substeps
-   n += dt_sub * Lap_h D1_eps(n), the Laplacian of the Kirchhoff potential
-   D1_eps = int_0^n D_eps, for every diffusion law.  A face flux
-   D1_eps(b) - D1_eps(a) is D_eps(xi) (b - a) with xi between the cell
-   values, so dt_sub * sup D_eps * (2/hx^2 + 2/hy^2) <= DIFFUSION_NUMBER
-   = 0.9, the sup over [min n, max n], makes every substep a convex
-   combination of neighbouring values, which keeps n in that range.
-   The substeps advance the shifted variable w = k (n + delta) of
-   model.kirchhoff_units, in which an m = 2 substep is 7 array passes;
+   step, then diffusion of the transported density, whose range is
+   [lo, hi], in explicit substeps n += dt_sub * Lap_h D1_eps(n), the
+   Laplacian of the Kirchhoff potential D1_eps = int_0^n D_eps, for every
+   diffusion law.  A face flux D1_eps(b) - D1_eps(a) is D_eps(xi) (b - a)
+   with xi between the cell values, so dt_sub * sup D_eps * (2/hx^2 +
+   2/hy^2) <= DIFFUSION_NUMBER = 0.9, the sup over [lo, hi], makes every
+   substep a convex combination of neighbouring values, which keeps n in
+   that range.  The substeps advance the shifted variable w = k (n + delta)
+   of model.kirchhoff_units, in which an m = 2 substep is 7 array passes.
+   Where the flat part lam = inf D_eps over [lo, hi] is large, the step is
+   split at it (Strang 1968): H R H, with H = e^(lam dt/2 Lap_h) applied
+   exactly in the cosine eigenbasis (PoissonSolver.heat_cells) and R the
+   substeps on the remainder D1_eps(n) - lam n, sized by dt_sub (sup D_eps
+   - lam) (2/hx^2 + 2/hy^2) <= 0.9.  Lap_h has nonnegative off-diagonals,
+   so H is entrywise nonnegative, conserves mass and keeps n in [lo, hi];
+   each remainder face coefficient D_eps(xi) - lam then lies in
+   [0, sup - lam], and each substep of R stays a convex combination.  A
+   step splits only when that at least halves the substeps and lo exceeds
+   HEAT_ROUNDOFF * hi, so that the round-off of H cannot take n below 0;
+   otherwise lam = 0 and R is the whole diffusion;
 2. signal c: explicit upwind advection, implicit consumption via the
    factor 1/(1 + dt*n), implicit diffusion (cosine-transform solve);
 3. velocity u: explicit upwind advection, implicit viscous solve
@@ -30,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import ScalarField, State, VectorField
-from .model import ModelSpec, kirchhoff_units, sup_D_eps
+from .model import ModelSpec, inf_D_eps, kirchhoff_units, sup_D_eps
 from .operators import (
     PoissonSolver,
     advect_scalar,
@@ -45,6 +56,8 @@ __all__ = ["TimeControls", "SolverError", "StepInfo", "check_initial", "run"]
 
 NEGATIVE_DENSITY_TOL = -1e-13
 DIFFUSION_NUMBER = 0.9
+# bound on the round-off of a heat half-step relative to max n (about 1e-16 measured)
+HEAT_ROUNDOFF = 1e-12
 MAX_CFL = 0.5
 DT_MIN = 1e-12
 
@@ -97,13 +110,14 @@ def _advective_dt(state: State, wx, wy, controls: TimeControls) -> float:
     return dt
 
 
-def _diffusive_dt(n: ScalarField, spec: ModelSpec) -> float:
-    """Largest substep with dt_sub * sup D_eps(n) * (2/hx^2 + 2/hy^2) <= DIFFUSION_NUMBER."""
+def _diffusive_dt(n: ScalarField, spec: ModelSpec, lam: float = 0.0) -> float:
+    """Largest substep with dt_sub * (sup D_eps(n) - lam) * (2/hx^2 + 2/hy^2)
+    <= DIFFUSION_NUMBER, for substeps on the diffusivity above lam."""
     g = n.grid
-    dmax = sup_D_eps(float(n.values.min()), float(n.values.max()), spec)
-    if dmax == 0.0:
+    d = sup_D_eps(float(n.values.min()), float(n.values.max()), spec) - lam
+    if d <= 0.0:
         return math.inf
-    return DIFFUSION_NUMBER / (dmax * (2.0 / g.hx**2 + 2.0 / g.hy**2))
+    return DIFFUSION_NUMBER / (d * (2.0 / g.hx**2 + 2.0 / g.hy**2))
 
 
 def _clamp_negative(n: ScalarField, t: float) -> float:
@@ -155,8 +169,17 @@ def _step_impl(state: State, spec: ModelSpec, controls: TimeControls, poisson: P
     n_new = ScalarField(g, np.subtract(state.n.values, tend, out=tend))
     clamped = _clamp_negative(n_new, t_new)
 
+    # split at lam = inf D_eps when that at least halves the substeps and
+    # the heat half-steps' round-off cannot take n below 0
+    lo, hi = float(n_new.values.min()), float(n_new.values.max())
+    lam = inf_D_eps(lo, hi, spec)
     substeps = max(1, int(math.ceil(dt / _diffusive_dt(n_new, spec))))
-    _diffusion_substeps(n_new.values, spec, dt / substeps, substeps, g)
+    split = max(1, int(math.ceil(dt / _diffusive_dt(n_new, spec, lam))))
+    if 2 * split <= substeps and lo > HEAT_ROUNDOFF * hi:
+        substeps = split
+    else:
+        lam = 0.0
+    _diffusion_substeps(n_new.values, spec, dt / substeps, substeps, g, lam=lam, poisson=poisson)
     clamped += _clamp_negative(n_new, t_new)
 
     # --- (ii) signal update ---------------------------------------------------
@@ -195,8 +218,15 @@ def _step_impl(state: State, spec: ModelSpec, controls: TimeControls, poisson: P
     return new_state, StepInfo(dt=dt, substeps=substeps, clamped_mass=clamped)
 
 
-def _diffusion_substeps(nv: np.ndarray, spec: ModelSpec, dt_sub: float, substeps: int, g):
+def _diffusion_substeps(nv: np.ndarray, spec: ModelSpec, dt_sub: float, substeps: int, g,
+                        *, lam: float = 0.0, poisson: PoissonSolver | None = None):
     """Explicit conservative diffusion substeps nv += dt_sub * Lap_h D1_eps(nv), in place.
+
+    With lam > 0 the substeps take the remainder D1_eps(nv) - lam nv of the
+    potential, between two exact heat half-steps e^(tau Lap_h), tau =
+    lam * dt_sub * substeps / 2, that `poisson` applies (heat_cells, one
+    factor for both halves): the Strang composition H R H of step 1 of the
+    module docstring.
 
     The only n-diffusion path, for every diffusion law; its plain form,
     nonlinear_diffuse in tests/naive_operators.py, is the 5-point
@@ -227,7 +257,10 @@ def _diffusion_substeps(nv: np.ndarray, spec: ModelSpec, dt_sub: float, substeps
         raise ValueError("n-diffusion substeps need a C-contiguous density array")
     f = nv.reshape(-1)
     ny = g.ny
-    scale, shift, potential = kirchhoff_units(spec, dt_sub / g.hx**2)
+    if lam > 0.0:
+        heat = poisson.heat_factor(0.5 * lam * dt_sub * substeps)
+        nv[...] = poisson.heat_cells(nv, heat)
+    scale, shift, potential = kirchhoff_units(spec, dt_sub / g.hx**2, lam)
     ratio = (g.hx / g.hy) ** 2
     phi = np.empty_like(f)
     ax = np.empty(f.size - ny)
@@ -250,6 +283,8 @@ def _diffusion_substeps(nv: np.ndarray, spec: ModelSpec, dt_sub: float, substeps
         np.subtract(f_yu, ay, out=f_yu)
     f -= shift
     f /= scale
+    if lam > 0.0:
+        nv[...] = poisson.heat_cells(nv, heat)
 
 
 def _check_finite(state: State):

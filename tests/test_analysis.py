@@ -196,17 +196,18 @@ class TestPoincare:
         g = make_grid(32, 32, 1.0, 1.0)
         mask = np.zeros((32, 32), dtype=bool)
         mask[:16] = True
-        gap = poincare_subset_gap(ScalarField.full(g, 2.0), mask, 1.0)
-        assert gap == pytest.approx(0.0, abs=1e-12)
+        gap, scale = poincare_subset_gap(ScalarField.full(g, 2.0), mask, 1.0)
+        assert gap == pytest.approx(0.0, abs=1e-12) and scale == 0.0
 
     def test_linear_field_left_half(self):
         g = make_grid(128, 128, 1.0, 1.0)
         phi = ScalarField.from_function(g, lambda x, y: x.copy())
         mask = np.zeros((128, 128), dtype=bool)
         mask[:64, :] = True  # left half: mean of x is 1/4
-        gap = poincare_subset_gap(phi, mask, 1.0)
+        gap, scale = poincare_subset_gap(phi, mask, 1.0)
         lhs = math.sqrt(7.0 / 48.0)  # int (x - 1/4)^2 = 7/48
         assert gap == pytest.approx(1.0 - lhs, abs=1e-4)
+        assert scale == pytest.approx(1.0, abs=1e-12)  # |grad x| = 1
 
     def test_empty_subset(self):
         g = make_grid(16, 16, 1.0, 1.0)

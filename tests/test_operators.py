@@ -305,6 +305,47 @@ class TestPoisson:
         assert np.abs(explicit(g, x, -0.037) - b).max() < 1e-12
 
 
+class TestHeatSemigroup:
+    def test_cosine_mode_decays_by_its_eigenvalue(self):
+        g = make_grid(24, 16, 1.5, 1.0)
+        solver = PoissonSolver(g)
+        x, y = g.cell_mesh()
+        for kx, ky, tau in ((0, 0, 0.3), (1, 0, 0.01), (3, 5, 2e-3), (23, 15, 1e-4)):
+            mode = np.cos(np.pi * kx * x / g.lx) * np.cos(np.pi * ky * y / g.ly)
+            lam = ((2 - 2 * np.cos(np.pi * kx / g.nx)) / g.hx**2
+                   + (2 - 2 * np.cos(np.pi * ky / g.ny)) / g.hy**2)
+            out = solver.heat_cells(mode, solver.heat_factor(tau))
+            assert np.abs(out - np.exp(-tau * lam) * mode).max() <= 1e-13
+
+    def test_semigroup(self, rng):
+        g = make_grid(20, 28, 1.0, 1.4)
+        solver = PoissonSolver(g)
+        b = rng.random((20, 28))
+        a, c = 3e-4, 1.1e-3
+        twice = solver.heat_cells(solver.heat_cells(b, solver.heat_factor(a)), solver.heat_factor(c))
+        once = solver.heat_cells(b, solver.heat_factor(a + c))
+        assert np.abs(twice - once).max() <= 1e-14 * np.abs(b).max()
+
+    def test_zero_time_is_identity(self, rng):
+        g = make_grid(20, 28, 1.0, 1.4)
+        solver = PoissonSolver(g)
+        b = rng.random((20, 28))
+        factor = solver.heat_factor(0.0)
+        assert (factor == 1.0).all()
+        assert np.abs(solver.heat_cells(b, factor) - b).max() <= 1e-14 * np.abs(b).max()
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_integral_preserved(self, rng, n):
+        g = make_grid(n, n, 1.0, 1.0)
+        solver = PoissonSolver(g)
+        b = rng.random((n, n))
+        mass = integrate(ScalarField(g, b))
+        for tau in (1e-5, 1e-3, 0.1):
+            out = ScalarField(g, solver.heat_cells(b, solver.heat_factor(tau)))
+            assert abs(integrate(out) - mass) <= 1e-14 * mass
+            assert out.values.min() >= b.min() - 1e-14 and out.values.max() <= b.max() + 1e-14
+
+
 def second_difference(n, layout):
     """-d2/dx2 at unit spacing: Neumann cells, interior faces, or no-slip cells."""
     m = n - 1 if layout == "face" else n
@@ -665,6 +706,8 @@ class TestFreshOutputs:
         self._check(solver.helmholtz_cells, (n1.values, 1e-3), (n2.values, 1e-3))
         self._check(solver.helmholtz_ux, (u1.ux[1:-1, :], 1e-3), (u2.ux[1:-1, :], 1e-3))
         self._check(solver.helmholtz_uy, (u1.uy[:, 1:-1], 1e-3), (u2.uy[:, 1:-1], 1e-3))
+        heat = solver.heat_factor(1e-3)
+        self._check(solver.heat_cells, (n1.values, heat), (n2.values, heat))
 
 
 class TestSpectralCaches:

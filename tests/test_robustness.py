@@ -2,15 +2,18 @@
 the step's invariants for every diffusion law, unaligned cadences, and
 CLI-level determinism."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from chemoflow.config import parse_config
 from chemoflow.grid import ScalarField, State, VectorField, integrate, make_grid
-from chemoflow.model import ModelSpec, PorousMedium, TabulatedDiffusion
+from chemoflow import solver
+from chemoflow.model import ModelSpec, PorousMedium, TabulatedDiffusion, inf_D_eps
 from chemoflow.operators import PoissonSolver, div
-from chemoflow.solver import TimeControls, _step_impl, run
+from chemoflow.solver import TimeControls, _diffusive_dt, _step_impl, run
 
 RECT = """\
 [grid]
@@ -111,6 +114,44 @@ class TestStepInvariantsEveryLaw:
         m0 = integrate(state.n)
         assert abs(integrate(out.n) - m0) <= 1e-13 * m0
         assert out.c.values.max() <= c.max()
+
+
+class TestSplitWhereDensityVanishes:
+    """The heat half-steps of the split diffusion keep n in its range only
+    up to the transforms' round-off, about 1e-16 of max n; so a step whose
+    min n does not clear solver.HEAT_ROUNDOFF * max n keeps lam = 0, even
+    where the split would halve the substeps, and nothing is clamped."""
+
+    @pytest.mark.parametrize("law, peak, dt", [
+        # max n <= eps: sup D_eps <= 2 inf D_eps with n touching 0; split, it clamped 8e-19
+        (PorousMedium(2.0), 0.04, 1e-3),
+        # a peak near 1e3, where the undershoot scales with max n: split, it undershot
+        # -1.1e-13 and raised SolverError
+        (TabulatedDiffusion((0.0, 1.0), (1.0, 1.5)), None, 1e-4),
+    ])
+    def test_zero_density_keeps_lam_zero(self, law, peak, dt, monkeypatch):
+        g = make_grid(64, 64, 1.0, 1.0)
+        spec = ModelSpec(diffusion=law, epsilon=0.05)
+        if peak is None:  # a unit-mass bump of width 0.005, zero where it underflows
+            n = ScalarField.from_function(g, lambda x, y: np.exp(-((x - 0.5) ** 2 + (y - 0.5) ** 2) / 5e-5))
+            n.values /= integrate(n)
+        else:  # a cone of radius 0.3, zero outside it
+            n = ScalarField.from_function(
+                g, lambda x, y: peak * np.clip(1 - ((x - 0.5) ** 2 + (y - 0.5) ** 2) / 0.09, 0, None))
+        assert n.values.min() == 0.0
+        state = State(n, ScalarField.full(g, 1.0), VectorField.zeros(g), 0.0)
+        lam = inf_D_eps(0.0, float(n.values.max()), spec)
+        halved = math.ceil(dt / _diffusive_dt(n, spec, lam))
+        assert 2 * halved <= math.ceil(dt / _diffusive_dt(n, spec))
+        lams = []
+        substeps = solver._diffusion_substeps
+        monkeypatch.setattr(solver, "_diffusion_substeps",
+                            lambda *a, **split: lams.append(split["lam"]) or substeps(*a, **split))
+        out, info = _step_impl(state, spec, TimeControls(t_end=1.0, dt_max=dt), PoissonSolver(g))
+        assert lams == [0.0]
+        assert out.n.values.min() >= 0.0
+        assert info.clamped_mass == 0.0
+        assert integrate(out.n) == pytest.approx(integrate(n), rel=1e-13)
 
 
 class TestCadence:

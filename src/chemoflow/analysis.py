@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -64,7 +63,6 @@ K_MAX = 30
 # run_lemma_checks: the calibration safety factor and the held-out relative tolerance
 SAFETY = 2.0
 REL_TOL = 1e-8
-BATCH = 16  # members alive at once; checking a batch check by check is ~7 % faster than by member
 
 # log_hessian_identity_residual: width of the excluded boundary rim, in cells
 MARGIN = 2
@@ -144,6 +142,24 @@ class FieldCorpus:
 # discrete calculus helpers (cell-centered, second order)
 # ----------------------------------------------------------------------
 
+class _Member(ScalarField):
+    """A field whose gradient, |grad|^2 and checked mass are computed on first
+    use and then kept, so every check fed the same member shares them."""
+
+    grad = cached_property(lambda self: cell_gradients(self.values, self.grid))
+    grad2 = cached_property(lambda self: self.grad[0] ** 2 + self.grad[1] ** 2)
+
+    @cached_property
+    def mass(self) -> float:
+        if (self.values < 0).any() or not self.values.any():
+            raise ValueError("phi must be nonnegative and not identically zero")
+        return integrate(self)
+
+
+def _member(phi: ScalarField) -> _Member:
+    return phi if isinstance(phi, _Member) else _Member(phi.grid, phi.values)
+
+
 def _hessian(gx, gy, grid):
     """(d2/dx2, d2/dxdy, d2/dy2) from the first derivatives gx, gy."""
     return (*cell_gradients(gx, grid), cell_derivative(gy, grid.hy, 1))
@@ -173,49 +189,48 @@ def log_hessian_identity_residual(phi: ScalarField):
 
     Returns (res_identity, gap1, gap2).
     """
-    g = phi.grid
-    v = phi.values
-    if min(g.nx, g.ny) < 2 * MARGIN + 1:
-        raise ValueError(f"need at least {2 * MARGIN + 1} cells per axis, got a {g.nx}x{g.ny} grid")
-    if (v <= 0).any():
-        raise ValueError("field must be strictly positive")
-    gx, gy = cell_gradients(v, g)
-    grad2 = gx**2 + gy**2
-    hxx, hxy, hyy = _hessian(gx, gy, g)
-    hess2 = hxx**2 + 2.0 * hxy**2 + hyy**2
-
-    lxx, lxy, lyy = _hessian(*cell_gradients(np.log(v), g), g)
-    lhess2 = lxx**2 + 2.0 * lxy**2 + lyy**2
-
+    hess2, lhess2, gap1, gap2 = _log_hessian_terms(phi := _member(phi))
+    g, v, (gx, gy), grad2 = phi.grid, phi.values, phi.grad, phi.grad2
     tx, ty = cell_gradients(grad2, g)
     transport = (tx * gx + ty * gy) / v
 
     rhs = v**2 * lhess2 + transport - grad2**2 / v**2
     sl = (slice(MARGIN, -MARGIN), slice(MARGIN, -MARGIN))
     res_identity = float(np.abs(hess2[sl] - rhs[sl]).max())
+    return res_identity, gap1, gap2
 
+
+def _log_hessian_terms(phi: _Member):
+    """(|D2 phi|^2, |D2 ln phi|^2, gap1, gap2): all of log_hessian_identity_residual
+    but the residual, which the corpus members skip."""
+    g = phi.grid
+    v = phi.values
+    if min(g.nx, g.ny) < 2 * MARGIN + 1:
+        raise ValueError(f"need at least {2 * MARGIN + 1} cells per axis, got a {g.nx}x{g.ny} grid")
+    if (v <= 0).any():
+        raise ValueError("field must be strictly positive")
+    hxx, hxy, hyy = _hessian(*phi.grad, g)
+    hess2 = hxx**2 + 2.0 * hxy**2 + hyy**2
+
+    lxx, lxy, lyy = _hessian(*cell_gradients(np.log(v), g), g)
+    lhess2 = lxx**2 + 2.0 * lxy**2 + lyy**2
+
+    grad2 = phi.grad2
     weight = grad2 / v * lhess2
     gap1 = EST1_CONST * _integral(weight, g) - _integral(grad2**3 / v**5, g)
     gap2 = EST2_CONST * _integral(weight, g) - _integral(hess2 * grad2 / v**3, g)
-    return res_identity, float(gap1), float(gap2)
+    return hess2, lhess2, float(gap1), float(gap2)
 
 
 # ----------------------------------------------------------------------
 # Trudinger-type product bounds
 # ----------------------------------------------------------------------
 
-def _checked_mass(phi: ScalarField) -> float:
-    pv = phi.values
-    if (pv < 0).any() or not pv.any():
-        raise ValueError("phi must be nonnegative and not identically zero")
-    return integrate(phi)
-
-
 def _trudinger_terms(phi: ScalarField, psi: ScalarField):
     """(int phi, entropy, int |grad psi|^2, int |psi|, int phi |psi|)."""
     g = phi.grid
     pv = phi.values
-    mass = _checked_mass(phi)
+    mass = _member(phi).mass
     mean = mass / g.area
     entropy = _integral(np.where(pv > 0, pv * np.log(np.maximum(pv, 1e-300) / mean), 0.0), g)
     gx, gy = cell_gradients(psi.values, g)
@@ -247,14 +262,14 @@ def trudinger_gap(phi: ScalarField, psi: ScalarField, K: float) -> np.ndarray:
 
 def _sublevel_terms(phi: ScalarField):
     """(int phi, mean phi, dissipation integral, superlevel entropy)."""
+    phi = _member(phi)
     g = phi.grid
     pv = phi.values
-    mass = _checked_mass(phi)
+    mass = phi.mass
     mean = mass / g.area
     mask = pv > S0_TILDE + 1.0
     lhs = _integral(np.where(mask, pv * np.log1p(pv), 0.0), g)
-    gx, gy = cell_gradients(pv, g)
-    dissip = _integral(pv * (gx**2 + gy**2) / (pv + 1.0) ** 2, g)
+    dissip = _integral(pv * phi.grad2 / (pv + 1.0) ** 2, g)
     return mass, mean, dissip, lhs
 
 
@@ -299,11 +314,19 @@ def ode_envelope(y0: float, a: float, b: float, tau: float, t: float) -> float:
     return y0 * math.exp(-a * t) + b * tau / (1.0 - math.exp(-a * tau))
 
 
+def _logaddexp(x: float, y: float) -> float:
+    """np.logaddexp(x, y) bit for bit, on math's scalar log1p and exp in numpy's branch order."""
+    if x == y:
+        return x + math.log(2.0)
+    d = x - y
+    return x + math.log1p(math.exp(-d)) if d > 0 else y + math.log1p(math.exp(d))
+
+
 def equality_mk_sequence(a: float, b: float, logM0: float) -> np.ndarray:
     """log M_k, k <= K_MAX, for the recursion run at equality: M_k = a^k M_{k-1}^2 + b^(2^k)."""
     logs = [logM0]
     for k in range(1, K_MAX + 1):
-        logs.append(np.logaddexp(k * math.log(a) + 2.0 * logs[-1], 2.0**k * math.log(b)))
+        logs.append(_logaddexp(k * math.log(a) + 2.0 * logs[-1], 2.0**k * math.log(b)))
     return np.array(logs)
 
 
@@ -312,7 +335,7 @@ def slack_mk_sequence(a: float, b: float, logM0: float, seed: int) -> np.ndarray
     rng = default_rng(seed)
     logs = [logM0]
     for k in range(1, K_MAX + 1):
-        cap = np.logaddexp(k * math.log(a) + 2.0 * logs[-1], 2.0**k * math.log(b))
+        cap = _logaddexp(k * math.log(a) + 2.0 * logs[-1], 2.0**k * math.log(b))
         logs.append(max(0.0, cap + math.log(rng.uniform(0.2, 1.0))))
     return np.array(logs)
 
@@ -333,11 +356,10 @@ def mk_limit_check(M0: float, a: float, b: float, generator) -> tuple:
         raise ValueError("generator must produce K_MAX + 1 log-values")
     if (logs < -1e-12).any():
         raise ValueError("sequence must stay in [1, inf)")
-    for k in range(1, K_MAX + 1):
-        cap = np.logaddexp(k * math.log(a) + 2.0 * logs[k - 1], 2.0**k * math.log(b))
-        if logs[k] > cap + 1e-9:
-            raise ValueError(f"generated sequence violates the recursion at k={k}")
     ks = np.arange(K_MAX + 1)
+    caps = np.logaddexp(ks[1:] * math.log(a) + 2.0 * logs[:-1], 2.0 ** ks[1:] * math.log(b))
+    if (over := np.flatnonzero(logs[1:] > caps + 1e-9)).size:
+        raise ValueError(f"generated sequence violates the recursion at k={over[0] + 1}")
     roots = np.exp(logs / 2.0**ks)
     tail = roots[max(1, K_MAX * 3 // 4):]
     liminf_est = float(tail.min())
@@ -360,8 +382,7 @@ def _poincare_terms(phi: ScalarField, B_mask: np.ndarray):
         raise ValueError("empty subset B")
     avg = float(phi.values[mask].sum() / nb)
     lhs = _integral(np.abs(phi.values - avg) ** P, g) ** (1.0 / P)
-    gx, gy = cell_gradients(phi.values, g)
-    rhs = _integral((gx**2 + gy**2) ** (P / 2.0), g) ** (1.0 / P)
+    rhs = _integral(_member(phi).grad2 ** (P / 2.0), g) ** (1.0 / P)
     return lhs, rhs
 
 
@@ -417,7 +438,7 @@ def _abs_plus(gaps, base: float):
 
 
 def run_lemma_checks(corpus: FieldCorpus) -> list:
-    """Full verification pass over the corpus streamed in batches; one row per inequality check."""
+    """Full verification pass over the corpus streamed member by member; one row per inequality check."""
     if corpus.n_members < 2:
         raise ValueError(
             f"need at least 2 corpus members to calibrate and hold out, got {corpus.n_members}"
@@ -427,11 +448,8 @@ def run_lemma_checks(corpus: FieldCorpus) -> list:
     rows = []
 
     # --- log-Hessian identity convergence on an analytic field ---
-    res = []
-    for nn in (32, 64, 128):
-        gg = make_grid(nn, nn, 1.0, 1.0)
-        phi = ScalarField.from_function(gg, lambda x, y: np.exp(x))
-        res.append(log_hessian_identity_residual(phi)[0])
+    fields = (ScalarField.from_function(make_grid(nn, nn, 1.0, 1.0), lambda x, y: np.exp(x)) for nn in (32, 64, 128))
+    res = [log_hessian_identity_residual(phi)[0] for phi in fields]
     order = min(math.log2(res[i] / res[i + 1]) for i in range(len(res) - 1))
     rows.append(LemmaCheckRow("log-hessian identity: convergence order", order, order, order >= 1.8))
 
@@ -454,36 +472,28 @@ def run_lemma_checks(corpus: FieldCorpus) -> list:
 
     checks = [  # fed (phi, psi), (phi,) and (phi, mask)
         _HeldOutCheck("entropy-weighted product bound", _min_constant_trudinger,
-                      lambda phi, psi, K: _abs_plus(trudinger_gap(phi, psi, K), abs(integrate(phi)) * K)),
+                      lambda phi, psi, K: _abs_plus(trudinger_gap(phi, psi, K), phi.mass * K)),
         _HeldOutCheck("superlevel entropy bound", _min_constant_sublevel,
-                      lambda phi, K: _abs_plus(trudinger_sublevel_gap(phi, K), K * max(integrate(phi) ** 3, 1.0))),
+                      lambda phi, K: _abs_plus(trudinger_sublevel_gap(phi, K), K * max(phi.mass**3, 1.0))),
         _HeldOutCheck("subset-mean poincare bound", _min_constant_poincare, poincare),
     ]
 
     # --- log-Hessian integral estimates over the whole corpus, in the same pass ---
-    members = enumerate(corpus.pairs())
     worst1 = worst2 = float("inf")
-    while batch := list(islice(members, BATCH)):
-        gaps = [log_hessian_identity_residual(phi)[1:] for _, (phi, psi) in batch]
-        worst1 = min(worst1, *(g1 for g1, _ in gaps))
-        worst2 = min(worst2, *(g2 for _, g2 in gaps))
-        alone = [(i, (phi,)) for i, (phi, psi) in batch]
-        masked = [(i, (phi, random_mask())) for i, (phi, psi) in batch]
-        for check, items in zip(checks, (batch, alone, masked)):
-            for i, item in items:
-                check.feed(item, calibrating=i < corpus.n_members // 2)
+    for i, (phi, psi) in enumerate(corpus.pairs()):
+        phi = _Member(phi.grid, phi.values)  # derived once, fed to every check, then dropped
+        _, _, gap1, gap2 = _log_hessian_terms(phi)
+        worst1, worst2 = min(worst1, gap1), min(worst2, gap2)
+        for check, item in zip(checks, ((phi, psi), (phi,), (phi, random_mask()))):
+            check.feed(item, calibrating=i < corpus.n_members // 2)
     rows.append(LemmaCheckRow("log-hessian gradient-power estimate", EST1_CONST, worst1, worst1 >= -REL_TOL))
     rows.append(LemmaCheckRow("log-hessian mixed-curvature estimate", EST2_CONST, worst2, worst2 >= -REL_TOL))
     rows += [LemmaCheckRow(c.name, c.K, c.worst, c.ok) for c in checks]
 
     # --- windowed-forcing ODE envelope ---
-    violations = 0
-    worst_margin = float("inf")
-    for i in range(100):
-        margin = _ode_trajectory_margin(seed=corpus.seed * 1000 + i)
-        worst_margin = min(worst_margin, margin)
-        if margin < -1e-9:
-            violations += 1
+    margins = [_ode_trajectory_margin(seed=corpus.seed * 1000 + i) for i in range(100)]
+    violations = sum(m < -1e-9 for m in margins)
+    worst_margin = min(margins)
     rows.append(LemmaCheckRow("windowed-forcing ode envelope", float(violations), worst_margin, violations == 0))
 
     # --- doubling-exponent recursion limit ---
@@ -523,8 +533,8 @@ def _ode_trajectory_margin(seed: int) -> float:
     y = y0
     t = 0.0
     margin = ode_envelope(y0, a, b, tau, 0.0) - y0
-    for hk in h.tolist():
-        y = y * decay + hk / a * (1.0 - decay)
+    for inflow in (h / a * (1.0 - decay)).tolist():  # hk / a * (1 - decay): the same IEEE ops
+        y = y * decay + inflow
         t += dt
         margin = min(margin, y0 * math.exp(-a * t) + forcing - y)
     return margin

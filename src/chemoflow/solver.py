@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ScalarField, State, VectorField
+from .grid import Grid, ScalarField, State, VectorField
 from .model import ModelSpec, inf_D_eps, kirchhoff_units, sup_D_eps
 from .operators import (
     PoissonSolver,
@@ -110,11 +110,10 @@ def _advective_dt(state: State, wx, wy, controls: TimeControls) -> float:
     return dt
 
 
-def _diffusive_dt(n: ScalarField, spec: ModelSpec, lam: float = 0.0) -> float:
+def _diffusive_dt(lo: float, hi: float, g: Grid, spec: ModelSpec, lam: float = 0.0) -> float:
     """Largest substep with dt_sub * (sup D_eps(n) - lam) * (2/hx^2 + 2/hy^2)
-    <= DIFFUSION_NUMBER, for substeps on the diffusivity above lam."""
-    g = n.grid
-    d = sup_D_eps(float(n.values.min()), float(n.values.max()), spec) - lam
+    <= DIFFUSION_NUMBER for n in [lo, hi], for substeps on the diffusivity above lam."""
+    d = sup_D_eps(lo, hi, spec) - lam
     if d <= 0.0:
         return math.inf
     return DIFFUSION_NUMBER / (d * (2.0 / g.hx**2 + 2.0 / g.hy**2))
@@ -173,8 +172,8 @@ def _step_impl(state: State, spec: ModelSpec, controls: TimeControls, poisson: P
     # the heat half-steps' round-off cannot take n below 0
     lo, hi = float(n_new.values.min()), float(n_new.values.max())
     lam = inf_D_eps(lo, hi, spec)
-    substeps = max(1, int(math.ceil(dt / _diffusive_dt(n_new, spec))))
-    split = max(1, int(math.ceil(dt / _diffusive_dt(n_new, spec, lam))))
+    substeps = max(1, int(math.ceil(dt / _diffusive_dt(lo, hi, g, spec))))
+    split = max(1, int(math.ceil(dt / _diffusive_dt(lo, hi, g, spec, lam))))
     if 2 * split <= substeps and lo > HEAT_ROUNDOFF * hi:
         substeps = split
     else:

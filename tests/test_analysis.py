@@ -183,8 +183,40 @@ class TestMkLimit:
 
     def test_inadmissible_sequence_rejected(self):
         bad = lambda a, b, l0: np.array([l0] + [1e3 * (k + 1) for k in range(K_MAX)])
-        with pytest.raises(ValueError, match="violates the recursion"):
+        with pytest.raises(ValueError, match="violates the recursion at k=1$"):
             mk_limit_check(1.0, 1.0, 1.0, bad)
+
+    @pytest.mark.parametrize("k", [2, 17, K_MAX])
+    def test_first_interior_violation_named(self, k):
+        # at equality up to k - 1, then log M_j raised by 3^(j-k): a cap rises by at
+        # most twice the rise of log M_{j-1}, so every j >= k violates, the first named
+        def bad(a, b, l0):
+            logs = equality_mk_sequence(a, b, l0)
+            logs[k:] += 3.0 ** np.arange(K_MAX + 1 - k)
+            return logs
+
+        with pytest.raises(ValueError, match=f"violates the recursion at k={k}$"):
+            mk_limit_check(2.0, 1.5, 3.0, bad)
+
+    def test_logaddexp_twin_matches_numpy_bitwise(self):
+        rng = np.random.default_rng(29)
+        x = np.concatenate([rng.uniform(-800.0, 800.0, 4000), rng.uniform(-5.0, 5.0, 2000),
+                            [0.0, -0.0, 1.0, 800.0, -800.0, 745.0, -745.0, 709.7, -709.7]])
+        x = np.concatenate([x, x, x, x, x, x])
+        n = x.size // 6
+        d = np.concatenate([
+            np.zeros(n),  # x == y
+            rng.uniform(-1e-12, 1e-12, n) * np.abs(x[:n]) + rng.choice([0.0, 5e-324], n),  # |x - y| near 0
+            rng.uniform(-1.0, 1.0, n) * 2.0 ** rng.integers(-50, 0, n),
+            rng.uniform(-40.0, 40.0, n),
+            rng.choice([-1.0, 1.0], n) * rng.uniform(40.0, 60.0, n),  # above 40: exp(-|d|) below 4e-18
+            rng.choice([-1.0, 1.0], n) * rng.uniform(60.0, 1600.0, n),
+        ])
+        y = x + d
+        want = np.logaddexp(x, y)  # mk_limit_check's array call; the generators made scalar calls
+        for xi, yi, wi in zip(x.tolist(), y.tolist(), want.tolist()):
+            assert analysis._logaddexp(xi, yi).hex() == wi.hex(), (xi, yi)
+            assert analysis._logaddexp(xi, yi).hex() == float(np.logaddexp(xi, yi)).hex(), (xi, yi)
 
     def test_hypothesis_bounds(self):
         with pytest.raises(ValueError):
@@ -300,7 +332,39 @@ GOLDEN_REPORTS = {
 }
 
 
+# float.hex of (constant, worst_gap) per row of run_lemma_checks(FieldCorpus(members, seed)):
+# the golden text above rounds to 6 digits and cannot see a last-bit drift
+GOLDEN_HEX = {
+    (40, 7): [
+        ("0x1.e359562356585p+0", "0x1.e359562356585p+0"),
+        ("0x1.d504f333f9de6p+4", "0x1.2a4babf932859p+14"),
+        ("0x1.492318007c2b0p+5", "0x1.9ad14ea5d8cf2p+14"),
+        ("0x1.b34fd3d27a9dbp-3", "0x1.9a2215d6d62d2p-4"),
+        ("0x1.4079691bb047cp-3", "0x1.3cf1ed4f9c212p-1"),
+        ("0x1.15f4b0cba09c2p-1", "0x1.6cdb4887a547fp-2"),
+        ("0x0.0p+0", "0x1.23e0c9f8a70e0p-5"),
+        ("0x1.6a09e667f3bcdp+1", "0x1.5f5366878f48ep+1"),
+    ],
+    (200, 0): [
+        ("0x1.e359562356585p+0", "0x1.e359562356585p+0"),
+        ("0x1.d504f333f9de6p+4", "0x1.7d916323bbe4dp+12"),
+        ("0x1.492318007c2b0p+5", "0x1.06f6a8ff5ba0cp+13"),
+        ("0x1.f19f1c3a7a676p-3", "0x1.c9a4e808a930ep-5"),
+        ("0x1.aea3567e16f82p-3", "0x1.4b49a86c3d993p-1"),
+        ("0x1.8b742aadac302p-1", "0x1.05920af3a08d7p-2"),
+        ("0x0.0p+0", "0x1.c6c1b992701d0p-6"),
+        ("0x1.6a09e667f3bcdp+1", "0x1.774c53569c458p+1"),
+    ],
+}
+
+
 class TestReport:
+    @pytest.mark.parametrize("members, seed", list(GOLDEN_HEX))
+    def test_report_bits_pinned(self, members, seed):
+        rows = run_lemma_checks(FieldCorpus(n_members=members, seed=seed))
+        got = [(float(r.constant).hex(), float(r.worst_gap).hex()) for r in rows]
+        assert got == GOLDEN_HEX[members, seed]
+
     @pytest.mark.parametrize("members, seed", [  # ids name a seed other than the CLI's 7
         pytest.param(m, s, id=f"{m}" if s == 7 else f"{m}-seed{s}") for m, s in GOLDEN_REPORTS])
     def test_report_matches_golden_text(self, members, seed):
@@ -316,7 +380,11 @@ class TestReport:
         def no_check(*args):
             raise AssertionError("a check ran before the seed was checked")
 
-        monkeypatch.setattr(analysis, "log_hessian_identity_residual", no_check)
+        # the convergence fields and the corpus members both reach _log_hessian_terms
+        for name in ("log_hessian_identity_residual", "_log_hessian_terms", "_trudinger_terms",
+                     "_sublevel_terms", "_poincare_terms", "_ode_trajectory_margin", "mk_limit_check"):
+            monkeypatch.setattr(analysis, name, no_check)
+        monkeypatch.setattr(FieldCorpus, "member", no_check)
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
             run_lemma_checks(FieldCorpus(n_members=4, seed=-1))
 
@@ -328,8 +396,8 @@ class TestReport:
         assert "constant" in text and "worst gap" in text
 
     def test_peak_memory_does_not_grow_with_members(self):
-        # the corpus is streamed, at most analysis.BATCH members alive at a time,
-        # so 160 more members (about 11 MB of fields and masks if held) add nothing
+        # the corpus is streamed one member at a time, so 160 more members
+        # (about 11 MB of fields and masks if held) add nothing
         run_lemma_checks(FieldCorpus(n_members=2, seed=7))  # caches and lazy imports
         peaks = {}
         for members in (40, 200):

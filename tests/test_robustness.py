@@ -140,9 +140,10 @@ class TestSplitWhereDensityVanishes:
                 g, lambda x, y: peak * np.clip(1 - ((x - 0.5) ** 2 + (y - 0.5) ** 2) / 0.09, 0, None))
         assert n.values.min() == 0.0
         state = State(n, ScalarField.full(g, 1.0), VectorField.zeros(g), 0.0)
-        lam = inf_D_eps(0.0, float(n.values.max()), spec)
-        halved = math.ceil(dt / _diffusive_dt(n, spec, lam))
-        assert 2 * halved <= math.ceil(dt / _diffusive_dt(n, spec))
+        hi = float(n.values.max())
+        lam = inf_D_eps(0.0, hi, spec)
+        halved = math.ceil(dt / _diffusive_dt(0.0, hi, g, spec, lam))
+        assert 2 * halved <= math.ceil(dt / _diffusive_dt(0.0, hi, g, spec))
         lams = []
         substeps = solver._diffusion_substeps
         monkeypatch.setattr(solver, "_diffusion_substeps",

@@ -189,7 +189,7 @@ class TestDiffusionSubsteps:
         g = make_grid(24, 16, 1.5, 1.0)
         spec = ModelSpec(diffusion=diffusion, epsilon=0.05)
         n = ScalarField(g, np.random.default_rng(3).random((24, 16)) * 2.0)
-        dt_sub = 0.9 * solver._diffusive_dt(n, spec)
+        dt_sub = 0.9 * solver._diffusive_dt(float(n.values.min()), float(n.values.max()), g, spec)
         expected = n.values + dt_sub * naive.nonlinear_diffuse(n, spec).values
         nv = n.values.copy()
         solver._diffusion_substeps(nv, spec, dt_sub, 1, g)
@@ -216,7 +216,7 @@ class TestDiffusionSubsteps:
         n = ScalarField(g, rng.random((nx, ny)) * 2.0)
         n.values[rng.random((nx, ny)) < 0.3] = 0.0
         lo, hi, mass = n.values.min(), n.values.max(), n.values.sum()
-        dt_sub = solver._diffusive_dt(n, spec)
+        dt_sub = solver._diffusive_dt(float(n.values.min()), float(n.values.max()), g, spec)
         nv = n.values.copy()
         solver._diffusion_substeps(nv, spec, dt_sub, substeps, g)
         assert nv.min() >= solver.NEGATIVE_DENSITY_TOL
@@ -343,7 +343,7 @@ class TestFlatSubstepLoop:
         rng = np.random.default_rng(nx * 100 + ny)
         n = ScalarField(g, rng.random((nx, ny)) * 2.0)
         n.values[rng.random((nx, ny)) < 0.3] = 0.0
-        dt_sub = solver._diffusive_dt(n, spec)
+        dt_sub = solver._diffusive_dt(float(n.values.min()), float(n.values.max()), g, spec)
         flat = n.values.copy()
         ref = n.values.copy()
         solver._diffusion_substeps(flat, spec, dt_sub, 40, g)

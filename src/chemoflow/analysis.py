@@ -240,14 +240,15 @@ def _trudinger_terms(phi: ScalarField, psi: ScalarField):
     return mass, entropy, dirichlet, l1_psi, lhs
 
 
-def trudinger_gap(phi: ScalarField, psi: ScalarField, K: float) -> np.ndarray:
-    """RHS - LHS of
+def trudinger_gap(phi: ScalarField, psi: ScalarField, K: float) -> tuple:
+    """(gaps, scales): RHS - LHS of
 
         int phi |psi| <= (1/a) int phi ln(phi/mean phi)
                          + (1+eta) a / (8 pi) (int phi) int |grad psi|^2
                          + K a (int phi) (int |psi|)^2 + (K/a) int phi
 
-    with eta = ETA, one gap per exponent a of A_VALUES.
+    with eta = ETA, one gap per exponent a of A_VALUES, each with the
+    scale |gap| + K int phi.
     """
     a = A_VALUES
     mass, entropy, dirichlet, l1_psi, lhs = _trudinger_terms(phi, psi)
@@ -257,7 +258,8 @@ def trudinger_gap(phi: ScalarField, psi: ScalarField, K: float) -> np.ndarray:
         + K * a * mass * l1_psi**2
         + K / a * mass
     )
-    return rhs - lhs
+    gaps = rhs - lhs
+    return gaps, np.abs(gaps) + mass * K
 
 
 def _sublevel_terms(phi: ScalarField):
@@ -273,18 +275,20 @@ def _sublevel_terms(phi: ScalarField):
     return mass, mean, dissip, lhs
 
 
-def trudinger_sublevel_gap(phi: ScalarField, K: float) -> float:
-    """RHS - LHS of the superlevel-entropy bound
+def trudinger_sublevel_gap(phi: ScalarField, K: float) -> tuple:
+    """(gap, scale): RHS - LHS of the superlevel-entropy bound
 
         int_{phi > s0t+1} phi ln(phi+1)
             <= (1+eta) K / L (int phi) int D(phi)|grad phi|^2/(phi+1)^2
                + K (int phi)^3 + (K - ln(mean phi)) int phi + K
 
-    with s0t = S0_TILDE, L = LEVEL, eta = ETA and D(s) = s.
+    with s0t = S0_TILDE, L = LEVEL, eta = ETA and D(s) = s, and the scale
+    |gap| + K max((int phi)^3, 1).
     """
     mass, mean, dissip, lhs = _sublevel_terms(phi)
     rhs = (1.0 + ETA) * K / LEVEL * mass * dissip + K * mass**3 + (K - math.log(mean)) * mass + K
-    return float(rhs - lhs)
+    gap = float(rhs - lhs)
+    return gap, abs(gap) + K * max(mass**3, 1.0)
 
 
 def _min_constant_trudinger(phi, psi) -> float:
@@ -387,11 +391,12 @@ def _poincare_terms(phi: ScalarField, B_mask: np.ndarray):
 
 
 def poincare_subset_gap(phi: ScalarField, B_mask: np.ndarray, C: float) -> tuple:
-    """(C * G - (int |phi - mean_B phi|^p)^(1/p), C * G) with G = (int |grad phi|^p)^(1/p)
-    and p = P: the gap and the scale of its right-hand side."""
+    """(C * G - (int |phi - mean_B phi|^p)^(1/p), C * G + 1e-30) with G =
+    (int |grad phi|^p)^(1/p) and p = P: the gap and the scale of its
+    right-hand side, kept positive for a constant phi."""
     lhs, rhs = _poincare_terms(phi, B_mask)
     scale = C * rhs
-    return float(scale - lhs), float(scale)
+    return float(scale - lhs), float(scale) + 1e-30
 
 
 def _min_constant_poincare(phi, B_mask) -> float:
@@ -431,12 +436,6 @@ class _HeldOutCheck:
             self.ok = self.ok and g >= -REL_TOL * s
 
 
-def _abs_plus(gaps, base: float):
-    """The gaps, paired with the scales |gap| + base."""
-    gaps = np.atleast_1d(gaps)
-    return gaps, np.abs(gaps) + base
-
-
 def run_lemma_checks(corpus: FieldCorpus) -> list:
     """Full verification pass over the corpus streamed member by member; one row per inequality check."""
     if corpus.n_members < 2:
@@ -466,16 +465,10 @@ def run_lemma_checks(corpus: FieldCorpus) -> list:
             if m.sum() * GRID.cell_area >= varpi:
                 return m
 
-    def poincare(phi, mask, C):
-        gap, scale = poincare_subset_gap(phi, mask, C)
-        return gap, scale + 1e-30
-
     checks = [  # fed (phi, psi), (phi,) and (phi, mask)
-        _HeldOutCheck("entropy-weighted product bound", _min_constant_trudinger,
-                      lambda phi, psi, K: _abs_plus(trudinger_gap(phi, psi, K), phi.mass * K)),
-        _HeldOutCheck("superlevel entropy bound", _min_constant_sublevel,
-                      lambda phi, K: _abs_plus(trudinger_sublevel_gap(phi, K), K * max(phi.mass**3, 1.0))),
-        _HeldOutCheck("subset-mean poincare bound", _min_constant_poincare, poincare),
+        _HeldOutCheck("entropy-weighted product bound", _min_constant_trudinger, trudinger_gap),
+        _HeldOutCheck("superlevel entropy bound", _min_constant_sublevel, trudinger_sublevel_gap),
+        _HeldOutCheck("subset-mean poincare bound", _min_constant_poincare, poincare_subset_gap),
     ]
 
     # --- log-Hessian integral estimates over the whole corpus, in the same pass ---

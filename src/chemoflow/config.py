@@ -11,10 +11,12 @@ admissibility condition, and each hypothesis is checked once: the ranges
 of gamma, epsilon and m by the model types that hold them
 (model.ModelSpec, model.PorousMedium), the reach of the threshold level
 L by model.threshold_s0, the time controls by solver.TimeControls, the
-built initial state by solver.check_initial, the function `run` calls,
-and here the bounds ||c0||_inf <= M, for gamma > 1/2 ||n0||_1 <= M,
-min c0 >= C0_FLOOR, the first step's CFL dt (as the solver has it) >= DT_MIN
-and max|div u0| <= DIV_U_TOL.
+built initial state (finite, n0 >= 0 and not identically 0, c0 > 0, u0
+solenoidal with no penetration; a non-finite entry named by its field
+and cell) by solver.check_initial, the function `run` calls, and here
+the bounds ||c0||_inf <= M, for gamma > 1/2 ||n0||_1 <= M, min c0 >=
+C0_FLOOR, the first step's CFL dt (as the solver has it) >= DT_MIN and
+max|div u0| <= DIV_U_TOL.
 
 Initial data comes from a fixed catalogue (_CATALOGUE, which holds each
 parameter's default) instead of free-form expressions, so the provenance
@@ -44,7 +46,7 @@ from .grid import Grid, ScalarField, State, VectorField, integrate, make_grid
 from .io import snapshot_name
 from .model import ModelSpec, PorousMedium, TabulatedDiffusion, threshold_s0
 from .operators import div, taxis_face_velocity
-from .solver import DT_MIN, TimeControls, _advective_dt, check_initial
+from .solver import DT_MIN, TimeControls, advective_dt, check_initial
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "validate_config", "reference_config_text"]
 
@@ -300,7 +302,7 @@ def validate_config(cfg: RunConfig):
     if (cmin := float(c0.values.min())) < C0_FLOOR:
         violations.append(f"requires min c0 >= {C0_FLOOR:.3g}, below which the record's c^5 "
                           f"underflows; got {cmin:.3g}")
-    if (dt := _advective_dt(state, *taxis_face_velocity(n0, c0, spec), cfg.controls)) < DT_MIN:
+    if (dt := advective_dt(state, *taxis_face_velocity(n0, c0, spec), cfg.controls)) < DT_MIN:
         violations.append(f"the first step's CFL dt = {dt:.3e} is below DT_MIN = {DT_MIN:g}; "
                           f"the initial velocity or taxis drift is too fast for the grid")
     elif (d := float(np.abs(div(state.u).values).max())) > DIV_U_TOL:  # a u0 too fast is named once

@@ -5,6 +5,10 @@ Scalars (cell density n, signal c, pressure) live at cell centers
 x-faces (i*hx, (j+1/2)*hy) with shape (nx+1, ny), uy on y-faces with
 shape (nx, ny+1).  All arrays are float64, axis 0 is x, axis 1 is y;
 flattening is C-order: cell [i, j] maps to flat index i*ny + j.
+
+The containers check shapes only.  What makes a State admissible
+(finite, n >= 0 and not identically 0, c > 0, u solenoidal with no
+penetration) is the solver's rule: solver.check_initial.
 """
 
 from __future__ import annotations
@@ -85,7 +89,7 @@ def make_grid(nx: int, ny: int, lx: float, ly: float) -> Grid:
     return Grid(int(nx), int(ny), lx, ly)
 
 
-def _as_values(grid: Grid, values, shape) -> np.ndarray:
+def _as_values(values, shape) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.shape != shape:
         raise ValueError(f"expected shape {shape}, got {arr.shape}")
@@ -100,7 +104,7 @@ class ScalarField:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = _as_values(self.grid, self.values, (self.grid.nx, self.grid.ny))
+        self.values = _as_values(self.values, (self.grid.nx, self.grid.ny))
 
     @classmethod
     def full(cls, grid: Grid, value: float) -> "ScalarField":
@@ -113,10 +117,6 @@ class ScalarField:
 
     def copy(self) -> "ScalarField":
         return ScalarField(self.grid, self.values.copy())
-
-    def check_finite(self, name: str):
-        if not np.isfinite(self.values).all():
-            raise ValueError(f"{name} contains non-finite entries")
 
 
 @dataclass
@@ -133,8 +133,8 @@ class VectorField:
 
     def __post_init__(self):
         g = self.grid
-        self.ux = _as_values(g, self.ux, (g.nx + 1, g.ny))
-        self.uy = _as_values(g, self.uy, (g.nx, g.ny + 1))
+        self.ux = _as_values(self.ux, (g.nx + 1, g.ny))
+        self.uy = _as_values(self.uy, (g.nx, g.ny + 1))
 
     @classmethod
     def zeros(cls, grid: Grid) -> "VectorField":
@@ -177,10 +177,6 @@ class VectorField:
         """(max |ux|, max |uy|) over all faces."""
         return float(np.abs(self.ux).max()), float(np.abs(self.uy).max())
 
-    def check_finite(self, name: str):
-        if not (np.isfinite(self.ux).all() and np.isfinite(self.uy).all()):
-            raise ValueError(f"{name} contains non-finite entries")
-
 
 @dataclass
 class State:
@@ -190,19 +186,6 @@ class State:
     c: ScalarField
     u: VectorField
     t: float = 0.0
-
-    def validate(self):
-        self.n.check_finite("density n")
-        self.c.check_finite("signal c")
-        self.u.check_finite("velocity u")
-        if self.t < 0 or not math.isfinite(self.t):
-            raise ValueError(f"time must be finite and >= 0, got {self.t}")
-        if (self.n.values < 0).any():
-            raise ValueError("density n must be >= 0 entrywise")
-        if (self.c.values <= 0).any():
-            raise ValueError("signal c must be > 0 entrywise")
-        if not self.u.normal_boundary_is_zero():
-            raise ValueError("velocity u has nonzero boundary-normal entries")
 
     def copy(self) -> "State":
         """A read-only copy: every array of it refuses writes."""

@@ -36,8 +36,7 @@ __all__ = [
     "eval_D1_eps",
     "eval_D2_eps",
     "kirchhoff_units",
-    "sup_D_eps",
-    "inf_D_eps",
+    "D_eps_range",
     "sensitivity_scale",
     "boundary_cutoff",
     "density_cutoff",
@@ -171,30 +170,20 @@ def eval_D_eps(n, spec: ModelSpec):
     return out if out.ndim else float(out)
 
 
-def sup_D_eps(lo: float, hi: float, spec: ModelSpec) -> float:
-    """Supremum of D_eps over [lo, hi]: at hi for the increasing porous-medium
-    D_eps, at an end or a knot inside for the piecewise-linear tabulated one."""
-    d = spec.diffusion
-    if isinstance(d, PorousMedium):
-        return eval_D_eps(hi, spec)
-    knots = np.asarray(d.knots)
-    inside = knots[(knots > lo) & (knots < hi)]
-    return float(np.max(eval_D_eps(np.concatenate([[lo, hi], inside]), spec)))
-
-
-def inf_D_eps(lo: float, hi: float, spec: ModelSpec) -> float:
-    """Infimum of the slope of D1_eps over [lo, hi]: D_eps(lo) for the
-    porous medium, the minimum over the ends and the knots inside for the
-    piecewise-linear tabulated D_eps.  The porous-medium value is the
+def D_eps_range(lo: float, hi: float, spec: ModelSpec) -> tuple:
+    """(inf, sup) of D_eps over [lo, hi]: the ends for the increasing
+    porous-medium D_eps, the ends and the knots inside for the
+    piecewise-linear tabulated one.  The porous-medium inf is the
     unfloored (lo + delta)^(m-1), the slope of D1_eps, which is D_eps(lo)
     unless the eps floor of eval_D_eps binds (delta underflows for m
-    close to 1), and then lies below it."""
+    close to 1), and then lies below it; the sup is floored."""
     d = spec.diffusion
     if isinstance(d, PorousMedium):
-        return float((lo + _eps_shift(spec)) ** (d.m - 1.0))
+        return float((lo + _eps_shift(spec)) ** (d.m - 1.0)), eval_D_eps(hi, spec)
     knots = np.asarray(d.knots)
     inside = knots[(knots > lo) & (knots < hi)]
-    return float(np.min(eval_D_eps(np.concatenate([[lo, hi], inside]), spec)))
+    values = eval_D_eps(np.concatenate([[lo, hi], inside]), spec)
+    return float(np.min(values)), float(np.max(values))
 
 
 @lru_cache(maxsize=16)

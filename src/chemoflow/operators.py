@@ -149,17 +149,6 @@ def _upwind_flux(vel, left, right):
     return out
 
 
-def advect_scalar(f: ScalarField, v: VectorField) -> ScalarField:
-    """div(v f) in conservative flux form with upwind face values.
-
-    Equals v . grad f for discretely solenoidal v; integrates to zero for
-    any v with vanishing boundary-normal entries.
-    """
-    fx = _upwind_flux(v.ux[1:-1, :], f.values[:-1, :], f.values[1:, :])
-    fy = _upwind_flux(v.uy[:, 1:-1], f.values[:, :-1], f.values[:, 1:])
-    return _flux_div(fx, fy, f.grid)
-
-
 @lru_cache(maxsize=16)
 def _face_cutoffs(grid: Grid, spec: ModelSpec):
     """rho_eps sampled at interior x-faces and y-faces (cached per grid/spec)."""
@@ -235,6 +224,16 @@ def taxis_flux_div(n: ScalarField, faces) -> ScalarField:
     fx = _upwind_flux(wx, n.values[:-1, :], n.values[1:, :])
     fy = _upwind_flux(wy, n.values[:, :-1], n.values[:, 1:])
     return _flux_div(fx, fy, n.grid)
+
+
+def advect_scalar(f: ScalarField, v: VectorField) -> ScalarField:
+    """div(v f) in conservative flux form with upwind face values: the
+    upwind flux divergence of taxis_flux_div, on v's interior faces.
+
+    Equals v . grad f for discretely solenoidal v; integrates to zero for
+    any v with vanishing boundary-normal entries.
+    """
+    return taxis_flux_div(f, (v.ux[1:-1, :], v.uy[:, 1:-1]))
 
 
 def _upwind_sum(out, a, back_a, fwd_a, b, back_b, fwd_b):
@@ -484,9 +483,10 @@ def project(v_star: VectorField, solver: PoissonSolver):
 
     p has zero mean; compatibility of the pure-Neumann problem is enforced
     by removing the mean of div(v_star) (which is zero up to round-off for
-    fields with no-penetration walls anyway).
+    fields with no-penetration walls anyway).  A non-finite v_star is not
+    checked here: it gives a non-finite v, which the solver's check after
+    the step names by its entry.
     """
-    v_star.check_finite("projection input")
     if not v_star.normal_boundary_is_zero():
         raise ValueError("projection input must have zero boundary-normal entries")
     g = v_star.grid

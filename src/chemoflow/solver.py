@@ -31,6 +31,12 @@ One step advances, in order:
 Every sub-update preserves the structure the monitors rely on: n >= 0
 exactly under the CFL rule, total mass of n to round-off, the maximum
 principle for c, and discrete incompressibility to solver accuracy.
+
+The rules of an admissible state live here alone, in check_initial.  Its
+finiteness check, _check_finite, also runs on the state after every step
+and, when the transported density's range [lo, hi] is not finite, before
+that range sizes the substeps; a SolverError from a step is prefixed
+"step <i>: ".
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid, ScalarField, State, VectorField
-from .model import ModelSpec, inf_D_eps, kirchhoff_units, sup_D_eps
+from .model import D_eps_range, ModelSpec, kirchhoff_units
 from .operators import (
     PoissonSolver,
     advect_scalar,
@@ -52,7 +58,7 @@ from .operators import (
     taxis_flux_div,
 )
 
-__all__ = ["TimeControls", "SolverError", "StepInfo", "check_initial", "run"]
+__all__ = ["TimeControls", "SolverError", "StepInfo", "advective_dt", "check_initial", "run"]
 
 NEGATIVE_DENSITY_TOL = -1e-13
 DIFFUSION_NUMBER = 0.9
@@ -100,7 +106,9 @@ class StepInfo:
     clamped_mass: float
 
 
-def _advective_dt(state: State, wx, wy, controls: TimeControls) -> float:
+def advective_dt(state: State, wx, wy, controls: TimeControls) -> float:
+    """The outer dt of TimeControls' CFL rule for `state` and the taxis face
+    velocity (wx, wy); config.validate_config calls it on the initial state."""
     g = state.n.grid
     ux_max, uy_max = state.u.max_speed()
     sx = ux_max + float(np.abs(wx).max())
@@ -110,10 +118,9 @@ def _advective_dt(state: State, wx, wy, controls: TimeControls) -> float:
     return dt
 
 
-def _diffusive_dt(lo: float, hi: float, g: Grid, spec: ModelSpec, lam: float = 0.0) -> float:
-    """Largest substep with dt_sub * (sup D_eps(n) - lam) * (2/hx^2 + 2/hy^2)
-    <= DIFFUSION_NUMBER for n in [lo, hi], for substeps on the diffusivity above lam."""
-    d = sup_D_eps(lo, hi, spec) - lam
+def _diffusive_dt(d: float, g: Grid) -> float:
+    """Largest substep with dt_sub * d * (2/hx^2 + 2/hy^2) <= DIFFUSION_NUMBER,
+    for substeps whose face diffusivities lie in [0, d]."""
     if d <= 0.0:
         return math.inf
     return DIFFUSION_NUMBER / (d * (2.0 / g.hx**2 + 2.0 / g.hy**2))
@@ -140,7 +147,7 @@ def _clamp_negative(n: ScalarField, t: float) -> float:
 def _step_impl(state: State, spec: ModelSpec, controls: TimeControls, poisson: PoissonSolver, until=None):
     g = state.n.grid
     wx, wy = taxis_face_velocity(state.n, state.c, spec)
-    dt_stab = _advective_dt(state, wx, wy, controls)
+    dt_stab = advective_dt(state, wx, wy, controls)
     if dt_stab < DT_MIN:
         raise SolverError(
             f"stability violation: dt={dt_stab:.3e} below DT_MIN at t={state.t}"
@@ -171,9 +178,11 @@ def _step_impl(state: State, spec: ModelSpec, controls: TimeControls, poisson: P
     # split at lam = inf D_eps when that at least halves the substeps and
     # the heat half-steps' round-off cannot take n below 0
     lo, hi = float(n_new.values.min()), float(n_new.values.max())
-    lam = inf_D_eps(lo, hi, spec)
-    substeps = max(1, int(math.ceil(dt / _diffusive_dt(lo, hi, g, spec))))
-    split = max(1, int(math.ceil(dt / _diffusive_dt(lo, hi, g, spec, lam))))
+    if not (math.isfinite(lo) and math.isfinite(hi)):  # name the cell before the sizing fails
+        _check_finite(State(n_new, state.c, state.u, t_new), SolverError)
+    lam, sup = D_eps_range(lo, hi, spec)
+    substeps = max(1, int(math.ceil(dt / _diffusive_dt(sup, g))))
+    split = max(1, int(math.ceil(dt / _diffusive_dt(sup - lam, g))))
     if 2 * split <= substeps and lo > HEAT_ROUNDOFF * hi:
         substeps = split
     else:
@@ -286,24 +295,33 @@ def _diffusion_substeps(nv: np.ndarray, spec: ModelSpec, dt_sub: float, substeps
         nv[...] = poisson.heat_cells(nv, heat)
 
 
-def _check_finite(state: State):
-    """Raise SolverError naming the field and the entry (i, j) of the first
+def _check_finite(state: State, error: type):
+    """Raise `error` naming the field and the entry (i, j) of the first
     non-finite value, in the order n, c, ux, uy."""
     for name, a in (("n", state.n.values), ("c", state.c.values), ("ux", state.u.ux), ("uy", state.u.uy)):
         if not np.isfinite(a).all():
             i, j = np.argwhere(~np.isfinite(a))[0]
-            raise SolverError(f"non-finite state at t={state.t:.6g}: {name}[{i}, {j}] = {a[i, j]}")
+            raise error(f"non-finite state at t={state.t:.6g}: {name}[{i}, {j}] = {a[i, j]}")
 
 
 def check_initial(state: State):
     """Raise ValueError, naming the field (n, c or u), unless `state` is an
-    admissible initial state: finite, n >= 0 and not identically 0, c > 0,
-    u discretely solenoidal with zero boundary-normal entries.  `run` calls
-    it, and config.validate_config calls it on the configured state, so
-    `validate` accepts exactly the initial states `run` accepts."""
-    state.validate()
+    admissible initial state: t finite and >= 0, every entry finite, n >= 0
+    and not identically 0, c > 0, u with zero boundary-normal entries and
+    discretely solenoidal.  `run` calls it, and config.validate_config
+    calls it on the configured state, so `validate` accepts exactly the
+    initial states `run` accepts."""
+    if not (math.isfinite(state.t) and state.t >= 0):
+        raise ValueError(f"time must be finite and >= 0, got {state.t}")
+    _check_finite(state, ValueError)
+    if (state.n.values < 0).any():
+        raise ValueError("density n must be >= 0 entrywise")
     if not state.n.values.any():
         raise ValueError("initial density n must not vanish identically")
+    if (state.c.values <= 0).any():
+        raise ValueError("signal c must be > 0 entrywise")
+    if not state.u.normal_boundary_is_zero():
+        raise ValueError("velocity u has nonzero boundary-normal entries")
     d = div(state.u)
     scale = max(1.0, max(state.u.max_speed()))
     if np.abs(d.values).max() > 1e-10 * scale / min(state.n.grid.hx, state.n.grid.hy):
@@ -355,7 +373,7 @@ def run(
     while state.t < controls.t_end - 1e-14:
         try:
             state, info = _step_impl(state, spec, controls, poisson, until=next_tick)
-            _check_finite(state)
+            _check_finite(state, SolverError)
         except SolverError as exc:
             raise SolverError(f"step {index}: {exc}") from exc
         index += 1

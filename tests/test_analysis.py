@@ -85,28 +85,30 @@ class TestTrudinger:
     def test_zero_psi(self):
         g = make_grid(32, 32, 1.0, 1.0)
         one = ScalarField.full(g, 1.0)
-        gap = trudinger_gap(one, ScalarField.full(g, 0.0), K=2.0)
+        gap, scale = trudinger_gap(one, ScalarField.full(g, 0.0), K=2.0)
         assert gap == pytest.approx(2.0 / A_VALUES)  # K/a with all other terms zero
+        assert (scale == np.abs(gap) + 2.0).all()  # |gap| + K int phi
 
     def test_unit_fields(self):
         g = make_grid(32, 32, 1.0, 1.0)
         one = ScalarField.full(g, 1.0)
         for K in (0.5, 1.0, 3.0):
-            gap = trudinger_gap(one, one, K=K)
+            gap, _ = trudinger_gap(one, one, K=K)
             assert gap == pytest.approx(K * A_VALUES + K / A_VALUES - 1.0, abs=1e-10)
 
     def test_sublevel_all_below_threshold(self):
         g = make_grid(32, 32, 1.0, 1.0)
         one = ScalarField.full(g, 1.0)
-        gap = trudinger_sublevel_gap(one, K=1.0)
+        gap, scale = trudinger_sublevel_gap(one, K=1.0)
         # empty superlevel set: gap = K*mass^3 + (K - ln 1)*mass + K = 3K
         assert gap == pytest.approx(3.0)
+        assert scale == abs(gap) + 1.0  # |gap| + K max(mass^3, 1)
 
     def test_sublevel_constant_above_threshold(self):
         g = make_grid(32, 32, 1.0, 1.0)
         phi = ScalarField.full(g, 3.5)
         K = 1.0
-        gap = trudinger_sublevel_gap(phi, K=K)
+        gap, _ = trudinger_sublevel_gap(phi, K=K)
         mass = 3.5
         expected = K * mass**3 + (K - math.log(mass)) * mass + K - mass * math.log(4.5)
         assert gap == pytest.approx(expected, abs=1e-10)
@@ -229,7 +231,7 @@ class TestPoincare:
         mask = np.zeros((32, 32), dtype=bool)
         mask[:16] = True
         gap, scale = poincare_subset_gap(ScalarField.full(g, 2.0), mask, 1.0)
-        assert gap == pytest.approx(0.0, abs=1e-12) and scale == 0.0
+        assert gap == pytest.approx(0.0, abs=1e-12) and scale == 1e-30  # the scale's positive floor
 
     def test_linear_field_left_half(self):
         g = make_grid(128, 128, 1.0, 1.0)
@@ -239,7 +241,7 @@ class TestPoincare:
         gap, scale = poincare_subset_gap(phi, mask, 1.0)
         lhs = math.sqrt(7.0 / 48.0)  # int (x - 1/4)^2 = 7/48
         assert gap == pytest.approx(1.0 - lhs, abs=1e-4)
-        assert scale == pytest.approx(1.0, abs=1e-12)  # |grad x| = 1
+        assert scale == pytest.approx(1.0, abs=1e-12)  # |grad x| = 1, plus the floor 1e-30
 
     def test_empty_subset(self):
         g = make_grid(16, 16, 1.0, 1.0)

@@ -47,9 +47,9 @@ class TestValidate:
 
     @pytest.mark.parametrize("kw, line", [
         (dict(c0="cosine: base=1.0, amp=0.5, kx=nan, ky=1"),
-         "initial data rejected: signal c contains non-finite entries"),
+         "initial data rejected: non-finite state at t=0: c[0, 0] = nan"),
         (dict(u0="vortex: amp=1e308"),
-         "initial data rejected: velocity u contains non-finite entries"),
+         "initial data rejected: non-finite state at t=0: ux[4, 0] = inf"),
         (dict(n0="gaussian: mass=1.0, sigma=0"),
          "initial data rejected: n0 gaussian parameter sigma must be > 0; got 0.0"),
         (dict(n0="gaussian: mass=1.0, sigma=0.001", nx=8, ny=8),
@@ -128,6 +128,36 @@ class TestRun:
         blobs = sorted(out.glob("*.cns2"))
         assert [b.name for b in blobs] == ["snapshot_t00000.000000.cns2", "snapshot_t00000.050000.cns2"]
         assert [read_snapshot(b.read_bytes()).t for b in blobs] == pytest.approx([0.0, 0.05], abs=1e-12)
+
+
+class TestNonFiniteStep:
+    """A value that turns non-finite inside a step ends the run with one line
+    naming the step, the time and the first non-finite entry (in the order n,
+    c, ux, uy), exit code 1 and no traceback.  Each operator result is
+    spoiled on its third call, in step 2: the density cases before the
+    substeps are sized, the velocity case by the check after the step."""
+
+    @pytest.mark.parametrize("operator, array, cell, value, entry", [
+        ("taxis_flux_div", "values", (5, 7), float("nan"), "n[5, 7] = nan"),
+        ("taxis_flux_div", "values", (5, 7), -float("inf"), "n[5, 7] = inf"),  # transported n is +inf
+        ("advect_velocity", "ux", (3, 4), float("nan"), "ux[1, 0] = nan"),  # the viscous solve spreads it
+    ], ids=["nan-density", "inf-density", "nan-velocity-tendency"])
+    def test_named_error_line_and_exit_1(self, tiny_config, tmp_path, monkeypatch, capsys,
+                                         operator, array, cell, value, entry):
+        calls = []
+        original = getattr(solver, operator)
+
+        def spoiled(*args):
+            out = original(*args)
+            calls.append(operator)
+            if len(calls) == 3:
+                getattr(out, array)[cell] = value
+            return out
+
+        monkeypatch.setattr(solver, operator, spoiled)
+        assert main(["run", str(tiny_config), "--output", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"ERROR: step 2: non-finite state at t=[0-9.e-]+: {re.escape(entry)}\n", err), err
 
 
 class TestSweeps:

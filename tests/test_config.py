@@ -389,10 +389,10 @@ class TestValidateMatchesRun:
     has its initial state refused by `run`, and each refusal names its field."""
 
     @pytest.mark.parametrize("field, kind, message", [
-        ("c0", "cosine: base=1.0, amp=0.5, kx=nan, ky=1", "signal c contains non-finite entries"),
+        ("c0", "cosine: base=1.0, amp=0.5, kx=nan, ky=1", "non-finite state at t=0: c[0, 0] = nan"),
         ("c0", "cosine: base=0.4, amp=0.5", "signal c must be > 0 entrywise"),
-        ("u0", "vortex: amp=1e308", "velocity u contains non-finite entries"),
-        ("n0", "gaussian: mass=nan", "density n contains non-finite entries"),
+        ("u0", "vortex: amp=1e308", "non-finite state at t=0: ux[2, 0] = inf"),
+        ("n0", "gaussian: mass=nan", "non-finite state at t=0: n[0, 0] = nan"),
         ("n0", "gaussian: mass=-1.0", "density n must be >= 0 entrywise"),
         ("n0", "constant: value=0", "initial density n must not vanish identically"),
     ])

@@ -12,6 +12,7 @@ from chemoflow.grid import (
     integrate,
     make_grid,
 )
+from chemoflow.solver import check_initial
 
 
 class TestMakeGrid:
@@ -106,33 +107,43 @@ class TestVectorField:
 
 
 class TestState:
+    """The admissibility rules of a State, which solver.check_initial holds."""
+
     def _state(self, g):
         return State(ScalarField.full(g, 1.0), ScalarField.full(g, 1.0), VectorField.zeros(g), 0.0)
 
     def test_valid(self):
         g = make_grid(4, 4, 1.0, 1.0)
-        self._state(g).validate()
+        check_initial(self._state(g))
 
     def test_negative_density_rejected(self):
         g = make_grid(4, 4, 1.0, 1.0)
         st_ = self._state(g)
         st_.n.values[0, 0] = -1e-3
         with pytest.raises(ValueError, match="n must be >= 0"):
-            st_.validate()
+            check_initial(st_)
 
     def test_nonpositive_signal_rejected(self):
         g = make_grid(4, 4, 1.0, 1.0)
         st_ = self._state(g)
         st_.c.values[1, 1] = 0.0
         with pytest.raises(ValueError, match="c must be > 0"):
-            st_.validate()
+            check_initial(st_)
+
+    @pytest.mark.parametrize("t", [-1e-3, float("nan"), float("inf")])
+    def test_bad_time_rejected(self, t):
+        g = make_grid(4, 4, 1.0, 1.0)
+        st_ = self._state(g)
+        st_.t = t
+        with pytest.raises(ValueError, match="time must be finite and >= 0"):
+            check_initial(st_)
 
     def test_boundary_normal_velocity_rejected(self):
         g = make_grid(4, 4, 1.0, 1.0)
         st_ = self._state(g)
         st_.u.ux[0, 0] = 0.1
         with pytest.raises(ValueError, match="boundary-normal"):
-            st_.validate()
+            check_initial(st_)
 
     def test_frozen_copy(self):
         g = make_grid(4, 4, 1.0, 1.0)

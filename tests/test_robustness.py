@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from chemoflow.config import parse_config
 from chemoflow.grid import ScalarField, State, VectorField, integrate, make_grid
 from chemoflow import solver
-from chemoflow.model import ModelSpec, PorousMedium, TabulatedDiffusion, inf_D_eps
+from chemoflow.model import D_eps_range, ModelSpec, PorousMedium, TabulatedDiffusion
 from chemoflow.operators import PoissonSolver, div
 from chemoflow.solver import TimeControls, _diffusive_dt, _step_impl, run
 
@@ -141,9 +141,9 @@ class TestSplitWhereDensityVanishes:
         assert n.values.min() == 0.0
         state = State(n, ScalarField.full(g, 1.0), VectorField.zeros(g), 0.0)
         hi = float(n.values.max())
-        lam = inf_D_eps(0.0, hi, spec)
-        halved = math.ceil(dt / _diffusive_dt(0.0, hi, g, spec, lam))
-        assert 2 * halved <= math.ceil(dt / _diffusive_dt(0.0, hi, g, spec))
+        lam, sup = D_eps_range(0.0, hi, spec)
+        halved = math.ceil(dt / _diffusive_dt(sup - lam, g))
+        assert 2 * halved <= math.ceil(dt / _diffusive_dt(sup, g))
         lams = []
         substeps = solver._diffusion_substeps
         monkeypatch.setattr(solver, "_diffusion_substeps",

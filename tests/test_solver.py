@@ -10,7 +10,7 @@ from chemoflow import solver
 from chemoflow.config import parse_config
 from chemoflow.grid import ScalarField, State, VectorField, integrate, make_grid
 from chemoflow.model import (
-    ModelSpec, PorousMedium, TabulatedDiffusion, eval_D_eps, inf_D_eps, kirchhoff_units,
+    D_eps_range, ModelSpec, PorousMedium, TabulatedDiffusion, eval_D_eps, kirchhoff_units,
 )
 from chemoflow.operators import PoissonSolver, div
 from chemoflow.solver import SolverError, TimeControls, _clamp_negative, run
@@ -19,6 +19,12 @@ from chemoflow.solver import SolverError, TimeControls, _clamp_negative, run
 def step(*args):
     """One step of the scheme, without its StepInfo."""
     return solver._step_impl(*args)[0]
+
+
+def unsplit_dt(n, spec):
+    """The largest substep of an unsplit diffusion of n: sized on sup D_eps over [min n, max n]."""
+    _, sup = D_eps_range(float(n.values.min()), float(n.values.max()), spec)
+    return solver._diffusive_dt(sup, n.grid)
 
 
 GRID = make_grid(32, 32, 1.0, 1.0)
@@ -189,7 +195,7 @@ class TestDiffusionSubsteps:
         g = make_grid(24, 16, 1.5, 1.0)
         spec = ModelSpec(diffusion=diffusion, epsilon=0.05)
         n = ScalarField(g, np.random.default_rng(3).random((24, 16)) * 2.0)
-        dt_sub = 0.9 * solver._diffusive_dt(float(n.values.min()), float(n.values.max()), g, spec)
+        dt_sub = 0.9 * unsplit_dt(n, spec)
         expected = n.values + dt_sub * naive.nonlinear_diffuse(n, spec).values
         nv = n.values.copy()
         solver._diffusion_substeps(nv, spec, dt_sub, 1, g)
@@ -216,7 +222,7 @@ class TestDiffusionSubsteps:
         n = ScalarField(g, rng.random((nx, ny)) * 2.0)
         n.values[rng.random((nx, ny)) < 0.3] = 0.0
         lo, hi, mass = n.values.min(), n.values.max(), n.values.sum()
-        dt_sub = solver._diffusive_dt(float(n.values.min()), float(n.values.max()), g, spec)
+        dt_sub = unsplit_dt(n, spec)
         nv = n.values.copy()
         solver._diffusion_substeps(nv, spec, dt_sub, substeps, g)
         assert nv.min() >= solver.NEGATIVE_DENSITY_TOL
@@ -262,7 +268,7 @@ class TestSplitDiffusion:
         monkeypatch.setattr(solver, "_diffusion_substeps", watched)
         split = run(st_, SPEC, controls, PoissonSolver(g))
         split_calls, calls[:] = list(calls), []
-        monkeypatch.setattr(solver, "inf_D_eps", lambda lo, hi, spec: 0.0)
+        monkeypatch.setattr(solver, "D_eps_range", lambda lo, hi, spec: (0.0, D_eps_range(lo, hi, spec)[1]))
         plain = run(st_, SPEC, controls, PoissonSolver(g))
         assert all(lam > 0.0 for lam, _ in split_calls) and all(lam == 0.0 for lam, _ in calls)
         assert len(calls) == len(split_calls)
@@ -297,7 +303,7 @@ class TestSplitDiffusion:
         # D peaks at the knot 0.5 between the ends 0.1 and 1: the infimum sits
         # at an end, and the maximum inside
         spec = ModelSpec(diffusion=TabulatedDiffusion((0.0, 0.5, 1.0), (0.1, 10.0, 1.0)), epsilon=0.05)
-        lam = inf_D_eps(lo, hi, spec)
+        lam, _ = D_eps_range(lo, hi, spec)
         values = eval_D_eps(np.linspace(lo, hi, 10001), spec)
         assert lam <= values.min() and lam == pytest.approx(values.min(), rel=1e-12)
 
@@ -343,7 +349,7 @@ class TestFlatSubstepLoop:
         rng = np.random.default_rng(nx * 100 + ny)
         n = ScalarField(g, rng.random((nx, ny)) * 2.0)
         n.values[rng.random((nx, ny)) < 0.3] = 0.0
-        dt_sub = solver._diffusive_dt(float(n.values.min()), float(n.values.max()), g, spec)
+        dt_sub = unsplit_dt(n, spec)
         flat = n.values.copy()
         ref = n.values.copy()
         solver._diffusion_substeps(flat, spec, dt_sub, 40, g)

@@ -13,6 +13,9 @@ field of a public dataclass, must be passed by some call in src/ or
 perfbench/*.py (by keyword, by position, or through *args / **kwargs), or
 by a keyword `name=` inside a README.md code span.  A value only the
 tests set is a constant.
+
+No src/ module imports a private `_name` from another chemoflow module: a
+name another module needs is public.
 """
 
 import ast
@@ -147,3 +150,12 @@ def test_every_settable_value_is_set_outside_the_tests():
              and not any(starred or name in keywords or (pos is not None and npos > pos)
                          for npos, keywords, starred in calls.get(called, ()))]
     assert unset == [], f"only the tests set {unset}; make them constants"
+
+
+def test_no_module_imports_a_private_name_of_another():
+    imported = []
+    for path in SRC:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("chemoflow")):
+                imported += [f"{path.stem}: {node.module}.{a.name}" for a in node.names if a.name.startswith("_")]
+    assert imported == [], f"private names imported across modules: {imported}; make them public"

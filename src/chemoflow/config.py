@@ -15,8 +15,9 @@ built initial state (finite, n0 >= 0 and not identically 0, c0 > 0, u0
 solenoidal with no penetration; a non-finite entry named by its field
 and cell) by solver.check_initial, the function `run` calls, and here
 the bounds ||c0||_inf <= M, for gamma > 1/2 ||n0||_1 <= M, min c0 >=
-C0_FLOOR, the first step's CFL dt (as the solver has it) >= DT_MIN and
-max|div u0| <= DIV_U_TOL.
+C0_FLOOR and max|div u0| <= DIV_U_TOL; the first step is sized by
+solver.plan_step, the function each step of `run` calls, and its
+SolverError is a violation.
 
 Initial data comes from a fixed catalogue (_CATALOGUE, which holds each
 parameter's default) instead of free-form expressions, so the provenance
@@ -45,8 +46,8 @@ import numpy as np
 from .grid import Grid, ScalarField, State, VectorField, integrate, make_grid
 from .io import snapshot_name
 from .model import ModelSpec, PorousMedium, TabulatedDiffusion, threshold_s0
-from .operators import div, taxis_face_velocity
-from .solver import DT_MIN, TimeControls, advective_dt, check_initial
+from .operators import div
+from .solver import SolverError, TimeControls, check_initial, plan_step
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "validate_config", "reference_config_text"]
 
@@ -295,21 +296,20 @@ def validate_config(cfg: RunConfig):
     except ValueError as exc:
         violations.append(f"initial data rejected: {exc}")
         return violations
-    n0, c0 = state.n, state.c
-    cmax = float(c0.values.max())
-    if cmax > spec.M * (1.0 + 1e-12):
+    if (cmax := float(state.c.values.max())) > spec.M * (1.0 + 1e-12):
         violations.append(f"requires ||c0||_inf <= M; got {cmax:.6g} > M = {spec.M:.6g}")
-    if (cmin := float(c0.values.min())) < C0_FLOOR:
+    if (cmin := float(state.c.values.min())) < C0_FLOOR:
         violations.append(f"requires min c0 >= {C0_FLOOR:.3g}, below which the record's c^5 "
                           f"underflows; got {cmin:.3g}")
-    if (dt := advective_dt(state, *taxis_face_velocity(n0, c0, spec), cfg.controls)) < DT_MIN:
-        violations.append(f"the first step's CFL dt = {dt:.3e} is below DT_MIN = {DT_MIN:g}; "
-                          f"the initial velocity or taxis drift is too fast for the grid")
-    elif (d := float(np.abs(div(state.u).values).max())) > DIV_U_TOL:  # a u0 too fast is named once
-        violations.append(f"requires max|div u0| <= {DIV_U_TOL:g}, the incompressibility monitor's bound; "
-                          f"got {d:.3g}")
+    try:
+        plan_step(state, spec, cfg.controls)
+        if (d := float(np.abs(div(state.u).values).max())) > DIV_U_TOL:  # a u0 too fast is named once
+            violations.append(f"requires max|div u0| <= {DIV_U_TOL:g}, the incompressibility monitor's "
+                              f"bound; got {d:.3g}")
+    except SolverError as exc:
+        violations.append(f"the first step fails: {exc}")
     if spec.gamma > 0.5:
-        mass = integrate(n0)
+        mass = integrate(state.n)
         if mass > spec.M * (1.0 + 1e-12):
             violations.append(
                 f"gamma > 1/2 additionally requires ||n0||_L1 <= M; got {mass:.6g} > M = {spec.M:.6g}"

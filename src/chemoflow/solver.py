@@ -32,17 +32,17 @@ Every sub-update preserves the structure the monitors rely on: n >= 0
 exactly under the CFL rule, total mass of n to round-off, the maximum
 principle for c, and discrete incompressibility to solver accuracy.
 
-The rules of an admissible state live here alone, in check_initial.  Its
-finiteness check, _check_finite, also runs on the state after every step
-and, when the transported density's range [lo, hi] is not finite, before
-that range sizes the substeps; a SolverError from a step is prefixed
-"step <i>: ".
+A step's sizing (dt, lam, substeps) and the transport of n are plan_step,
+which config.validate_config also calls on the initial state.  The rules
+of an admissible state live here alone, in check_initial; its finiteness
+check, _check_finite, also runs on the state after every step and on a
+non-finite [lo, hi]; a SolverError from a step is prefixed "step <i>: ".
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,7 +58,7 @@ from .operators import (
     taxis_flux_div,
 )
 
-__all__ = ["TimeControls", "SolverError", "StepInfo", "advective_dt", "check_initial", "run"]
+__all__ = ["TimeControls", "SolverError", "StepPlan", "plan_step", "check_initial", "run"]
 
 NEGATIVE_DENSITY_TOL = -1e-13
 DIFFUSION_NUMBER = 0.9
@@ -99,23 +99,18 @@ class TimeControls:
             raise ValueError(f"dt_max must be finite and >= DT_MIN = {DT_MIN:g}, got {self.dt_max}")
 
 
-@dataclass
-class StepInfo:
+@dataclass(frozen=True)
+class StepPlan:
+    """One step's dt, end time, split point lam (0 unsplit) and substeps, with the
+    transported density n the step diffuses in place and the mass clamping added;
+    _step_impl returns it with the step's total clamped_mass."""
+
     dt: float
+    t_new: float
+    lam: float
     substeps: int
+    n: ScalarField
     clamped_mass: float
-
-
-def advective_dt(state: State, wx, wy, controls: TimeControls) -> float:
-    """The outer dt of TimeControls' CFL rule for `state` and the taxis face
-    velocity (wx, wy); config.validate_config calls it on the initial state."""
-    g = state.n.grid
-    ux_max, uy_max = state.u.max_speed()
-    sx = ux_max + float(np.abs(wx).max())
-    sy = uy_max + float(np.abs(wy).max())
-    rate = sx / g.hx + sy / g.hy
-    dt = controls.dt_max if rate == 0.0 else min(controls.dt_max, controls.cfl / rate)
-    return dt
 
 
 def _diffusive_dt(d: float, g: Grid) -> float:
@@ -144,31 +139,33 @@ def _clamp_negative(n: ScalarField, t: float) -> float:
     return clamped
 
 
-def _step_impl(state: State, spec: ModelSpec, controls: TimeControls, poisson: PoissonSolver, until=None):
+def plan_step(state: State, spec: ModelSpec, controls: TimeControls, until=None) -> StepPlan:
+    """Transport n and size the step from `state` towards min(until, t_end):
+    TimeControls' dt, clipped onto that target, and the substeps and lam of
+    step 1 of the module docstring.  SolverError for a dt below DT_MIN or a
+    transported n that is not finite (naming the cell).  _step_impl executes
+    the plan and config.validate_config makes it for the initial state."""
     g = state.n.grid
     wx, wy = taxis_face_velocity(state.n, state.c, spec)
-    dt_stab = advective_dt(state, wx, wy, controls)
+    ux_max, uy_max = state.u.max_speed()
+    rate = (ux_max + float(np.abs(wx).max())) / g.hx + (uy_max + float(np.abs(wy).max())) / g.hy
+    dt_stab = controls.dt_max if rate == 0.0 else min(controls.dt_max, controls.cfl / rate)
     if dt_stab < DT_MIN:
         raise SolverError(
-            f"stability violation: dt={dt_stab:.3e} below DT_MIN at t={state.t}"
+            f"stability violation: the CFL dt = {dt_stab:.3e} is below DT_MIN = {DT_MIN:g} at "
+            f"t={state.t:.6g}; the velocity or taxis drift is too fast for the grid"
         )
     # clip onto the next record tick / final time without leaving slivers:
     # either land exactly, or split the remainder so dt >= dt_stab / 2
     target = controls.t_end if until is None else min(until, controls.t_end)
     remaining = target - state.t
-    t_new = None
     if remaining <= dt_stab * (1.0 + 1e-9):
-        dt = remaining
-        t_new = target
-    elif remaining <= 2.0 * dt_stab:
-        dt = 0.5 * remaining
+        dt, t_new = remaining, target
     else:
-        dt = dt_stab
-    if t_new is None:
+        dt = 0.5 * remaining if remaining <= 2.0 * dt_stab else dt_stab
         t_new = state.t + dt
 
-    # --- (i) density update -------------------------------------------------
-    # the operators return fresh arrays, so the updates accumulate in place
+    # transport: the operators return fresh arrays, so the update accumulates in place
     tend = advect_scalar(state.n, state.u).values
     tend += taxis_flux_div(state.n, (wx, wy)).values
     tend *= dt
@@ -187,8 +184,17 @@ def _step_impl(state: State, spec: ModelSpec, controls: TimeControls, poisson: P
         substeps = split
     else:
         lam = 0.0
-    _diffusion_substeps(n_new.values, spec, dt / substeps, substeps, g, lam=lam, poisson=poisson)
-    clamped += _clamp_negative(n_new, t_new)
+    return StepPlan(dt, t_new, lam, substeps, n_new, clamped)
+
+
+def _step_impl(state: State, spec: ModelSpec, controls: TimeControls, poisson: PoissonSolver, until=None):
+    g = state.n.grid
+    plan = plan_step(state, spec, controls, until)
+    dt, n_new = plan.dt, plan.n
+
+    # --- (i) density update: transported by the plan, diffused here -----------
+    _diffusion_substeps(n_new.values, spec, dt / plan.substeps, plan.substeps, g, lam=plan.lam, poisson=poisson)
+    clamped = plan.clamped_mass + _clamp_negative(n_new, plan.t_new)
 
     # --- (ii) signal update ---------------------------------------------------
     c_mid = advect_scalar(state.c, state.u).values
@@ -222,8 +228,7 @@ def _step_impl(state: State, spec: ModelSpec, controls: TimeControls, poisson: P
     u_star.enforce_no_penetration()
     u_new, _pressure = project(u_star, poisson)
 
-    new_state = State(n_new, c_new, u_new, t_new)
-    return new_state, StepInfo(dt=dt, substeps=substeps, clamped_mass=clamped)
+    return State(n_new, c_new, u_new, plan.t_new), replace(plan, clamped_mass=clamped)
 
 
 def _diffusion_substeps(nv: np.ndarray, spec: ModelSpec, dt_sub: float, substeps: int, g,

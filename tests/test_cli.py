@@ -134,8 +134,10 @@ class TestNonFiniteStep:
     """A value that turns non-finite inside a step ends the run with one line
     naming the step, the time and the first non-finite entry (in the order n,
     c, ux, uy), exit code 1 and no traceback.  Each operator result is
-    spoiled on its third call, in step 2: the density cases before the
-    substeps are sized, the velocity case by the check after the step."""
+    spoiled on its third call counted from the start of `run` (validate's
+    plan of the first step calls it once before), in step 2: the density
+    cases before the substeps are sized, the velocity case by the check
+    after the step."""
 
     @pytest.mark.parametrize("operator, array, cell, value, entry", [
         ("taxis_flux_div", "values", (5, 7), float("nan"), "n[5, 7] = nan"),
@@ -145,7 +147,7 @@ class TestNonFiniteStep:
     def test_named_error_line_and_exit_1(self, tiny_config, tmp_path, monkeypatch, capsys,
                                          operator, array, cell, value, entry):
         calls = []
-        original = getattr(solver, operator)
+        original, run = getattr(solver, operator), cli.run
 
         def spoiled(*args):
             out = original(*args)
@@ -154,7 +156,12 @@ class TestNonFiniteStep:
                 getattr(out, array)[cell] = value
             return out
 
+        def counted_run(*args, **kwargs):
+            calls.clear()
+            return run(*args, **kwargs)
+
         monkeypatch.setattr(solver, operator, spoiled)
+        monkeypatch.setattr(cli, "run", counted_run)
         assert main(["run", str(tiny_config), "--output", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert re.fullmatch(rf"ERROR: step 2: non-finite state at t=[0-9.e-]+: {re.escape(entry)}\n", err), err
@@ -208,8 +215,8 @@ class TestBadArguments:
         monkeypatch.setattr(sweeps, "run", lambda *a, **k: runs.append(a))
         assert main(["sweep-grid", str(path), "--grids", "4,4;16,16;64,64", "--T", "1e-10"]) == 1
         assert capsys.readouterr().err == (
-            "VIOLATION: grid 64x64: the first step's CFL dt = 6.961e-13 is below DT_MIN = 1e-12; "
-            "the initial velocity or taxis drift is too fast for the grid\n")
+            "VIOLATION: grid 64x64: the first step fails: stability violation: the CFL dt = 6.961e-13 "
+            "is below DT_MIN = 1e-12 at t=0; the velocity or taxis drift is too fast for the grid\n")
         assert runs == []
 
     @pytest.mark.parametrize("argv", [["sweep-eps", "--eps", "0.1,0.05"], ["sweep-grid", "--grids", "8,8;16,16"]])

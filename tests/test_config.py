@@ -406,7 +406,7 @@ class TestValidateMatchesRun:
 
 
 class TestValidateMatchesFirstStepAndRecord:
-    """validate_config computes the first step's CFL dt as the solver does,
+    """validate_config plans the first step with the solver's plan_step,
     bounds c0 below where the record's c^5 underflows and div u0 by the
     incompressibility monitor's DIV_U_TOL, so `run` can take the first step
     and pass the first record of every configuration `validate` accepts."""
@@ -416,8 +416,9 @@ class TestValidateMatchesFirstStepAndRecord:
         base = parse_config(reference_config(t_end=0.01, nx=8, ny=8))
         cfg = dc_replace(base, u0_kind=f"vortex: amp={amp}")
         (problem,) = validate_config(cfg)
-        assert re.fullmatch(r"the first step's CFL dt = \S+ is below DT_MIN = 1e-12; "
-                            r"the initial velocity or taxis drift is too fast for the grid", problem)
+        assert re.fullmatch(r"the first step fails: stability violation: the CFL dt = \S+ is below "
+                            r"DT_MIN = 1e-12 at t=0; the velocity or taxis drift is too fast for the grid",
+                            problem)
         with pytest.raises(SolverError, match="step 0: stability violation"):
             run(cfg.initial_state(), cfg.spec, cfg.controls, PoissonSolver(cfg.grid))
         assert validate_config(dc_replace(base, u0_kind="vortex: amp=1e6")) == []

@@ -17,7 +17,7 @@ from chemoflow.solver import SolverError, TimeControls, _clamp_negative, run
 
 
 def step(*args):
-    """One step of the scheme, without its StepInfo."""
+    """One step of the scheme, without its plan."""
     return solver._step_impl(*args)[0]
 
 

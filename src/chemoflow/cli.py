@@ -106,9 +106,9 @@ def _cmd_run(args) -> int:
     error = None
     try:
         run(initial, spec, cfg.controls, poisson, sinks=sinks, cadence=cfg.cadence)
-    except SolverError as exc:
+    except (SolverError, ValueError) as exc:  # a failed step, or a record with a non-finite entry
         error = exc
-    # written after a failed step too: the rows recorded before it remain
+    # written after a failed step or record too: the rows recorded before it remain
     (outdir / "timeseries.csv").write_text(emit_timeseries(records))
     if error is not None:
         print(f"ERROR: {error}", file=sys.stderr)

@@ -13,11 +13,12 @@ of gamma, epsilon and m by the model types that hold them
 L by model.threshold_s0, the time controls by solver.TimeControls, the
 built initial state (finite, n0 >= 0 and not identically 0, c0 > 0, u0
 solenoidal with no penetration; a non-finite entry named by its field
-and cell) by solver.check_initial, the function `run` calls, and here
-the bounds ||c0||_inf <= M, for gamma > 1/2 ||n0||_1 <= M, min c0 >=
-C0_FLOOR and max|div u0| <= DIV_U_TOL; the first step is sized by
-solver.plan_step, the function each step of `run` calls, and its
-SolverError is a violation.
+and cell) by solver.check_initial, the function `run` calls, then here
+min c0 >= C0_FLOOR, the first step by solver.plan_step, which sizes
+every step of `run` (its SolverError is the violation, named alone), and
+the t = 0 record `run` writes first (a non-finite entry is the
+violation), off which ||c0||_inf <= M, for gamma > 1/2 ||n0||_1 <= M
+and max|div u0| <= DIV_U_TOL are read.
 
 Initial data comes from a fixed catalogue (_CATALOGUE, which holds each
 parameter's default) instead of free-form expressions, so the provenance
@@ -45,8 +46,8 @@ import numpy as np
 
 from .grid import Grid, ScalarField, State, VectorField, integrate, make_grid
 from .io import snapshot_name
-from .model import ModelSpec, PorousMedium, TabulatedDiffusion, threshold_s0
-from .operators import div
+from .diagnostics import record
+from .model import ModelSpec, PorousMedium, TabulatedDiffusion, build_truncations, threshold_s0
 from .solver import SolverError, TimeControls, check_initial, plan_step
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "validate_config", "reference_config_text"]
@@ -286,8 +287,9 @@ def validate_config(cfg: RunConfig):
     elif cfg.snapshots and (clash := _snapshot_clash(cfg.cadence, cfg.controls.t_end)):
         violations.append(f"snapshots at t={clash[0]!r} and t={clash[1]!r} would share the file "
                           f"{snapshot_name(clash[1])}; snapshot names resolve t to 1e-6")
+    table = None
     try:
-        threshold_s0(spec)
+        table = build_truncations(spec, threshold_s0(spec))
     except ValueError as exc:
         violations.append(f"diffusion threshold condition failed: {exc}")
     try:
@@ -296,24 +298,27 @@ def validate_config(cfg: RunConfig):
     except ValueError as exc:
         violations.append(f"initial data rejected: {exc}")
         return violations
-    if (cmax := float(state.c.values.max())) > spec.M * (1.0 + 1e-12):
-        violations.append(f"requires ||c0||_inf <= M; got {cmax:.6g} > M = {spec.M:.6g}")
     if (cmin := float(state.c.values.min())) < C0_FLOOR:
         violations.append(f"requires min c0 >= {C0_FLOOR:.3g}, below which the record's c^5 "
                           f"underflows; got {cmin:.3g}")
     try:
         plan_step(state, spec, cfg.controls)
-        if (d := float(np.abs(div(state.u).values).max())) > DIV_U_TOL:  # a u0 too fast is named once
-            violations.append(f"requires max|div u0| <= {DIV_U_TOL:g}, the incompressibility monitor's "
-                              f"bound; got {d:.3g}")
-    except SolverError as exc:
-        violations.append(f"the first step fails: {exc}")
-    if spec.gamma > 0.5:
-        mass = integrate(state.n)
-        if mass > spec.M * (1.0 + 1e-12):
-            violations.append(
-                f"gamma > 1/2 additionally requires ||n0||_L1 <= M; got {mass:.6g} > M = {spec.M:.6g}"
-            )
+    except SolverError as exc:  # named alone: the record would fail on the same data
+        return violations + [f"the first step fails: {exc}"]
+    if table is None or cmin < C0_FLOOR:
+        return violations
+    try:
+        rec = record(state, spec, table)
+    except ValueError as exc:
+        return violations + [f"the t = 0 record fails: {exc}"]
+    if rec.c_max > spec.M * (1.0 + 1e-12):
+        violations.append(f"requires ||c0||_inf <= M; got {rec.c_max:.6g} > M = {spec.M:.6g}")
+    if rec.div_u_max > DIV_U_TOL:
+        violations.append(f"requires max|div u0| <= {DIV_U_TOL:g}, the incompressibility monitor's bound; "
+                          f"got {rec.div_u_max:.3g}")
+    if spec.gamma > 0.5 and rec.mass_n > spec.M * (1.0 + 1e-12):
+        violations.append(f"gamma > 1/2 additionally requires ||n0||_L1 <= M; got {rec.mass_n:.6g} > "
+                          f"M = {spec.M:.6g}")
     return violations
 
 

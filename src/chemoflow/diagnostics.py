@@ -70,20 +70,22 @@ class DiagnosticsRecord:
     def __post_init__(self):
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"non-finite diagnostics entry {f.name}")
+                raise ValueError(f"non-finite diagnostics entry {f.name} at t={self.t:.6g}")
 
     @classmethod
     def field_names(cls):
         return tuple(f.name for f in fields(cls))
 
 
+@np.errstate(all="ignore")
 def record(
     state: State,
     spec: ModelSpec,
     table: TruncationTable,
     clamp_mass: float = 0.0,
 ) -> DiagnosticsRecord:
-    """Evaluate every monitored integral on one state snapshot."""
+    """Evaluate every monitored integral on one state snapshot.  An entry that
+    is not finite raises ValueError naming it and t, without numpy warnings."""
     g = state.n.grid
     da = g.cell_area
     nv = state.n.values

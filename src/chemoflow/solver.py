@@ -33,7 +33,8 @@ exactly under the CFL rule, total mass of n to round-off, the maximum
 principle for c, and discrete incompressibility to solver accuracy.
 
 A step's sizing (dt, lam, substeps) and the transport of n are plan_step,
-which config.validate_config also calls on the initial state.  The rules
+which config.validate_config also calls on the initial state; a step
+that needs more than MAX_SUBSTEPS substeps is refused there.  The rules
 of an admissible state live here alone, in check_initial; its finiteness
 check, _check_finite, also runs on the state after every step and on a
 non-finite [lo, hi]; a SolverError from a step is prefixed "step <i>: ".
@@ -66,6 +67,9 @@ DIFFUSION_NUMBER = 0.9
 HEAT_ROUNDOFF = 1e-12
 MAX_CFL = 0.5
 DT_MIN = 1e-12
+# most n-diffusion substeps one step may take; the tier-1 tests reach 515 and the
+# benchmark workloads 271 (reference's first step), so a step above this is an error
+MAX_SUBSTEPS = 1_000_000
 
 
 class SolverError(RuntimeError):
@@ -119,6 +123,13 @@ def _diffusive_dt(d: float, g: Grid) -> float:
     if d <= 0.0:
         return math.inf
     return DIFFUSION_NUMBER / (d * (2.0 / g.hx**2 + 2.0 / g.hy**2))
+
+
+def _substep_count(dt: float, d: float, g: Grid) -> float:
+    """Substeps of length at most _diffusive_dt(d, g) that make up dt, at least
+    1, as a float: inf where that length underflows to 0."""
+    dt_sub = _diffusive_dt(d, g)
+    return max(1.0, float(np.ceil(dt / dt_sub))) if dt_sub > 0.0 else math.inf
 
 
 def _clamp_negative(n: ScalarField, t: float) -> float:
@@ -178,13 +189,15 @@ def plan_step(state: State, spec: ModelSpec, controls: TimeControls, until=None)
     if not (math.isfinite(lo) and math.isfinite(hi)):  # name the cell before the sizing fails
         _check_finite(State(n_new, state.c, state.u, t_new), SolverError)
     lam, sup = D_eps_range(lo, hi, spec)
-    substeps = max(1, int(math.ceil(dt / _diffusive_dt(sup, g))))
-    split = max(1, int(math.ceil(dt / _diffusive_dt(sup - lam, g))))
+    substeps, split = _substep_count(dt, sup, g), _substep_count(dt, sup - lam, g)
     if 2 * split <= substeps and lo > HEAT_ROUNDOFF * hi:
         substeps = split
     else:
         lam = 0.0
-    return StepPlan(dt, t_new, lam, substeps, n_new, clamped)
+    if substeps > MAX_SUBSTEPS:
+        raise SolverError(f"the n-diffusion needs {substeps:.4g} substeps at t={state.t:.6g}, "
+                          f"above MAX_SUBSTEPS = {MAX_SUBSTEPS:g}; n is too large for the grid")
+    return StepPlan(dt, t_new, lam, int(substeps), n_new, clamped)
 
 
 def _step_impl(state: State, spec: ModelSpec, controls: TimeControls, poisson: PoissonSolver, until=None):

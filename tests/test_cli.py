@@ -11,7 +11,7 @@ import pytest
 
 from chemoflow import cli, solver, sweeps
 from chemoflow.cli import main
-from chemoflow.io import CSV_HEADER, parse_timeseries, read_snapshot
+from chemoflow.io import CSV_HEADER, parse_timeseries, read_snapshot, snapshot_name
 from chemoflow.solver import SolverError
 
 from config_variants import reference_config
@@ -109,9 +109,9 @@ class TestRun:
         assert not out.exists()
 
     def test_snapshots_on_disk_when_a_later_step_fails(self, tmp_path, monkeypatch, capsys):
-        path = tmp_path / "run.ini"
-        text = reference_config(t_end=0.15, nx=16, ny=16, cadence=0.05)
-        path.write_text(text.replace("snapshots = false", "snapshots = true"))
+        # a failed step, and a failed record: consumption takes c0 = 3e-62 below
+        # C0_FLOOR, so the record's c^5 underflows at t = 7.5.  Either ends the run
+        # with one ERROR line and keeps the rows and snapshots recorded before it
         step_impl = solver._step_impl
 
         def fail_after_first_tick(state, *args, **kwargs):
@@ -119,15 +119,26 @@ class TestRun:
                 raise SolverError("injected failure")
             return step_impl(state, *args, **kwargs)
 
-        monkeypatch.setattr(solver, "_step_impl", fail_after_first_tick)
-        out = tmp_path / "out"
-        assert main(["run", str(path), "--output", str(out)]) == 1
-        assert re.fullmatch(r"ERROR: step \d+: injected failure\n", capsys.readouterr().err)
-        rows = parse_timeseries((out / "timeseries.csv").read_text())
-        assert [r.t for r in rows] == pytest.approx([0.0, 0.05], abs=1e-12)
-        blobs = sorted(out.glob("*.cns2"))
-        assert [b.name for b in blobs] == ["snapshot_t00000.000000.cns2", "snapshot_t00000.050000.cns2"]
-        assert [read_snapshot(b.read_bytes()).t for b in blobs] == pytest.approx([0.0, 0.05], abs=1e-12)
+        cases = [
+            (dict(t_end=0.15, nx=16, ny=16, cadence=0.05), fail_after_first_tick, [0.0, 0.05],
+             r"ERROR: step \d+: injected failure\n"),
+            (dict(t_end=10, nx=8, ny=8, cadence=0.5, n0="constant: value=1.0", c0="constant: value=3e-62"),
+             step_impl, [0.5 * k for k in range(15)], r"ERROR: non-finite diagnostics entry I_c6 at t=7\.5\n"),
+        ]
+        for k, (values, step, times, error) in enumerate(cases):
+            path = tmp_path / f"run{k}.ini"
+            path.write_text(reference_config(**values).replace("snapshots = false", "snapshots = true"))
+            monkeypatch.setattr(solver, "_step_impl", step)
+            out = tmp_path / f"out{k}"
+            assert main(["validate", str(path)]) == 0
+            assert main(["run", str(path), "--output", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert re.fullmatch(error, err), err
+            rows = parse_timeseries((out / "timeseries.csv").read_text())
+            assert [r.t for r in rows] == pytest.approx(times, abs=1e-12)
+            blobs = sorted(out.glob("*.cns2"))
+            assert [b.name for b in blobs] == [snapshot_name(t) for t in times]
+            assert [read_snapshot(b.read_bytes()).t for b in blobs] == pytest.approx(times, abs=1e-12)
 
 
 class TestNonFiniteStep:

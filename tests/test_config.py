@@ -24,6 +24,7 @@ from chemoflow.grid import integrate
 from chemoflow.io import snapshot_name
 from chemoflow.model import PorousMedium, TabulatedDiffusion, build_truncations, threshold_s0
 from chemoflow.operators import PoissonSolver, div
+from chemoflow import solver
 from chemoflow.solver import SolverError, run
 
 from config_variants import reference_config
@@ -407,9 +408,10 @@ class TestValidateMatchesRun:
 
 class TestValidateMatchesFirstStepAndRecord:
     """validate_config plans the first step with the solver's plan_step,
-    bounds c0 below where the record's c^5 underflows and div u0 by the
-    incompressibility monitor's DIV_U_TOL, so `run` can take the first step
-    and pass the first record of every configuration `validate` accepts."""
+    bounds c0 below where the record's c^5 underflows, evaluates the t = 0
+    record and bounds its div u0 by the incompressibility monitor's
+    DIV_U_TOL, so `run` can take the first step and pass the first record
+    of every configuration `validate` accepts."""
 
     @pytest.mark.parametrize("amp", ["1e12", "1e200"])
     def test_too_fast_initial_velocity_rejected(self, amp):
@@ -422,6 +424,35 @@ class TestValidateMatchesFirstStepAndRecord:
         with pytest.raises(SolverError, match="step 0: stability violation"):
             run(cfg.initial_state(), cfg.spec, cfg.controls, PoissonSolver(cfg.grid))
         assert validate_config(dc_replace(base, u0_kind="vortex: amp=1e6")) == []
+
+    @pytest.mark.parametrize("n0, tabulated, problem", [
+        ("gaussian: mass=1e8, sigma=0.15", False, "the first step fails: the n-diffusion needs 7.718e+09 "
+         "substeps at t=0, above MAX_SUBSTEPS = 1e+06; n is too large for the grid"),
+        ("constant: value=1e307", False, "the t = 0 record fails: non-finite diagnostics entry mass_n at t=0"),
+        ("constant: value=1e305", True, "the t = 0 record fails: non-finite diagnostics entry I_logn at t=0"),
+    ], ids=["substeps-over-budget", "record-overflow", "record-overflow-bounded-diffusion"])
+    def test_step_or_record_run_cannot_take_rejected(self, monkeypatch, n0, tabulated, problem):
+        # the first used to plan 7.7e9 substeps, the second to end sweep-grid in a
+        # ZeroDivisionError; on the bounded tabulated law the first plan is small
+        text = reference_config(t_end=0.01, nx=16, ny=16)
+        if tabulated:
+            text = text.replace("diffusion = porous_medium\nm = 2.0",
+                                "diffusion = tabulated\ntable_knots = 0, 1\ntable_values = 1, 3")
+        cfg = dc_replace(parse_config(text), n0_kind=n0)
+        assert validate_config(cfg) == [problem]
+        if problem.startswith("the first step fails: "):
+            def entered(*args, **kwargs):
+                raise AssertionError("the substeps ran")
+
+            monkeypatch.setattr(solver, "_diffusion_substeps", entered)
+            with pytest.raises(SolverError) as info:
+                run(cfg.initial_state(), cfg.spec, cfg.controls, PoissonSolver(cfg.grid))
+            assert str(info.value) == "step 0: " + problem.removeprefix("the first step fails: ")
+        else:
+            table = build_truncations(cfg.spec, threshold_s0(cfg.spec))
+            with pytest.raises(ValueError) as info:  # and no RuntimeWarning, which the tests raise
+                record(cfg.initial_state(), cfg.spec, table)
+            assert str(info.value) == problem.removeprefix("the t = 0 record fails: ")
 
     def test_signal_below_record_floor_rejected(self):
         base = parse_config(reference_config(t_end=0.01, nx=8, ny=8))

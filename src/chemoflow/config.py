@@ -44,9 +44,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import record
 from .grid import Grid, ScalarField, State, VectorField, integrate, make_grid
 from .io import snapshot_name
-from .diagnostics import record
 from .model import ModelSpec, PorousMedium, TabulatedDiffusion, build_truncations, threshold_s0
 from .solver import SolverError, TimeControls, check_initial, plan_step
 

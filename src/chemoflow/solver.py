@@ -196,7 +196,7 @@ def plan_step(state: State, spec: ModelSpec, controls: TimeControls, until=None)
         lam = 0.0
     if substeps > MAX_SUBSTEPS:
         raise SolverError(f"the n-diffusion needs {substeps:.4g} substeps at t={state.t:.6g}, "
-                          f"above MAX_SUBSTEPS = {MAX_SUBSTEPS:g}; n is too large for the grid")
+                          f"above MAX_SUBSTEPS = {MAX_SUBSTEPS:g}; D_eps(n) is too large for the grid")
     return StepPlan(dt, t_new, lam, int(substeps), n_new, clamped)
 
 
@@ -390,12 +390,12 @@ def run(
     index = 0
     while state.t < controls.t_end - 1e-14:
         try:
-            state, info = _step_impl(state, spec, controls, poisson, until=next_tick)
+            state, plan = _step_impl(state, spec, controls, poisson, until=next_tick)
             _check_finite(state, SolverError)
         except SolverError as exc:
             raise SolverError(f"step {index}: {exc}") from exc
         index += 1
-        clamp_total += info.clamped_mass
+        clamp_total += plan.clamped_mass
         if next_tick is not None and state.t >= next_tick - 1e-12:
             recorded_t = emit()
             tick += 1

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chemoflow import solver
 from chemoflow.cli import main
 from chemoflow.config import (
     _KEYS,
@@ -24,7 +25,6 @@ from chemoflow.grid import integrate
 from chemoflow.io import snapshot_name
 from chemoflow.model import PorousMedium, TabulatedDiffusion, build_truncations, threshold_s0
 from chemoflow.operators import PoissonSolver, div
-from chemoflow import solver
 from chemoflow.solver import SolverError, run
 
 from config_variants import reference_config
@@ -427,7 +427,7 @@ class TestValidateMatchesFirstStepAndRecord:
 
     @pytest.mark.parametrize("n0, tabulated, problem", [
         ("gaussian: mass=1e8, sigma=0.15", False, "the first step fails: the n-diffusion needs 7.718e+09 "
-         "substeps at t=0, above MAX_SUBSTEPS = 1e+06; n is too large for the grid"),
+         "substeps at t=0, above MAX_SUBSTEPS = 1e+06; D_eps(n) is too large for the grid"),
         ("constant: value=1e307", False, "the t = 0 record fails: non-finite diagnostics entry mass_n at t=0"),
         ("constant: value=1e305", True, "the t = 0 record fails: non-finite diagnostics entry I_logn at t=0"),
     ], ids=["substeps-over-budget", "record-overflow", "record-overflow-bounded-diffusion"])
